@@ -6,12 +6,11 @@ from .errors import (
     BlendcopError,
     EvaluationError,
     FitError,
+    InputError,
     ModelNotBuiltError,
     ParameterError,
-    QueryError,
     SamplingError,
     UndefinedMeasureError,
-    UsageError,
 )
 from .families import FAMILIES, Copula, make_copula, parse_copula
 from .quadrature import QuadratureSpec
@@ -24,13 +23,12 @@ __all__ = [
     "EvaluationError",
     "FAMILIES",
     "FitError",
+    "InputError",
     "ModelNotBuiltError",
     "ParameterError",
     "QuadratureSpec",
-    "QueryError",
     "SamplingError",
     "UndefinedMeasureError",
-    "UsageError",
     "WeightingFunction",
     "WEIGHTINGS",
     "make_copula",

@@ -14,25 +14,33 @@ vector changes. Integrating K cstar over the other coordinate gives
     K f(x) = 1 + Pi_tail(x) - Pi_body(x),   Pi_c(x) = E_c[pi | coord = x],
 
 and each Pi_c integrates the component's conditional CDF by parts, so no
-density spike near a corner is ever sampled. The normalising constants
-K_tail = int Pi_tail and K_body = 1 - int Pi_body use a corner-refined rule
-over the whole unit interval, the same domain as the margins. The
-marginal pdf is evaluated at the nodes of a cached grid and interpolated
-by monotone cubics; its antiderivative, anchored at the exact mass below
-the first node, is the CDF, and a monotone cubic through (CDF, node)
-pairs gives the quantile function.
+density spike near a corner is ever sampled.
+
+One rule serves K and both margins: the corner-refined Gauss-Legendre
+rule over the whole unit interval. ``build`` evaluates Pi_tail and
+Pi_body once per axis at its nodes; on axis 0 the same values give
+K_tail = int Pi_tail and K_body = 1 - int Pi_body. On each panel the node
+values of f fix a polynomial interpolant, whose exact integrals give the
+CDF (summed up from 0) and the survival function (summed down from 1, so
+levels near 1 keep their relative accuracy) at every node and panel end,
+and whose derivative gives the slope of f there. The pdf, CDF and
+quantile are cubic Hermite steps between neighbouring entries of that
+table, each with exact slopes. Quantiles inside the two outermost panels,
+within 2e-6 of an end, are roots of the exact marginal integrals instead,
+since no polynomial follows the margin's power-law behaviour at the end
+itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .errors import EvaluationError, ModelNotBuiltError
-from .families import CLAMP, Copula, clamp_unit, make_copula, parse_copula
-from .quadrature import QuadratureSpec, corner_refined, gauss_legendre, marginal_grid
+from .errors import EvaluationError, InputError, ModelNotBuiltError
+from .families import Copula, clamp_unit, make_copula, parse_copula
+from .quadrature import UNIT_BREAKS, QuadratureSpec, corner_refined, gauss_legendre, panel_calculus
 from .weighting import WeightingFunction, make_weighting, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
@@ -50,23 +58,104 @@ class ModelParams:
         return np.concatenate([[self.theta], self.tail, self.body])
 
 
-class _AxisCache:
-    """Marginal grid artifacts for one coordinate of cstar."""
+class _Cubic:
+    """Cubic Hermite interpolant of (values, slopes) at increasing knots,
+    stored in power form per interval so that a lookup is one search and
+    a Horner step."""
 
-    __slots__ = ("grid", "pdf_values", "cdf_values", "pdf_interp", "cdf_interp", "quantile_interp")
+    __slots__ = ("inner", "left", "c0", "c1", "c2", "c3")
 
-    def __init__(self, grid, pdf_values, cdf_start):
-        self.grid = grid
-        self.pdf_values = pdf_values
-        self.pdf_interp = PchipInterpolator(grid, pdf_values, extrapolate=False)
-        anti = self.pdf_interp.antiderivative()
-        # the antiderivative vanishes at grid[0]; lift it by the mass below
-        anti.c[-1] += cdf_start
-        cdf = anti(grid)
-        # PCHIP of positive data is positive, so cdf is strictly increasing
-        self.cdf_values = cdf
-        self.cdf_interp = anti
-        self.quantile_interp = PchipInterpolator(cdf, grid, extrapolate=False)
+    def __init__(self, knots, values, slopes):
+        h = np.diff(knots)
+        delta = np.diff(values) / h
+        m0, m1 = slopes[:-1], slopes[1:]
+        self.inner = knots[1:-1]
+        self.left = knots[:-1]
+        self.c0 = values[:-1]
+        self.c1 = m0
+        self.c2 = (3.0 * delta - 2.0 * m0 - m1) / h
+        self.c3 = (m0 + m1 - 2.0 * delta) / (h * h)
+
+    def __call__(self, t):
+        i = np.searchsorted(self.inner, t, side="right")
+        dt = t - self.left[i]
+        return self.c0[i] + dt * (self.c1[i] + dt * (self.c2[i] + dt * self.c3[i]))
+
+
+class _Margin:
+    """One margin of cstar tabulated at the panel ends and nodes of the
+    corner-refined rule on (0, 1).
+
+    ``x`` holds the abscissae in increasing order; ``pdf``, ``cdf`` and
+    ``sf`` the density, the CDF and the survival function there.
+    ``level`` is the CDF up to the median and 1 - ``sf`` beyond it: the
+    knots of the quantile function, which near 1 then carry the relative
+    accuracy of the survival summed from 1. ``inner`` is the range of
+    levels outside the two outermost panels. ``pdf_at``, ``cdf_at`` and
+    ``quantile_at`` interpolate between neighbouring entries.
+    """
+
+    __slots__ = ("x", "pdf", "cdf", "sf", "level", "inner", "pdf_at", "cdf_at", "quantile_at")
+
+    def __init__(self, pdf):
+        n_panels = UNIT_BREAKS.size - 1
+        p = pdf.size // n_panels
+        f = pdf.reshape(n_panels, p)
+        half = 0.5 * np.diff(UNIT_BREAKS)[:, None]
+        g = f @ _panel_maps(p)
+        below, above = half * g[:, :p], half * g[:, p : 2 * p]
+        ends, slope, end_slopes = g[:, 2 * p : 2 * p + 2], g[:, 2 * p + 2 : 3 * p + 2], g[:, 3 * p + 2 : -1]
+        mass = half[:, 0] * g[:, -1]
+        cdf_ends = np.concatenate([[0.0], np.cumsum(mass)])
+        sf_ends = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+        # rows pdf, slope, cdf, sf; per panel its left end, then its nodes
+        at_ends = np.vstack([_joined(ends), _joined(end_slopes / half), cdf_ends, sf_ends])
+        tab = np.empty((4, n_panels, p + 1))
+        tab[:, :, 0] = at_ends[:, :-1]
+        tab[0, :, 1:] = f
+        tab[1, :, 1:] = slope / half
+        tab[2, :, 1:] = cdf_ends[:-1, None] + below
+        tab[3, :, 1:] = sf_ends[1:, None] + above
+        tab = np.concatenate([tab.reshape(4, -1), at_ends[:, -1:]], axis=1)
+        self.x = _abscissae(p)
+        self.pdf, slope, self.cdf, self.sf = tab
+        median = np.searchsorted(self.cdf, 0.5)
+        self.level = np.concatenate([self.cdf[:median], 1.0 - self.sf[median:]])
+        self.inner = (cdf_ends[1], 1.0 - sf_ends[-2])
+        self.pdf_at = _Cubic(self.x, self.pdf, slope)
+        self.cdf_at = _Cubic(self.x, self.cdf, self.pdf)
+        self.quantile_at = _Cubic(self.level, self.x, 1.0 / self.pdf)
+
+
+def _joined(at_ends):
+    """Values at the panel ends from each panel's (left, right) values:
+    f is continuous, so an inner end takes the mean of its two panels'."""
+    left, right = at_ends[:, 0], at_ends[:, 1]
+    return np.concatenate([left[:1], 0.5 * (right[:-1] + left[1:]), right[-1:]])
+
+
+@lru_cache(maxsize=8)
+def _panel_maps(p):
+    """Node values of f on [-1, 1] -> its interpolant's integrals from -1
+    to each node (p columns) and from each node to 1 (p), values at -1 and
+    1 (2), slopes at the nodes (p) and at -1 and 1 (2), and integral (1)."""
+    pc = panel_calculus(p)
+    maps = np.column_stack([pc.below.T, pc.above.T, pc.ends.T, pc.slope.T, pc.end_slopes.T, pc.weights])
+    maps.flags.writeable = False
+    return maps
+
+
+@lru_cache(maxsize=8)
+def _abscissae(p):
+    """Panel ends and nodes of the order-p corner-refined rule, in order."""
+    nodes, _ = corner_refined(p)
+    x = np.append(np.column_stack([UNIT_BREAKS[:-1], nodes.reshape(-1, p)]).ravel(), 1.0)
+    x.flags.writeable = False
+    return x
+
+
+#: Keys of a model file; ``grid_size`` is accepted from older files.
+_MODEL_KEYS = {"tail", "body", "weighting", "nodes", "eps", "grid_size"}
 
 
 class BlendedModel:
@@ -101,26 +190,30 @@ class BlendedModel:
 
     def build(self) -> "BlendedModel":
         self._check_densities()
-        x, w = corner_refined(self.quad.panel_order, 0.0, 1.0)
-        e_t, e_b = self._pi_expectations(0, x)
-        k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
-        K = k_t + k_b
-        grid = marginal_grid(self.quad)
+        x, w = corner_refined(self.quad.panel_order)
         axes = []
         for axis in (0, 1):
-            e_t, e_b = self._pi_expectations(axis, grid)
+            e_t, e_b = self._pi_expectations(axis, x)
+            if axis == 0:
+                k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
+                K = k_t + k_b
             pdf = (1.0 + e_t - e_b) / K
-            if not np.all(np.isfinite(pdf)):
-                bad = grid[np.argmin(np.isfinite(pdf))]
-                raise EvaluationError(f"non-finite marginal density on axis {axis} at {bad:.6g}")
-            axes.append(_AxisCache(grid, pdf, self._mass_below(axis, grid[0]) / K))
+            if not np.all(pdf > 0.0):
+                bad = x[np.argmin(pdf > 0.0)]
+                raise EvaluationError(
+                    f"non-finite or nonpositive marginal density on axis {axis} at {bad:.6g}"
+                )
+            margin = _Margin(pdf)
+            if not np.all(np.diff(margin.level) > 0.0):
+                raise EvaluationError(f"marginal CDF on axis {axis} is not increasing")
+            axes.append(margin)
         self._cache = {"K_t": k_t, "K_b": k_b, "K": K, "axes": axes}
         return self
 
     def _check_densities(self):
         """Fail early where a component density overflows, on a coarse
         corner-refined tensor of the unit square."""
-        x, _ = corner_refined(6, 0.0, 1.0)
+        x, _ = corner_refined(6)
         U, V = np.meshgrid(x, x, indexing="ij")
         for name, fam in (("tail", self.tail), ("body", self.body)):
             vals = np.exp(fam.logpdf(U, V))
@@ -153,34 +246,29 @@ class BlendedModel:
         return self._unnorm_density(clamp_unit(u), clamp_unit(v)) / c["K"]
 
     def marginal_pdf(self, axis, x):
-        c = self._require_cache()
-        ax = c["axes"][axis]
-        x = np.clip(np.asarray(x, dtype=float), ax.grid[0], ax.grid[-1])
-        return ax.pdf_interp(x)
+        m = self._require_cache()["axes"][axis]
+        return m.pdf_at(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
     def marginal_cdf(self, axis, x):
-        c = self._require_cache()
-        ax = c["axes"][axis]
-        xx = np.clip(np.asarray(x, dtype=float), ax.grid[0], ax.grid[-1])
-        out = np.clip(ax.cdf_interp(xx), 0.0, 1.0)
+        m = self._require_cache()["axes"][axis]
+        xx = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        out = np.clip(m.cdf_at(xx), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def marginal_quantile(self, axis, q):
-        """Inverse marginal CDF; spline inside the cached grid, bisection on
-        the exact integral beyond it (spline extrapolation is unsafe in
-        the tails)."""
-        c = self._require_cache()
-        ax = c["axes"][axis]
+        """Inverse marginal CDF: a Hermite step on the tabulated levels
+        (slope 1 / pdf), the exact root inside the outermost panels."""
+        m = self._require_cache()["axes"][axis]
         scalar = np.ndim(q) == 0
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        if np.any((q <= 0.0) | (q >= 1.0)):
+        # 1/2 joins the range so that an empty q passes
+        lo, hi = q.min(initial=0.5), q.max(initial=0.5)
+        if not (0.0 < lo and hi < 1.0):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        lo, hi = ax.cdf_values[0], ax.cdf_values[-1]
-        inside = (q >= lo) & (q <= hi)
-        out = np.empty(q.shape)
-        out[inside] = ax.quantile_interp(q[inside])
-        for ix in map(tuple, np.argwhere(~inside)):
-            out[ix] = self._quantile_exact(axis, float(q[ix]))
+        out = m.quantile_at(q)
+        if lo < m.inner[0] or hi > m.inner[1]:
+            for ix in map(tuple, np.argwhere((q < m.inner[0]) | (q > m.inner[1]))):
+                out[ix] = self._quantile_exact(axis, float(q[ix]))
         return float(out[0]) if scalar else out
 
     def copula_pdf(self, u, v):
@@ -189,47 +277,52 @@ class BlendedModel:
     def copula_logpdf(self, u, v):
         """Log-density of the copula induced by cstar."""
         c = self._require_cache()
-        u = clamp_unit(u)
-        v = clamp_unit(v)
-        x = self.marginal_quantile(0, u)
-        y = self.marginal_quantile(1, v)
+        u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
+        x, log_fx = self._quantile_log_pdf(0, u.ravel())
+        y, log_fy = self._quantile_log_pdf(1, v.ravel())
         pi = self.weighting(x, y)
         with np.errstate(divide="ignore", over="ignore"):
             ct = np.exp(self.tail._logpdf(x, y))
             cb = np.exp(self.body._logpdf(x, y))
-            num = np.log(pi * ct + (1.0 - pi) * cb) - np.log(c["K"])
-            den = np.log(self.marginal_pdf(0, x)) + np.log(self.marginal_pdf(1, y))
-        return num - den
+            out = np.log(pi * ct + (1.0 - pi) * cb) - np.log(c["K"]) - log_fx - log_fy
+        return out.reshape(u.shape)[()]
+
+    def _quantile_log_pdf(self, axis, q):
+        """(x, log f(x)) at x = F^-1(q) for a flat array q. The table is
+        searched in sorted order, several times faster than in random
+        order; x = F^-1(q) keeps the order of q."""
+        order = np.argsort(q)
+        x = np.empty_like(q)
+        log_f = np.empty_like(q)
+        x[order] = xs = self.marginal_quantile(axis, q[order])
+        with np.errstate(divide="ignore"):
+            log_f[order] = np.log(self.marginal_pdf(axis, xs))
+        return x, log_f
 
     def copula_cdf(self, u, v):
         """CDF of the induced copula: cumulative quadrature of cstar over
-        the rectangle below the transformed point."""
-        self._require_cache()
+        the rectangle [eps, x] x [eps, y] below the transformed point."""
+        c = self._require_cache()
+        eps = self.quad.eps
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        uu, vv = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
-        out = np.empty(uu.shape)
-        for ix in np.ndindex(uu.shape):
-            out[ix] = self._copula_cdf_scalar(float(uu[ix]), float(vv[ix]))
+        uu, vv = np.broadcast_arrays(np.atleast_1d(clamp_unit(u)), np.atleast_1d(clamp_unit(v)))
+        xy = []
+        for axis, q in enumerate((uu, vv)):
+            t = np.full(q.shape, eps)
+            t[q > eps] = self.marginal_quantile(axis, q[q > eps])
+            xy.append(t)
+        order = max(6, self.quad.panel_order // 2)
+        out = np.zeros(uu.shape)
+        for ix in map(tuple, np.argwhere((xy[0] > eps) & (xy[1] > eps))):
+            xs, xw = corner_refined(order, eps, xy[0][ix])
+            ys, yw = corner_refined(order, eps, xy[1][ix])
+            vals = self._unnorm_density(xs[:, None], ys[None, :])
+            out[ix] = float(xw @ vals @ yw) / c["K"]
         return out if (np.ndim(u) or np.ndim(v)) else float(out.ravel()[0])
 
-    def _copula_cdf_scalar(self, u, v):
-        eps = self.quad.eps
-        u = float(np.clip(u, CLAMP, 1.0 - CLAMP))
-        v = float(np.clip(v, CLAMP, 1.0 - CLAMP))
-        x = float(self.marginal_quantile(0, u)) if u > eps else eps
-        y = float(self.marginal_quantile(1, v)) if v > eps else eps
-        if x <= eps or y <= eps:
-            return 0.0
-        c = self._require_cache()
-        order = max(6, self.quad.panel_order // 2)
-        xs, xw = corner_refined(order, eps, x)
-        ys, yw = corner_refined(order, eps, y)
-        vals = self._unnorm_density(xs[:, None], ys[None, :])
-        return float(xw @ vals @ yw) / c["K"]
-
     # ------------------------------------------------------------------
-    # exact (grid-free) marginal and joint tail integrals
+    # exact marginal integrals near the ends, and the joint tail
     # ------------------------------------------------------------------
     def _pi_expectations(self, axis, t):
         """(Pi_tail(t), Pi_body(t)) where Pi_c(t) = E[pi | coord = t] under c.
@@ -250,35 +343,35 @@ class BlendedModel:
                 self.weighting.conditional_expectation(t, cond_b),
             )
 
-    def _mass_below(self, axis, x):
-        """K F(x), the unnormalised mass of cstar below x on one axis."""
+    def marginal_cdf_exact(self, axis, x):
+        """F(x) by a 32-point Gauss rule on [0, x]; accurate for tiny x."""
         s, w = _GL32
         e_t, e_b = self._pi_expectations(axis, x * s)
-        return x * (1.0 + (e_t - e_b) @ w)
-
-    def marginal_cdf_exact(self, axis, x):
-        """F(x) by direct integration, independent of the cached grid."""
-        return float(self._mass_below(axis, x) / self._require_cache()["K"])
+        return float(x * (1.0 + (e_t - e_b) @ w) / self._require_cache()["K"])
 
     def marginal_survival_exact(self, axis, d):
-        """P[coord > 1 - d] by direct integration; accurate for tiny d."""
-        c = self._require_cache()
+        """P[coord > 1 - d] by a 32-point Gauss rule on [1 - d, 1];
+        accurate for tiny d."""
         s, w = _GL32
         e_t, e_b = self._pi_expectations(axis, 1.0 - d * s)
-        return float(d * (1.0 + (e_t - e_b) @ w) / c["K"])
+        return float(d * (1.0 + (e_t - e_b) @ w) / self._require_cache()["K"])
 
     def _quantile_exact(self, axis, q):
+        """Quantile from the exact CDF (q < 1/2) or survival (q > 1/2),
+        for levels whose quantile lies in an outermost panel."""
         if q >= 0.5:
-            target = 1.0 - q
-            f = lambda logd: np.log(self.marginal_survival_exact(axis, np.exp(logd))) - np.log(
-                target
-            )
+            target, mass = 1.0 - q, self.marginal_survival_exact
         else:
-            target = q
-            f = lambda logd: np.log(self.marginal_cdf_exact(axis, np.exp(logd))) - np.log(target)
-        lo = np.log(target) + np.log(CLAMP)
-        hi = np.log(0.75)
-        logd = brentq(f, lo, hi, xtol=1e-12, rtol=1e-13)
+            target, mass = q, self.marginal_cdf_exact
+        gap = lambda logd: np.log(mass(axis, np.exp(logd)) / target)
+        # the marginal pdf is at most 2 / K, so less than the target lies
+        # within target K / 4 of the end; the outermost panel holds more
+        lo = np.log(0.25 * target * self._require_cache()["K"])
+        hi = np.log(2.0 * UNIT_BREAKS[1])
+        try:
+            logd = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-13)
+        except ValueError as exc:  # no sign change, or a NaN mass
+            raise EvaluationError(f"marginal quantile of {q!r} on axis {axis}: {exc}") from exc
         d = float(np.exp(logd))
         return 1.0 - d if q >= 0.5 else d
 
@@ -341,34 +434,39 @@ class BlendedModel:
             lines.append(f"{key} = {val}")
         lines.append(f"nodes = {self.quad.nodes}")
         lines.append(f"eps = {format(self.quad.eps, '.17g')}")
-        lines.append(f"grid_size = {self.quad.grid_size}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "BlendedModel":
+        """Read a file written by ``save``. A ``grid_size`` line, written
+        by older versions, is ignored."""
         fields = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, val = line.partition("=")
-                fields[key.strip()] = val.strip()
+                key, sep, val = line.partition("=")
+                key = key.strip()
+                if not sep or key not in _MODEL_KEYS:
+                    raise InputError(f"model file {path}, line {lineno}: cannot parse {line!r}")
+                fields[key] = val.strip()
         missing = {"tail", "body", "weighting"} - set(fields)
         if missing:
-            raise EvaluationError(f"model file {path} missing keys: {sorted(missing)}")
-        quad = QuadratureSpec(
-            nodes=int(fields.get("nodes", 64)),
-            eps=float(fields.get("eps", 1e-6)),
-            grid_size=int(fields.get("grid_size", 200)),
-        )
-        return cls(
-            parse_copula(fields["tail"]),
-            parse_copula(fields["body"]),
-            parse_weighting(fields["weighting"]),
-            quad,
-        )
+            raise InputError(f"model file {path} missing keys: {sorted(missing)}")
+        try:
+            quad = QuadratureSpec(
+                nodes=int(fields.get("nodes", 64)), eps=float(fields.get("eps", 1e-6))
+            )
+            parts = (
+                parse_copula(fields["tail"]),
+                parse_copula(fields["body"]),
+                parse_weighting(fields["weighting"]),
+            )
+        except ValueError as exc:
+            raise InputError(f"model file {path}: {exc}") from exc
+        return cls(*parts, quad)
 
     def __repr__(self):
         return f"BlendedModel(tail={self.tail!r}, body={self.body!r}, weighting={self.weighting!r})"

@@ -29,9 +29,6 @@ class UndefinedMeasureError(BlendcopError):
     """A dependence measure is undefined at the requested level (e.g. zero joint exceedances)."""
 
 
-class QueryError(BlendcopError, ValueError):
-    """A probability query could not be parsed or is degenerate."""
-
-
-class UsageError(BlendcopError):
-    """Bad command-line or configuration input."""
+class InputError(BlendcopError, ValueError):
+    """Outside input is malformed: pseudo-observations that are NaN or lie
+    outside [0, 1], or a model file that cannot be parsed."""

@@ -1,8 +1,8 @@
 """Maximum-likelihood fitting of single copulas and blended models.
 
 The likelihood of a blended model depends on its parameters through
-numerically built normalising constants, marginal grids, and inverse
-splines, so no gradients are available; optimisation is Nelder-Mead over
+numerically built normalising constants and marginal tables, so no
+gradients are available; optimisation is Nelder-Mead over
 an unconstrained reparameterisation (logs for positive parameters and
 the weight, log(alpha - 1) for families needing alpha > 1, Fisher-z for
 correlations), restarted from jittered initial points.
@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from scipy.stats import kendalltau
 
 from .blend import BlendedModel, ModelParams
-from .errors import FitError
+from .errors import BlendcopError, FitError, InputError
 from .families import CLAMP, Copula, make_copula
 from .quadrature import QuadratureSpec
 from .weighting import make_weighting
@@ -58,14 +58,28 @@ _TAU_TABLE = 2.0 * np.arcsin(_RHO_TABLE) / np.pi
 
 @dataclass
 class Dataset:
-    """Pseudo-observations on (0, 1) margins."""
+    """Pseudo-observations on (0, 1) margins.
+
+    Values must lie in [0, 1]; they are clamped to [CLAMP, 1 - CLAMP].
+    NaN or a value outside [0, 1] raises ``InputError``.
+    """
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        self.u = np.clip(np.asarray(self.u, dtype=float), CLAMP, 1.0 - CLAMP)
-        self.v = np.clip(np.asarray(self.v, dtype=float), CLAMP, 1.0 - CLAMP)
+        u = np.asarray(self.u, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        for name, arr in (("u", u), ("v", v)):
+            bad = ~((arr >= 0.0) & (arr <= 1.0))
+            if np.any(bad):
+                raise InputError(
+                    f"pseudo-observations must lie in [0, 1]: {name} has "
+                    f"{np.count_nonzero(bad)} values that are NaN or outside, "
+                    f"the first {arr[bad].flat[0]!r}"
+                )
+        self.u = np.clip(u, CLAMP, 1.0 - CLAMP)
+        self.v = np.clip(v, CLAMP, 1.0 - CLAMP)
         if self.u.shape != self.v.shape or self.u.ndim != 1:
             raise ValueError("dataset needs two equal-length 1-d coordinate arrays")
         if self.n < 2:
@@ -112,9 +126,10 @@ class FitResult:
     seconds: float
 
     def __post_init__(self):
-        assert abs(self.aic - (2.0 * self.k - 2.0 * self.loglik)) < 1e-9 * max(
-            1.0, abs(self.aic)
-        ), "AIC identity violated"
+        if not abs(self.aic - (2.0 * self.k - 2.0 * self.loglik)) < 1e-9 * max(1.0, abs(self.aic)):
+            raise ValueError(
+                f"AIC identity violated: aic = {self.aic!r}, k = {self.k}, loglik = {self.loglik!r}"
+            )
 
     @property
     def params(self):
@@ -177,7 +192,12 @@ def _default_family_params(tag: str, tau_hat: float):
 
 class _Objective:
     """Negative log-likelihood over the unconstrained parameter vector,
-    with a shared evaluation counter and trace."""
+    with a shared evaluation counter and trace.
+
+    A parameter vector the model cannot evaluate (a package error or a
+    floating-point failure) scores -inf log-likelihood; any other
+    exception is a fault and propagates.
+    """
 
     def __init__(self, build_and_loglik, tags):
         self._eval = build_and_loglik
@@ -190,7 +210,7 @@ class _Objective:
         params = _from_unconstrained(self.tags, z)
         try:
             ll = self._eval(params)
-        except Exception:
+        except (BlendcopError, ArithmeticError):
             ll = -np.inf
         if not np.isfinite(ll):
             ll = -np.inf

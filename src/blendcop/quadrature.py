@@ -1,16 +1,18 @@
-"""Gauss-Legendre rules on the unit interval and square.
+"""Gauss-Legendre rules on the unit interval, and the calculus of the
+interpolant they define on a panel.
 
 Copula densities are integrable but can diverge at corners of the unit
 square (Clayton at the origin, Gumbel-type families at (1,1)), so the
-integration rules used for normalising constants and marginal grids are
+integration rules used for normalising constants and margins are
 composite: panels refined geometrically toward both endpoints, with a
 Gauss-Legendre rule inside each panel. A plain single-panel rule is kept
-for smooth integrands and for test oracles.
+for smooth integrands.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,28 +26,23 @@ _PANEL_GEO = 5
 class QuadratureSpec:
     """Resolution knobs for the numerical artifacts of a blended model.
 
-    ``nodes`` is the nominal per-axis budget of the plain tensor rule;
-    the corner-refined composite rule derives its per-panel order from it
-    (``max(6, nodes // 4)``), so doubling ``nodes`` refines both rules.
+    ``nodes`` sets the per-panel order of the corner-refined rule
+    (``max(6, nodes // 4)``). K and both margins are computed at the
+    nodes of that rule over the whole unit interval, so doubling
+    ``nodes`` refines all of them.
 
-    ``eps`` insets the marginal grid to [eps, 1 - eps] and is the lower
-    limit of the rectangle integrated by ``copula_cdf``. It does not
-    truncate the model: K and the margins cover the whole unit square,
-    the CDF starts at the exact mass below eps, and quantiles beyond the
-    grid are found from the exact marginal integrals.
+    ``eps`` is the lower limit, on both axes, of the rectangle that
+    ``copula_cdf`` integrates; it does not truncate the model.
     """
 
     nodes: int = 64
     eps: float = 1e-6
-    grid_size: int = 200
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ValueError(f"quadrature nodes must be >= 16, got {self.nodes}")
         if not 0.0 < self.eps < 1e-3:
             raise ValueError(f"quadrature inset must lie in (0, 1e-3), got {self.eps}")
-        if self.grid_size < 32:
-            raise ValueError(f"marginal grid size must be >= 32, got {self.grid_size}")
 
     @property
     def panel_order(self) -> int:
@@ -63,59 +60,97 @@ def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-@lru_cache(maxsize=128)
-def _refined_breaks(a: float, b: float) -> tuple:
-    length = b - a
-    d = np.geomspace(length * 1e-6 / 0.5, length * _PANEL_INNER, _PANEL_GEO + 1)
-    brk = np.concatenate([[a], a + d, [a + 0.5 * length], b - d[::-1], [b]])
-    return tuple(np.unique(np.clip(brk, a, b)))
+def _unit_breaks():
+    d = np.geomspace(2e-6, _PANEL_INNER, _PANEL_GEO + 1)
+    return np.concatenate([[0.0], d, [0.5], 1.0 - d[::-1], [1.0]])
 
 
-def corner_refined(n_per_panel: int, a: float, b: float):
+#: Panel ends of the corner-refined rule on (0, 1); the outermost panels
+#: are [0, 2e-6] and [1 - 2e-6, 1].
+UNIT_BREAKS = _unit_breaks()
+UNIT_BREAKS.flags.writeable = False
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _composite(n_per_panel, breaks):
+    xg, wg = _leggauss(n_per_panel)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (hi - lo)
+    return _readonly((half * xg + 0.5 * (lo + hi)).ravel(), (half * wg).ravel())
+
+
+@lru_cache(maxsize=16)
+def _unit_rule(n_per_panel: int):
+    return _composite(n_per_panel, UNIT_BREAKS)
+
+
+@lru_cache(maxsize=16)
+def skewed_refined(n_per_panel: int):
+    """Composite Gauss-Legendre on (0, 1) refined to 2e-6 toward 1 but only
+    to 1.3e-3 toward 0: the panels of ``UNIT_BREAKS``, with those below
+    1e-3 merged into one. The returned arrays are read-only."""
+    return _composite(n_per_panel, np.concatenate([[0.0], UNIT_BREAKS[UNIT_BREAKS >= 1e-3]]))
+
+
+def corner_refined(n_per_panel: int, a: float = 0.0, b: float = 1.0):
     """Composite Gauss-Legendre on (a, b), refined toward both endpoints.
 
     Geometric panels shrink by roughly a decade per step toward each end,
     which resolves the corner mass of every family in the zoo to well
     below the 1e-5 grid-stability budget (the tail ridge of a Gumbel- or
-    Husler-Reiss-type density is the binding case).
+    Husler-Reiss-type density is the binding case). Nodes are ordered
+    panel by panel, ``n_per_panel`` to a panel, with the panels of
+    ``UNIT_BREAKS`` mapped onto (a, b). The rule on (0, 1) is built once
+    per order; the returned arrays are read-only.
     """
-    xg, wg = _leggauss(n_per_panel)
-    brk = _refined_breaks(a, b)
-    xs, ws = [], []
-    for lo, hi in zip(brk[:-1], brk[1:]):
-        h = 0.5 * (hi - lo)
-        xs.append(h * xg + 0.5 * (lo + hi))
-        ws.append(h * wg)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = _unit_rule(n_per_panel)
+    if a == 0.0 and b == 1.0:
+        return x, w
+    return _readonly(a + (b - a) * x, (b - a) * w)
 
 
-def unit_nodes(spec: QuadratureSpec):
-    """Corner-refined rule on the inset interval [eps, 1-eps]."""
-    return corner_refined(spec.panel_order, spec.eps, 1.0 - spec.eps)
+class PanelCalculus(NamedTuple):
+    """Linear maps from the values of a function at the n Gauss-Legendre
+    nodes of [-1, 1] to the calculus of its degree n-1 interpolant.
+    Each is an (m, n) matrix applied to the node values; all are
+    read-only."""
+
+    weights: np.ndarray  # (n,) integral over [-1, 1]
+    below: np.ndarray  # (n, n) integral from -1 to each node
+    above: np.ndarray  # (n, n) integral from each node to 1
+    slope: np.ndarray  # (n, n) derivative at each node
+    ends: np.ndarray  # (2, n) value at -1 and at 1
+    end_slopes: np.ndarray  # (2, n) derivative at -1 and at 1
 
 
-def tensor_integrate(f, x, w):
-    """Integrate f(u, v) over the tensor grid defined by 1-D nodes/weights."""
-    U, V = np.meshgrid(x, x, indexing="ij")
-    vals = f(U, V)
-    if not np.all(np.isfinite(vals)):
-        i, j = np.argwhere(~np.isfinite(vals))[0]
-        from .errors import EvaluationError
+@lru_cache(maxsize=16)
+def panel_calculus(n: int) -> PanelCalculus:
+    """Integrals, derivatives and end values of the interpolant through n
+    Gauss-Legendre nodes, from a discrete Legendre transform.
 
-        raise EvaluationError(
-            f"non-finite integrand at node (u={U[i, j]:.6g}, v={V[i, j]:.6g})"
+    The n-point rule is exact to degree 2n - 1, so the Legendre
+    coefficients of the interpolant are (k + 1/2) sum_i w_i f_i P_k(x_i);
+    antiderivatives and derivatives are then taken coefficient-wise.
+    """
+    leg = np.polynomial.legendre
+    x, w = _leggauss(n)
+    coef = (np.arange(n) + 0.5)[:, None] * leg.legvander(x, n - 1).T * w
+    anti = leg.legint(coef, lbnd=-1.0, axis=0)
+    der = leg.legder(coef, axis=0)
+    ends = np.array([-1.0, 1.0])
+    below = leg.legvander(x, n) @ anti
+    return PanelCalculus(
+        *_readonly(
+            w.copy(),
+            below,
+            w - below,
+            leg.legvander(x, n - 2) @ der,
+            leg.legvander(ends, n - 1) @ coef,
+            leg.legvander(ends, n - 2) @ der,
         )
-    return float(w @ vals @ w)
-
-
-def marginal_grid(spec: QuadratureSpec):
-    """Abscissae for the marginal CDF grid: uniform core plus points packed
-    geometrically to within 1e-4 of both endpoints, where the blended
-    margins change fastest."""
-    eps = spec.eps
-    m = spec.grid_size
-    n_pack = max(12, m // 5)
-    core = np.linspace(eps, 1.0 - eps, m - 2 * n_pack + 2)
-    packed = np.geomspace(1e-4, _PANEL_INNER, n_pack)
-    grid = np.unique(np.concatenate([core, packed, 1.0 - packed]))
-    return np.clip(grid, eps, 1.0 - eps)
+    )

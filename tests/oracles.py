@@ -3,6 +3,8 @@
 These deliberately avoid the package's production code paths: midpoint
 rules instead of Gauss-Legendre panels, finite differences instead of
 closed-form densities, nested trapezoids instead of cached grids.
+``unit_nodes`` and ``tensor_integrate`` are plain helpers of the
+quadrature tests and do use the package's rules.
 """
 import numpy as np
 
@@ -47,6 +49,27 @@ def gl_2d(f, n=128, eps=1e-9):
     w = 0.5 * (1.0 - 2.0 * eps) * w
     U, V = np.meshgrid(x, x, indexing="ij")
     return float(w @ f(U, V) @ w)
+
+
+def unit_nodes(spec):
+    """Corner-refined rule on the inset interval [eps, 1-eps]."""
+    from blendcop.quadrature import corner_refined
+
+    return corner_refined(spec.panel_order, spec.eps, 1.0 - spec.eps)
+
+
+def tensor_integrate(f, x, w):
+    """Integrate f(u, v) over the tensor grid defined by 1-D nodes/weights."""
+    from blendcop.errors import EvaluationError
+
+    U, V = np.meshgrid(x, x, indexing="ij")
+    vals = f(U, V)
+    if not np.all(np.isfinite(vals)):
+        i, j = np.argwhere(~np.isfinite(vals))[0]
+        raise EvaluationError(
+            f"non-finite integrand at node (u={U[i, j]:.6g}, v={V[i, j]:.6g})"
+        )
+    return float(w @ vals @ w)
 
 
 def kendall_tau_concordance(u, v):

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blendcop.blend import BlendedModel
-from blendcop.errors import ModelNotBuiltError
+from blendcop.errors import InputError, ModelNotBuiltError
 from blendcop.families import make_copula
-from blendcop.quadrature import QuadratureSpec, gauss_legendre
+from blendcop.quadrature import UNIT_BREAKS, QuadratureSpec, gauss_legendre
 from blendcop.weighting import make_weighting
 from oracles import gl_2d
 
@@ -18,6 +18,15 @@ Q95_ORACLE = 0.95486492  # F_U^-1(0.95) of the same model
 K_EXP_ORACLE = 0.99220406  # gumbel(2)/gaussian(0.6)/exp_complement(1.5)
 F09_PDF_ORACLE = 1.01735395  # f_U(0.9) of the exp_complement model
 GUMBEL2_CDF_HALF = 0.37521422724648177
+# 1 - F^-1(1 - d) at d = 1.7e-4, 4.1e-6, 1.49e-8, printed by
+# tests/oracle_deep_quantiles.py: closed-form component densities, the
+# margin by nested adaptive scipy quad, the root by Newton steps on the
+# mass within 1 - x of 1; nothing is imported from blendcop.
+DEEP_LEVELS = (1.7e-4, 4.1e-6, 1.49e-8)
+DEEP_QUANTILE_ORACLE = {
+    ("gumbel", 2.0, "gaussian", 0.5, 1.5): (1.573656700e-04, 3.961990725e-06, 1.486469525e-08),
+    ("gumbel", 2.0, "clayton", 1.0, 0.8): (1.339619706e-04, 3.229671110e-06, 1.173694765e-08),
+}
 
 TABLE4_CASES = [
     ("gaussian(0.6) tail / frank(2) body", "gaussian", [0.6], "frank", [2.0]),
@@ -128,12 +137,10 @@ def test_marginal_pdf_against_oracle(exp_model):
     assert_allclose(exp_model.marginal_pdf(0, 0.9), F09_PDF_ORACLE, atol=1e-4)
     xs = np.linspace(0.02, 0.98, 33)
     assert np.all(exp_model.marginal_pdf(0, xs) > 0.0)
-    # trapezoid of the cached pdf grid reproduces the cached cdf grid
+    # trapezoid of the tabulated pdf reproduces the tabulated cdf
     ax = exp_model._cache["axes"][0]
-    F_trap = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (ax.pdf_values[1:] + ax.pdf_values[:-1]) * np.diff(ax.grid))]
-    )
-    assert np.max(np.abs(F_trap - ax.cdf_values)) < 1e-4
+    F_trap = np.concatenate([[0.0], np.cumsum(0.5 * (ax.pdf[1:] + ax.pdf[:-1]) * np.diff(ax.x))])
+    assert np.max(np.abs(F_trap - ax.cdf)) < 1e-4
 
 
 def test_marginal_quantile_against_oracle(power_model):
@@ -147,11 +154,16 @@ def test_marginal_quantile_against_oracle(power_model):
 
 
 def test_marginal_quantile_out_of_grid_fallback(power_model):
-    ax = power_model._cache["axes"][0]
-    q = 0.5 * (ax.cdf_values[-1] + 1.0)  # beyond the cached grid
+    # levels whose quantile lies in an outermost panel are exact roots
+    lo, hi = power_model._cache["axes"][0].inner
+    q = 0.5 * (hi + 1.0)
     x = power_model.marginal_quantile(0, q)
-    assert ax.grid[-1] - 1e-4 <= x < 1.0
+    assert UNIT_BREAKS[-2] <= x < 1.0
     assert_allclose(power_model.marginal_survival_exact(0, 1.0 - x), 1.0 - q, rtol=1e-8)
+    q = 0.5 * lo
+    x = power_model.marginal_quantile(0, q)
+    assert 0.0 < x <= UNIT_BREAKS[1]
+    assert_allclose(power_model.marginal_cdf_exact(0, x), q, rtol=1e-8)
 
 
 def test_marginal_cdf_resolves_corner_mass():
@@ -161,9 +173,19 @@ def test_marginal_cdf_resolves_corner_mass():
     for axis in (0, 1):
         for x in (1e-4, 0.05, 0.5, 0.95):
             assert abs(m.marginal_cdf(axis, x) - m.marginal_cdf_exact(axis, x)) <= 3e-6
+        # the table spans [0, 1], so the mass next to either end is counted
         ax = m._cache["axes"][axis]
-        assert ax.cdf_values[0] > 0.0
-        assert ax.cdf_values[-1] < 1.0
+        assert ax.x[0] == 0.0 and ax.cdf[0] == 0.0 and ax.cdf[1] > 0.0
+        assert ax.x[-1] == 1.0 and ax.sf[-1] == 0.0 and ax.sf[-2] > 0.0
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_QUANTILE_ORACLE))
+def test_deep_tail_quantile_against_oracle(case):
+    tt, tp, bt, bp, theta = case
+    m = build(tt, [tp], bt, [bp], "power", theta)
+    for axis in (0, 1):
+        got = [1.0 - m.marginal_quantile(axis, 1.0 - d) for d in DEEP_LEVELS]
+        assert_allclose(got, DEEP_QUANTILE_ORACLE[case], rtol=1e-5)
 
 
 def test_exact_integrals_match_cache(power_model):
@@ -239,6 +261,42 @@ def test_save_load_round_trip(tmp_path, power_model):
     again.build()
     pts = (np.array([0.3, 0.7]), np.array([0.6, 0.8]))
     assert_allclose(again.copula_pdf(*pts), power_model.copula_pdf(*pts), rtol=1e-12)
+
+
+def test_load_ignores_grid_size_line(tmp_path, power_model):
+    path = tmp_path / "old.txt"
+    power_model.save(path)
+    assert "grid_size" not in path.read_text()
+    path.write_text(path.read_text() + "grid_size = 200\n")
+    again = BlendedModel.load(path)
+    assert again.quad == power_model.quad
+    assert again.tail == power_model.tail and again.weighting == power_model.weighting
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tail = gumbel(2)\nbody = gaussian(0.6)\n",
+        "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\nnodes = many\n",
+        "tail = gumbel(2)\nbody = gaussian(2)\nweighting = power(1.5)\n",
+        "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\nsize 3\n",
+        "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\ncolour = red\n",
+    ],
+)
+def test_load_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        BlendedModel.load(path)
+
+
+def test_copula_cdf_batch_matches_single_points(power_model):
+    u = np.array([1e-7, 0.2, 0.5, 0.97, 1.0 - 1e-7])
+    v = np.array([0.3, 5e-7, 0.5, 0.99, 0.999])
+    batch = power_model.copula_cdf(u, v)
+    assert batch[0] == 0.0 and batch[1] == 0.0  # below eps on one axis
+    for i in range(u.size):
+        assert power_model.copula_cdf(u[i], v[i]) == batch[i]
 
 
 def test_with_params(power_model):

@@ -199,3 +199,12 @@ def test_empirical_undefined_raises_with_count():
         empirical_chi_eta(u, u, 0.9)
     chi_c, eta_c = empirical_curves(u, u, grid=np.array([0.05, 0.9]))
     assert np.isfinite(chi_c.values[0]) and np.isnan(chi_c.values[1])
+
+
+def test_blended_student_t_chi_eta_at_deepest_level():
+    # the exact quantile root inside the outermost panel once bracketed
+    # levels where 1 - d rounds to 1, where the student_t h-function is NaN
+    m = build("student_t", [0.5, 4.0], "clayton", [1.0], "power", 1.0)
+    chi, eta = chi_eta(m, R_MAX)
+    assert np.isfinite(chi) and 0.0 < chi < 1.0
+    assert np.isfinite(eta) and 0.0 < eta <= 1.0

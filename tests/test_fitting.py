@@ -4,10 +4,13 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel, ModelParams
+from blendcop.errors import EvaluationError, InputError
 from blendcop.families import make_copula
 from blendcop.fitting import (
     Dataset,
+    FitResult,
     FitSpec,
+    _Objective,
     aic,
     fit_mle,
     fit_single_copula,
@@ -39,6 +42,40 @@ def test_dataset_validation():
     d = Dataset(np.array([0.0, 1.0, 0.5]), np.array([0.2, 0.4, 0.6]))
     assert d.n == 3
     assert d.u.min() > 0.0 and d.u.max() < 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.7])
+def test_dataset_rejects_nan_and_out_of_range(bad):
+    with pytest.raises(InputError, match="in \\[0, 1\\]"):
+        Dataset(np.array([0.2, bad]), np.array([0.3, 0.4]))
+    with pytest.raises(ValueError):  # InputError is also a ValueError
+        Dataset(np.array([0.2, 0.5]), np.array([bad, 0.4]))
+
+
+def test_objective_scores_package_errors_and_propagates_faults():
+    def evaluate(params):
+        if params[0] > 1.0:
+            raise EvaluationError("density overflow")
+        if params[0] > 0.9:
+            raise ZeroDivisionError
+        if params[0] < 0.5:
+            raise KeyError("a fault in the evaluation")
+        return -params[0]
+
+    obj = _Objective(evaluate, ("log",))
+    assert obj(np.log([2.0])) == np.inf
+    assert obj(np.log([0.95])) == np.inf
+    assert obj(np.log([0.7])) == pytest.approx(0.7)
+    with pytest.raises(KeyError):
+        obj(np.log([0.1]))
+
+
+def test_fit_result_checks_aic_identity():
+    fields = dict(model=None, label="x", loglik=1.0, k=2, evaluations=1, converged=True,
+                  trace=[], warnings=[], seconds=0.0)
+    FitResult(aic=2.0, **fields)
+    with pytest.raises(ValueError, match="AIC"):
+        FitResult(aic=0.0, **fields)
 
 
 def test_aic_examples():

@@ -3,13 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from blendcop.quadrature import (
+    UNIT_BREAKS,
     QuadratureSpec,
     corner_refined,
     gauss_legendre,
-    marginal_grid,
-    tensor_integrate,
-    unit_nodes,
+    panel_calculus,
+    skewed_refined,
 )
+from oracles import tensor_integrate, unit_nodes
 
 
 def test_spec_validation():
@@ -20,8 +21,6 @@ def test_spec_validation():
         QuadratureSpec(eps=1e-2)
     with pytest.raises(ValueError):
         QuadratureSpec(eps=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(grid_size=10)
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -51,11 +50,40 @@ def test_tensor_integrate_and_error_reporting():
         tensor_integrate(lambda u, v: np.where(u > 0.5, np.nan, 1.0), x, w)
 
 
-def test_marginal_grid_shape_and_packing():
-    spec = QuadratureSpec()
-    g = marginal_grid(spec)
-    assert np.all(np.diff(g) > 0)
-    assert g[0] == spec.eps and g[-1] == 1.0 - spec.eps
-    # packed to within 1e-4 of both endpoints
-    assert g[1] - g[0] < 1.1e-4
-    assert g[-1] - g[-2] < 1.1e-4
+def test_corner_refined_is_memoised_and_read_only():
+    x, w = corner_refined(16)
+    assert corner_refined(16, 0.0, 1.0)[0] is x
+    assert x.size == 16 * (UNIT_BREAKS.size - 1) and np.all(np.diff(x) > 0)
+    with pytest.raises(ValueError):
+        x[0] = 0.5
+    # other intervals are the unit rule mapped affinely
+    xa, wa = corner_refined(16, 0.2, 0.7)
+    assert_allclose(xa, 0.2 + 0.5 * x, rtol=1e-15)
+    assert_allclose(wa, 0.5 * w, rtol=1e-15)
+    assert not xa.flags.writeable
+
+
+def test_skewed_refined_resolves_boundary_layer_at_one():
+    # a unit mass within ~d of 1, as a conditional CDF given u = 1 - d has
+    x, w = skewed_refined(6)
+    assert_allclose(np.sum(w), 1.0, rtol=1e-14)
+    for d in (1e-3, 1e-4, 1e-5):
+        assert abs(w @ (np.exp(-(1.0 - x) / d) / d) - 1.0) < 1e-4
+    xg, wg = gauss_legendre(x.size)
+    assert abs(wg @ (np.exp(-(1.0 - xg) / 1e-4) / 1e-4) - 1.0) > 0.5
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_panel_calculus_exact_on_polynomials(n):
+    pc = panel_calculus(n)
+    x, _ = np.polynomial.legendre.leggauss(n)
+    ends = np.array([-1.0, 1.0])
+    for k in range(n):
+        f = x**k
+        assert_allclose(pc.weights @ f, (1.0 - (-1.0) ** (k + 1)) / (k + 1), atol=1e-14)
+        assert_allclose(pc.below @ f, (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1), atol=1e-14)
+        assert_allclose(pc.above @ f, (1.0 - x ** (k + 1)) / (k + 1), atol=1e-14)
+        assert_allclose(pc.ends @ f, ends**k, atol=1e-13)
+        slope = k * x ** max(k - 1, 0)
+        assert_allclose(pc.slope @ f, slope, atol=1e-10 * max(1, k * k))
+        assert_allclose(pc.end_slopes @ f, k * ends ** max(k - 1, 0), atol=1e-10 * max(1, k * k))
