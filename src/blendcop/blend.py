@@ -29,6 +29,12 @@ table, each with exact slopes. Quantiles inside the two outermost panels,
 within 2e-6 of an end, are roots of the exact marginal integrals instead,
 since no polynomial follows the margin's power-law behaviour at the end
 itself.
+
+Rectangle probabilities have one primitive, the joint upper survival
+S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
+CDFs by parts in the same way (see ``joint_upper_survival``). chi and eta
+read it directly, and the induced copula's CDF is
+C(u, v) = u + v - 1 + S(F^-1(u), G^-1(v)).
 """
 from __future__ import annotations
 
@@ -44,6 +50,11 @@ from .quadrature import UNIT_BREAKS, QuadratureSpec, corner_refined, gauss_legen
 from .weighting import WeightingFunction, make_weighting, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
+#: Order of the corner-refined rule (84 nodes) of ``joint_upper_survival``,
+#: and its points per batch: a (batch, 84, 84) temporary takes about 1 MB.
+_RECT_ORDER = 6
+_RECT_BATCH = 16
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ def _abscissae(p):
     return x
 
 
-#: Keys of a model file; ``grid_size`` is accepted from older files.
+#: Keys of a model file; ``eps`` and ``grid_size`` are accepted from older files.
 _MODEL_KEYS = {"tail", "body", "weighting", "nodes", "eps", "grid_size"}
 
 
@@ -280,11 +291,8 @@ class BlendedModel:
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, log_fx = self._quantile_log_pdf(0, u.ravel())
         y, log_fy = self._quantile_log_pdf(1, v.ravel())
-        pi = self.weighting(x, y)
-        with np.errstate(divide="ignore", over="ignore"):
-            ct = np.exp(self.tail._logpdf(x, y))
-            cb = np.exp(self.body._logpdf(x, y))
-            out = np.log(pi * ct + (1.0 - pi) * cb) - np.log(c["K"]) - log_fx - log_fy
+        with np.errstate(divide="ignore"):
+            out = np.log(self._unnorm_density(x, y)) - np.log(c["K"]) - log_fx - log_fy
         return out.reshape(u.shape)[()]
 
     def _quantile_log_pdf(self, axis, q):
@@ -300,26 +308,14 @@ class BlendedModel:
         return x, log_f
 
     def copula_cdf(self, u, v):
-        """CDF of the induced copula: cumulative quadrature of cstar over
-        the rectangle [eps, x] x [eps, y] below the transformed point."""
-        c = self._require_cache()
-        eps = self.quad.eps
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        uu, vv = np.broadcast_arrays(np.atleast_1d(clamp_unit(u)), np.atleast_1d(clamp_unit(v)))
-        xy = []
-        for axis, q in enumerate((uu, vv)):
-            t = np.full(q.shape, eps)
-            t[q > eps] = self.marginal_quantile(axis, q[q > eps])
-            xy.append(t)
-        order = max(6, self.quad.panel_order // 2)
-        out = np.zeros(uu.shape)
-        for ix in map(tuple, np.argwhere((xy[0] > eps) & (xy[1] > eps))):
-            xs, xw = corner_refined(order, eps, xy[0][ix])
-            ys, yw = corner_refined(order, eps, xy[1][ix])
-            vals = self._unnorm_density(xs[:, None], ys[None, :])
-            out[ix] = float(xw @ vals @ yw) / c["K"]
-        return out if (np.ndim(u) or np.ndim(v)) else float(out.ravel()[0])
+        """CDF of the induced copula: C(u, v) = u + v - 1 + S(x, y) at
+        x = F^-1(u), y = G^-1(v), with S the joint upper survival of
+        cstar, clipped to the Frechet bounds."""
+        u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
+        sf = self.joint_upper_survival(self.marginal_quantile(0, u), self.marginal_quantile(1, v))
+        lower = u + v - 1.0
+        out = np.clip(lower + sf, np.maximum(lower, 0.0), np.minimum(u, v))
+        return out if out.ndim else float(out)
 
     # ------------------------------------------------------------------
     # exact marginal integrals near the ends, and the joint tail
@@ -376,33 +372,35 @@ class BlendedModel:
         return 1.0 - d if q >= 0.5 else d
 
     def joint_upper_survival(self, x, y):
-        """P[U* > x, V* > y] under cstar with deep-corner relative accuracy.
+        """P[U* > x, V* > y] under cstar, at broadcast arrays of points.
 
-        The tail-copula part is its analytic survival; the weight
-        corrections integrate the conditional distribution by parts, so
-        no density spike is ever sampled:
-          K S = S_tail(x, y) - A(tail) + A(body),
-          A(c) = int_x^1 (1-pi)(s,y) P[V>y|U=s] ds
-                 - int_x^1 int_y^1 dpi/dv (s,t) P[V>t|U=s] dt ds.
+        Integrating each component's density by parts in v leaves only
+        its conditional CDF h, which is bounded, so no density spike is
+        ever sampled:
+          K S = int_x^1 [pi (1 - h_tail) + (1 - pi) (1 - h_body)](s, y) ds
+                + int_x^1 int_y^1 dpi/dv (s, t) [h_body - h_tail](s, t) dt ds,
+        on the order-6 corner-refined rule mapped onto [x, 1] and [y, 1].
         """
-        c = self._require_cache()
-        dx = 1.0 - x
-        dy = 1.0 - y
-        a, aw = _GL32
-        s = 1.0 - dx * a
-        t = 1.0 - dy * a
-
-        def correction(fam):
-            gbar_edge = 1.0 - fam._h(s, np.full_like(s, y))
-            term1 = dx * float((((1.0 - self.weighting(s, y)) * gbar_edge)) @ aw)
-            S2, T2 = np.meshgrid(s, t, indexing="ij")
-            gbar = 1.0 - fam._h(S2, T2)
-            term2 = dx * dy * float(aw @ (self.weighting.dv(S2, T2) * gbar) @ aw)
-            return term1 - term2
-
-        s_tail = float(self.tail._surv(np.asarray(x), np.asarray(y)))
-        val = (s_tail - correction(self.tail) + correction(self.body)) / c["K"]
-        return max(val, 0.0)
+        K = self._require_cache()["K"]
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        a, aw = corner_refined(_RECT_ORDER)
+        dx, dy, yy = 1.0 - x.ravel(), 1.0 - y.ravel(), y.ravel()
+        out = np.empty(dx.size)
+        # h at a node that underflows to 0 or 1 takes its limit value
+        with np.errstate(divide="ignore", over="ignore"):
+            for b in (slice(i, i + _RECT_BATCH) for i in range(0, dx.size, _RECT_BATCH)):
+                # a node within 1e-16 of 1 would round to 1, where some h are NaN
+                s = np.minimum(1.0 - dx[b, None] * a, _BELOW_ONE)[:, :, None]
+                t = np.minimum(1.0 - dy[b, None] * a, _BELOW_ONE)[:, None, :]
+                yb = yy[b, None, None]
+                pi = self.weighting(s, yb)
+                edge = pi * (1.0 - self.tail._h(s, yb)) + (1.0 - pi) * (1.0 - self.body._h(s, yb))
+                inner = self.weighting.dv(s, t) * (self.body._h(s, t) - self.tail._h(s, t))
+                # sums along rows, so a point's value does not depend on its batch
+                edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)
+                inner_sum = np.sum((inner @ aw) * aw, axis=1)
+                out[b] = dx[b] * (edge_sum + dy[b] * inner_sum)
+        return np.maximum(out / K, 0.0).reshape(x.shape)[()]
 
     # ------------------------------------------------------------------
     # parameters and serialisation
@@ -433,14 +431,13 @@ class BlendedModel:
         for key, val in self.spec_strings().items():
             lines.append(f"{key} = {val}")
         lines.append(f"nodes = {self.quad.nodes}")
-        lines.append(f"eps = {format(self.quad.eps, '.17g')}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "BlendedModel":
-        """Read a file written by ``save``. A ``grid_size`` line, written
-        by older versions, is ignored."""
+        """Read a file written by ``save``. ``grid_size`` and ``eps``
+        lines, written by older versions, are ignored."""
         fields = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -456,9 +453,7 @@ class BlendedModel:
         if missing:
             raise InputError(f"model file {path} missing keys: {sorted(missing)}")
         try:
-            quad = QuadratureSpec(
-                nodes=int(fields.get("nodes", 64)), eps=float(fields.get("eps", 1e-6))
-            )
+            quad = QuadratureSpec(nodes=int(fields.get("nodes", 64)))
             parts = (
                 parse_copula(fields["tail"]),
                 parse_copula(fields["body"]),

@@ -72,11 +72,9 @@ def chi_eta(obj, r):
     if not 0.0 < r <= R_MAX:
         raise ValueError(f"dependence level must lie in (0, {R_MAX}]; got {r}")
     sf = _joint_survival(obj, r)
-    chi = (sf - 0.0) / (1.0 - r)
     if sf <= 0.0:
         raise UndefinedMeasureError(f"joint survival nonpositive at r={r}")
-    eta = np.log1p(-r) / np.log(sf)
-    return float(chi), float(eta)
+    return float(sf / (1.0 - r)), float(np.log1p(-r) / np.log(sf))
 
 
 def dependence_curves(obj, grid=None, label=""):

@@ -19,7 +19,7 @@ from scipy import stats
 from scipy.special import betainc, gammaln, ndtr, ndtri
 
 from . import special
-from .errors import ParameterError, SamplingError
+from .errors import EvaluationError, ParameterError, SamplingError
 
 CLAMP = 1e-10
 
@@ -73,8 +73,6 @@ class Copula:
         with np.errstate(divide="ignore", over="ignore"):
             out = self._logpdf(clamp_unit(u), clamp_unit(v))
         if np.any(np.isnan(out)):
-            from .errors import EvaluationError
-
             flat = int(np.argmax(np.isnan(np.ravel(np.atleast_1d(out)))))
             uu = np.ravel(np.broadcast_to(np.asarray(u, dtype=float), np.shape(out)))
             vv = np.ravel(np.broadcast_to(np.asarray(v, dtype=float), np.shape(out)))

@@ -133,8 +133,6 @@ class FitResult:
 
     @property
     def params(self):
-        if isinstance(self.model, BlendedModel):
-            return self.model.params
         return self.model.params
 
 

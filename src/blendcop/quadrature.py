@@ -24,25 +24,20 @@ _PANEL_GEO = 5
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution knobs for the numerical artifacts of a blended model.
+    """The one resolution knob of a blended model's numerical artifacts.
 
     ``nodes`` sets the per-panel order of the corner-refined rule
     (``max(6, nodes // 4)``). K and both margins are computed at the
     nodes of that rule over the whole unit interval, so doubling
-    ``nodes`` refines all of them.
-
-    ``eps`` is the lower limit, on both axes, of the rectangle that
-    ``copula_cdf`` integrates; it does not truncate the model.
+    ``nodes`` refines all of them. Rectangle probabilities use a fixed
+    rule of their own (see ``BlendedModel.joint_upper_survival``).
     """
 
     nodes: int = 64
-    eps: float = 1e-6
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ValueError(f"quadrature nodes must be >= 16, got {self.nodes}")
-        if not 0.0 < self.eps < 1e-3:
-            raise ValueError(f"quadrature inset must lie in (0, 1e-3), got {self.eps}")
 
     @property
     def panel_order(self) -> int:

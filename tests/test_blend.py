@@ -126,8 +126,8 @@ def test_cstar_integrates_to_one(power_model, exp_model):
 
 def test_marginal_cdf_against_oracle(power_model):
     assert_allclose(power_model.marginal_cdf(0, 0.5), F_HALF_ORACLE, atol=1e-4)
-    assert power_model.marginal_cdf(0, power_model.quad.eps) < 1e-4
-    assert power_model.marginal_cdf(0, 1.0 - power_model.quad.eps) > 1.0 - 1e-4
+    assert power_model.marginal_cdf(0, 1e-6) < 1e-4
+    assert power_model.marginal_cdf(0, 1.0 - 1e-6) > 1.0 - 1e-4
     xs = np.linspace(0.01, 0.99, 50)
     F = power_model.marginal_cdf(0, xs)
     assert np.all(np.diff(F) > 0)
@@ -267,7 +267,7 @@ def test_load_ignores_grid_size_line(tmp_path, power_model):
     path = tmp_path / "old.txt"
     power_model.save(path)
     assert "grid_size" not in path.read_text()
-    path.write_text(path.read_text() + "grid_size = 200\n")
+    path.write_text(path.read_text() + "grid_size = 200\neps = 1e-6\n")
     again = BlendedModel.load(path)
     assert again.quad == power_model.quad
     assert again.tail == power_model.tail and again.weighting == power_model.weighting
@@ -294,9 +294,24 @@ def test_copula_cdf_batch_matches_single_points(power_model):
     u = np.array([1e-7, 0.2, 0.5, 0.97, 1.0 - 1e-7])
     v = np.array([0.3, 5e-7, 0.5, 0.99, 0.999])
     batch = power_model.copula_cdf(u, v)
-    assert batch[0] == 0.0 and batch[1] == 0.0  # below eps on one axis
+    assert np.all(np.maximum(u + v - 1.0, 0.0) <= batch) and np.all(batch <= np.minimum(u, v))
     for i in range(u.size):
         assert power_model.copula_cdf(u[i], v[i]) == batch[i]
+
+
+@pytest.mark.parametrize(
+    "tail,tp,body,bp,theta",
+    [("gumbel", [2.0], "gaussian", [0.6], 1.5), ("student_t", [0.5, 4.0], "clayton", [1.0], 1.0)],
+)
+def test_copula_cdf_uniform_margins(tail, tp, body, bp, theta):
+    # C(u, 1) = u and C(1, v) = v with no mass missing near either end;
+    # at 1 the quantile lies within 1e-10 of 1, where the rule's nodes
+    # would round to 1 and the student_t h-function is NaN
+    m = build(tail, tp, body, bp, "power", theta)
+    q = np.array([1e-9, 1e-6, 0.005, 0.3, 0.5, 0.8, 0.995, 1.0 - 1e-6, 1.0 - 1e-9])
+    one = np.ones_like(q)
+    assert np.max(np.abs(m.copula_cdf(q, one) - q)) <= 1e-8
+    assert np.max(np.abs(m.copula_cdf(one, q) - q)) <= 1e-8
 
 
 def test_with_params(power_model):

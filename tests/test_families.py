@@ -67,8 +67,6 @@ def test_cond_cdf_matches_cdf_finite_difference(cop):
 
 @pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
 def test_pdf_integrates_to_one(cop):
-    if cop.tag == "student_t":
-        pytest.skip("covered by sampler consistency; quadrature CDF is slow")
     total = gl_2d(lambda u, v: cop.pdf(u, v), n=256, eps=1e-7)
     assert_allclose(total, 1.0, atol=1e-3)
 
