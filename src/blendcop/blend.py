@@ -18,17 +18,21 @@ density spike near a corner is ever sampled.
 
 One rule serves K and both margins: the corner-refined Gauss-Legendre
 rule over the whole unit interval. ``build`` evaluates Pi_tail and
-Pi_body once per axis at its nodes; on axis 0 the same values give
-K_tail = int Pi_tail and K_body = 1 - int Pi_body. On each panel the node
-values of f fix a polynomial interpolant, whose exact integrals give the
-CDF (summed up from 0) and the survival function (summed down from 1, so
-levels near 1 keep their relative accuracy) at every node and panel end,
-and whose derivative gives the slope of f there. The pdf, CDF and
+Pi_body at its nodes on axis 0, where the same values give
+K_tail = int Pi_tail and K_body = 1 - int Pi_body. Every weighting is
+symmetric, pi(u, v) = pi(v, u), so when both components are exchangeable
+cstar is symmetric too and axis 1 shares axis 0's margin; otherwise a
+second pass evaluates Pi_tail and Pi_body on axis 1. On each panel the
+node values of f fix a polynomial interpolant, whose exact integrals give
+the CDF (summed up from 0) and the survival function (summed down from 1,
+so levels near 1 keep their relative accuracy) at every node and panel
+end, and whose derivative gives the slope of f there. The pdf, CDF and
 quantile are cubic Hermite steps between neighbouring entries of that
 table, each with exact slopes. Quantiles inside the two outermost panels,
 within 2e-6 of an end, are roots of the exact marginal integrals instead,
 since no polynomial follows the margin's power-law behaviour at the end
-itself.
+itself. The build evaluates no density; a component density that is not
+finite at a point where cstar is evaluated raises ``EvaluationError``.
 
 Rectangle probabilities have one primitive, the joint upper survival
 S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
@@ -138,6 +142,20 @@ class _Margin:
         self.quantile_at = _Cubic(self.level, self.x, 1.0 / self.pdf)
 
 
+def _checked_margin(axis, x, pdf):
+    """The ``_Margin`` of node values ``pdf`` at ``x``, which must be
+    positive and give an increasing CDF."""
+    if not np.all(pdf > 0.0):
+        bad = x[np.argmin(pdf > 0.0)]
+        raise EvaluationError(
+            f"non-finite or nonpositive marginal density on axis {axis} at {bad:.6g}"
+        )
+    margin = _Margin(pdf)
+    if not np.all(np.diff(margin.level) > 0.0):
+        raise EvaluationError(f"marginal CDF on axis {axis} is not increasing")
+    return margin
+
+
 def _joined(at_ends):
     """Values at the panel ends from each panel's (left, right) values:
     f is continuous, so an inner end takes the mean of its two panels'."""
@@ -200,46 +218,35 @@ class BlendedModel:
         return self._cache
 
     def build(self) -> "BlendedModel":
-        self._check_densities()
         x, w = corner_refined(self.quad.panel_order)
-        axes = []
-        for axis in (0, 1):
-            e_t, e_b = self._pi_expectations(axis, x)
-            if axis == 0:
-                k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
-                K = k_t + k_b
-            pdf = (1.0 + e_t - e_b) / K
-            if not np.all(pdf > 0.0):
-                bad = x[np.argmin(pdf > 0.0)]
-                raise EvaluationError(
-                    f"non-finite or nonpositive marginal density on axis {axis} at {bad:.6g}"
-                )
-            margin = _Margin(pdf)
-            if not np.all(np.diff(margin.level) > 0.0):
-                raise EvaluationError(f"marginal CDF on axis {axis} is not increasing")
-            axes.append(margin)
+        e_t, e_b = self._pi_expectations(0, x)
+        k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
+        K = k_t + k_b
+        margin = _checked_margin(0, x, (1.0 + e_t - e_b) / K)
+        if self.tail.exchangeable and self.body.exchangeable:
+            # cstar(u, v) = cstar(v, u), the weighting being symmetric too
+            axes = [margin, margin]
+        else:
+            e_t, e_b = self._pi_expectations(1, x)
+            axes = [margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K)]
         self._cache = {"K_t": k_t, "K_b": k_b, "K": K, "axes": axes}
         return self
 
-    def _check_densities(self):
-        """Fail early where a component density overflows, on a coarse
-        corner-refined tensor of the unit square."""
-        x, _ = corner_refined(6)
-        U, V = np.meshgrid(x, x, indexing="ij")
-        for name, fam in (("tail", self.tail), ("body", self.body)):
-            vals = np.exp(fam.logpdf(U, V))
-            if not np.all(np.isfinite(vals)):
-                i, j = np.argwhere(~np.isfinite(vals))[0]
-                raise EvaluationError(
-                    f"non-finite {name} density at quadrature node "
-                    f"(u={U[i, j]:.6g}, v={V[i, j]:.6g})"
-                )
-
     def _unnorm_density(self, u, v):
+        """pi c_tail + (1 - pi) c_body; a non-finite component density at
+        any of the points raises ``EvaluationError``."""
         pi = self.weighting(u, v)
         with np.errstate(divide="ignore", over="ignore"):
             ct = np.exp(self.tail._logpdf(u, v))
             cb = np.exp(self.body._logpdf(u, v))
+        for name, fam, c in (("tail", self.tail, ct), ("body", self.body, cb)):
+            bad = ~np.isfinite(c)
+            if np.any(bad):
+                i = np.argmax(bad.ravel())
+                uu, vv = (np.broadcast_to(a, bad.shape).flat[i] for a in (u, v))
+                raise EvaluationError(
+                    f"non-finite {name} density {fam!r} at (x={uu:.6g}, y={vv:.6g})"
+                )
         return pi * ct + (1.0 - pi) * cb
 
     # ------------------------------------------------------------------

@@ -120,7 +120,9 @@ def empirical_chi_eta(u, v, r):
 
     chi uses the empirical copula diagonal in the defining ratio; eta
     uses the empirical joint survival. Zero joint exceedances leave eta
-    undefined and raise, reporting the count.
+    undefined and raise, reporting the count. Where every pair exceeds r
+    the joint survival is 1, so eta = log(1 - r) / log 1 is undefined and
+    returned as NaN while chi stands.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -133,7 +135,7 @@ def empirical_chi_eta(u, v, r):
             f"no joint exceedances above r={r} (n={n}); chi/eta undefined"
         )
     chi = (1.0 - 2.0 * r + joint_below / n) / (1.0 - r)
-    eta = np.log1p(-r) / np.log(joint_above / n)
+    eta = np.log1p(-r) / np.log(joint_above / n) if joint_above < n else np.nan
     return float(chi), float(eta)
 
 

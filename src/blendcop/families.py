@@ -48,6 +48,10 @@ class Copula:
 
     tag: str = ""
     param_names: tuple = ()
+    #: C(u, v) = C(v, u), true of every family but coles_tawn with
+    #: alpha != beta. A blend of two exchangeable families builds one
+    #: margin for both axes.
+    exchangeable: bool = True
 
     def __init__(self, *params):
         if len(params) != len(self.param_names):
@@ -116,7 +120,8 @@ class Copula:
         raise NotImplementedError
 
     def _h2(self, u, v):
-        """P[U <= u | V = v]; default assumes an exchangeable family."""
+        """P[U <= u | V = v]; the default h(v, u) holds where
+        ``exchangeable`` does, and a family that is not overrides it."""
         return self._h(v, u)
 
     def _hinv(self, u, w):
@@ -570,6 +575,11 @@ class ColesTawn(_ExtremeValue):
 
     tag = "coles_tawn"
     param_names = ("alpha", "beta")
+
+    @property
+    def exchangeable(self):
+        a, b = self.params
+        return a == b
 
     def _validate(self):
         a, b = self.params

@@ -246,9 +246,10 @@ def _run_restarts(objective, z0, spec_seed, restarts, jitter, max_evaluations, x
 def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
     """Maximum-likelihood fit of a blended model."""
     t0 = time.perf_counter()
+    tau_hat = data.kendall_tau()
     template = BlendedModel(
-        make_copula(spec.tail_tag, _default_family_params(spec.tail_tag, data.kendall_tau())),
-        make_copula(spec.body_tag, _default_family_params(spec.body_tag, data.kendall_tau())),
+        make_copula(spec.tail_tag, _default_family_params(spec.tail_tag, tau_hat)),
+        make_copula(spec.body_tag, _default_family_params(spec.body_tag, tau_hat)),
         make_weighting(spec.weighting_tag, 1.0),
         spec.quad,
     )

@@ -2,9 +2,14 @@
 
 A weighting pi(u, v; theta) maps the open unit square into (0, 1) and is
 nondecreasing in each argument, so the tail component dominates toward
-the upper corner. Two forms are built in; further forms can be added to
-the registry as long as they also provide the partial derivative in v
-and the conditional expectation used by the survival diagnostics.
+the upper corner. Every weighting must be symmetric, pi(u, v) = pi(v, u):
+the blend's margin on either axis is computed from ``dv`` and
+``conditional_expectation`` with that axis's coordinate as the first
+argument, and a blend of exchangeable copulas shares one margin between
+the axes. Two forms are built in; further forms can be added to the
+registry as long as they are symmetric and also provide the partial
+derivative in v and the conditional expectation used by the survival
+diagnostics.
 """
 from __future__ import annotations
 
@@ -44,6 +49,9 @@ class WeightingFunction:
         Integration by parts removes the conditional density, so this
         stays accurate even where that density concentrates into a spike:
         E[pi] = pi(t, 1) - int_0^1 dpi/dv (t, v) * cond_cdf(t, v) dv.
+        t is always pi's first argument, so this also gives the second
+        coordinate's E[pi(U, t) | V = t] only because the weighting must
+        satisfy pi(u, v) = pi(v, u).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
         vals = self.dv(t, _GLW_X[None, :]) * cond_cdf(t, _GLW_X[None, :])
@@ -101,7 +109,9 @@ WEIGHTINGS = {cls.tag: cls for cls in (PowerProduct, ExpComplement)}
 
 
 def register_weighting(cls):
-    """Register an additional weighting form under its ``tag``."""
+    """Register an additional weighting form under its ``tag``. The form
+    must be symmetric, pi(u, v) = pi(v, u); the blend relies on it for
+    its axis-1 margin."""
     if not cls.tag:
         raise ValueError("weighting class needs a nonempty tag")
     WEIGHTINGS[cls.tag] = cls

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from blendcop.blend import BlendedModel
+from blendcop.blend import BlendedModel, _Margin
 from blendcop.errors import InputError, ModelNotBuiltError
 from blendcop.families import make_copula
-from blendcop.quadrature import UNIT_BREAKS, QuadratureSpec, gauss_legendre
+from blendcop.quadrature import UNIT_BREAKS, QuadratureSpec, corner_refined, gauss_legendre
 from blendcop.weighting import make_weighting
 from oracles import gl_2d
 
@@ -226,8 +227,6 @@ def test_copula_cdf_frechet_and_monotone(power_model):
 
 
 def test_joint_upper_survival_matches_brute_force(power_model):
-    from blendcop.quadrature import corner_refined
-
     for r in (0.7, 0.9, 0.99):
         x = power_model.marginal_quantile(0, r)
         xs, xw = corner_refined(16, x, 1.0 - 1e-12)
@@ -320,3 +319,51 @@ def test_with_params(power_model):
     assert other.tail.params == (2.5,)
     assert other.body.params == (0.3,)
     assert not other.built
+
+
+# every exchangeable family of the zoo (coles_tawn only with alpha = beta);
+# each is the tail of one blend and the body of the next
+EXCHANGEABLE = [
+    ("gaussian", [0.6]),
+    ("student_t", [0.5, 4.0]),
+    ("frank", [-3.0]),
+    ("clayton", [1.0]),
+    ("joe", [2.0]),
+    ("gumbel", [2.0]),
+    ("inverted_gumbel", [2.0]),
+    ("husler_reiss", [2.0]),
+    ("galambos", [1.5]),
+    ("coles_tawn", [1.3, 1.3]),
+]
+
+
+@pytest.mark.parametrize("wtag", ["power", "exp_complement"])
+@pytest.mark.parametrize("i", range(len(EXCHANGEABLE)), ids=[t for t, _ in EXCHANGEABLE])
+def test_exchangeable_blend_shares_its_margin(i, wtag):
+    (tt, tp), (bt, bp) = EXCHANGEABLE[i], EXCHANGEABLE[(i + 1) % len(EXCHANGEABLE)]
+    m = build(tt, tp, bt, bp, wtag, 1.2)
+    shared, other = m._cache["axes"]
+    assert shared is other
+    # the axis-1 margin as the second pass would compute it
+    x, _ = corner_refined(m.quad.panel_order)
+    e_t, e_b = m._pi_expectations(1, x)
+    axis1 = _Margin((1.0 + e_t - e_b) / m.norm_constants[0])
+    for name in ("pdf", "cdf", "sf", "level"):
+        assert_allclose(getattr(shared, name), getattr(axis1, name), rtol=1e-12, err_msg=name)
+
+
+def test_asymmetric_blend_builds_two_margins():
+    m = build("coles_tawn", [0.5, 0.8], "gaussian", [0.6], "power", 1.5)
+    assert not m.tail.exchangeable and m.body.exchangeable
+    ax0, ax1 = m._cache["axes"]
+    assert ax0 is not ax1
+    K = m.norm_constants[0]
+    for y in (0.05, 0.5, 0.95):
+        # f_V(y) = int_0^1 cstar(u, y) du from the component densities
+        integrand = lambda u: (
+            m.weighting(u, y) * m.tail.pdf(u, y) + (1.0 - m.weighting(u, y)) * m.body.pdf(u, y)
+        ) / K
+        direct, _ = quad(integrand, 0.0, 1.0, points=(y,), epsabs=0.0, epsrel=1e-10, limit=200)
+        assert_allclose(m.marginal_pdf(1, y), direct, rtol=1e-6)
+        # axis 0 differs by over 100 times that, so sharing would be wrong
+        assert abs(m.marginal_pdf(0, y) / direct - 1.0) > 1e-4

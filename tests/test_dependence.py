@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -197,8 +199,14 @@ def test_empirical_undefined_raises_with_count():
     u = np.array([0.1, 0.2, 0.3])
     with pytest.raises(UndefinedMeasureError, match="n=3"):
         empirical_chi_eta(u, u, 0.9)
-    chi_c, eta_c = empirical_curves(u, u, grid=np.array([0.05, 0.9]))
+    # every pair exceeds 0.05: eta = log(0.95) / log 1 is undefined, chi is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chi, eta = empirical_chi_eta(u, u, 0.05)
+        chi_c, eta_c = empirical_curves(u, u, grid=np.array([0.05, 0.9]))
+    assert np.isfinite(chi) and np.isnan(eta)
     assert np.isfinite(chi_c.values[0]) and np.isnan(chi_c.values[1])
+    assert np.all(np.isnan(eta_c.values))
 
 
 def test_blended_student_t_chi_eta_at_deepest_level():

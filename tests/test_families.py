@@ -32,6 +32,17 @@ IDS = [repr(c) for c in REPRESENTATIVE]
 GRID = np.linspace(0.05, 0.95, 21)
 
 
+@pytest.mark.parametrize(
+    "cop", REPRESENTATIVE + [make_copula("coles_tawn", [1.3, 1.3])],
+    ids=IDS + ["coles_tawn(1.3,1.3)"],
+)
+def test_exchangeable_flag_matches_density_symmetry(cop):
+    # a blend shares one margin between the axes when both components say so
+    U, V = np.meshgrid(GRID, GRID, indexing="ij")
+    symmetric = np.allclose(cop.logpdf(U, V), cop.logpdf(V, U), rtol=1e-12, atol=0.0)
+    assert cop.exchangeable == symmetric
+
+
 @pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
 def test_frechet_bounds(cop):
     U, V = np.meshgrid(GRID, GRID, indexing="ij")

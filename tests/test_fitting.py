@@ -70,6 +70,23 @@ def test_objective_scores_package_errors_and_propagates_faults():
         obj(np.log([0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("role", ["tail", "body"])
+def test_nonfinite_density_at_a_data_point_scores_minus_inf(monkeypatch, role, bad):
+    m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
+    data = Dataset(np.array([0.2, 0.5, 0.95]), np.array([0.3, 0.6, 0.9]))
+    assert np.isfinite(log_likelihood(m, data))
+    fam = getattr(m, role)
+    logpdf = fam._logpdf
+    # poison the component density at the one data point with u > 0.8
+    monkeypatch.setattr(fam, "_logpdf", lambda u, v: np.where(u > 0.8, bad, logpdf(u, v)))
+    with pytest.raises(EvaluationError, match=f"non-finite {role} density"):
+        m.copula_logpdf(data.u, data.v)
+    obj = _Objective(lambda params: log_likelihood(m, data), ("log",))
+    assert obj(np.zeros(1)) == np.inf
+    assert obj.trace[-1][1] == -np.inf
+
+
 def test_fit_result_checks_aic_identity():
     fields = dict(model=None, label="x", loglik=1.0, k=2, evaluations=1, converged=True,
                   trace=[], warnings=[], seconds=0.0)

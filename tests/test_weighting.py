@@ -39,6 +39,16 @@ def test_monotone_and_in_range(w):
         assert np.all(np.diff(vals_t) >= 0.0)
 
 
+@pytest.mark.parametrize("tag", sorted(WEIGHTINGS))
+@pytest.mark.parametrize("theta", [0.4, 1.0, 3.0])
+def test_every_weighting_is_symmetric(tag, theta):
+    # the blend's axis-1 margin relies on pi(u, v) = pi(v, u)
+    w = make_weighting(tag, theta)
+    grid = np.concatenate([[1e-9, 1e-4], np.linspace(0.01, 0.99, 33), [1.0 - 1e-4, 1.0 - 1e-9]])
+    U, V = np.meshgrid(grid, grid, indexing="ij")
+    assert_allclose(w(U, V), w(V, U), rtol=1e-14, atol=0.0)
+
+
 def test_theta_ordering_power():
     u = v = 0.6
     assert PowerProduct(0.5)(u, v) > PowerProduct(2.0)(u, v) > PowerProduct(5.0)(u, v)
