@@ -50,7 +50,14 @@ from scipy.optimize import brentq
 
 from .errors import EvaluationError, InputError, ModelNotBuiltError
 from .families import Copula, clamp_unit, make_copula, parse_copula
-from .quadrature import UNIT_BREAKS, QuadratureSpec, corner_refined, gauss_legendre, panel_calculus
+from .quadrature import (
+    UNIT_BREAKS,
+    QuadratureSpec,
+    corner_refined,
+    gauss_legendre,
+    panel_calculus,
+    toward_one,
+)
 from .weighting import WeightingFunction, make_weighting, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
@@ -58,7 +65,6 @@ _GL32 = gauss_legendre(32, 0.0, 1.0)
 #: and its points per batch: a (batch, 84, 84) temporary takes about 1 MB.
 _RECT_ORDER = 6
 _RECT_BATCH = 16
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -390,16 +396,14 @@ class BlendedModel:
         """
         K = self._require_cache()["K"]
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        a, aw = corner_refined(_RECT_ORDER)
         dx, dy, yy = 1.0 - x.ravel(), 1.0 - y.ravel(), y.ravel()
         out = np.empty(dx.size)
         # h at a node that underflows to 0 or 1 takes its limit value
         with np.errstate(divide="ignore", over="ignore"):
             for b in (slice(i, i + _RECT_BATCH) for i in range(0, dx.size, _RECT_BATCH)):
-                # a node within 1e-16 of 1 would round to 1, where some h are NaN
-                s = np.minimum(1.0 - dx[b, None] * a, _BELOW_ONE)[:, :, None]
-                t = np.minimum(1.0 - dy[b, None] * a, _BELOW_ONE)[:, None, :]
-                yb = yy[b, None, None]
+                s, aw = toward_one(dx[b], _RECT_ORDER)
+                t, _ = toward_one(dy[b], _RECT_ORDER)
+                s, t, yb = s[:, :, None], t[:, None, :], yy[b, None, None]
                 pi = self.weighting(s, yb)
                 edge = pi * (1.0 - self.tail._h(s, yb)) + (1.0 - pi) * (1.0 - self.body._h(s, yb))
                 inner = self.weighting.dv(s, t) * (self.body._h(s, t) - self.tail._h(s, t))

@@ -7,6 +7,15 @@ relative accuracy arbitrarily deep into the upper corner (needed by the
 extremal-dependence diagnostics, where absolute-accuracy formulas like
 1 - u - v + C(u, v) cancel catastrophically).
 
+The joint survival has one of two sources. Eight families write it in
+closed form, and the Gaussian integrates the bivariate normal orthant
+deep in the corner. Student t takes the default of ``Copula``: S by
+parts, S(u, v) = int_u^1 (1 - h(s, v)) ds, on the order-8 corner-refined
+rule (112 nodes) mapped onto [u, 1], and C = u + v - 1 + S. For
+student_t(0.5,4) that S stays within 1.1e-8 relative of an adaptive
+quadrature of the bivariate t orthant at every level down to
+1 - r = 1.49e-8.
+
 Public entry points clamp their arguments to [CLAMP, 1 - CLAMP]; the
 underscore methods assume arguments strictly inside (0, 1) and are used
 by internal machinery that must reach closer to the corner than the
@@ -20,8 +29,12 @@ from scipy.special import betainc, gammaln, ndtr, ndtri
 
 from . import special
 from .errors import EvaluationError, ParameterError, SamplingError
+from .quadrature import toward_one
 
 CLAMP = 1e-10
+#: Order of the corner-refined rule (112 nodes) of the by-parts ``_surv``;
+#: order 6 errs by 3.5e-7 relative on the student_t chi at 1 - r = 1.49e-8.
+_SURV_ORDER = 8
 
 
 def clamp_unit(x):
@@ -111,7 +124,11 @@ class Copula:
 
     # -- internals (unclamped) -------------------------------------------
     def _cdf(self, u, v):
-        raise NotImplementedError
+        """C = u + v - 1 + S, with S from ``_surv``. C inherits the
+        absolute error of S, so it is accurate in absolute terms only:
+        in the lower corner, where C itself is tiny, its relative error
+        grows."""
+        return u + v - 1.0 + self._surv(u, v)
 
     def _logpdf(self, u, v):
         raise NotImplementedError
@@ -134,7 +151,18 @@ class Copula:
         return v
 
     def _surv(self, u, v):
-        return 1.0 - u - v + self._cdf(u, v)
+        """S(u, v) = int_u^1 (1 - h(s, v)) ds, by parts, on the order-8
+        corner-refined rule mapped onto [u, 1], for all points at once.
+        The integrand is bounded, so S keeps its relative accuracy deep
+        in the upper corner; ``_cdf`` built on it keeps only absolute
+        accuracy."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        d = 1.0 - u.ravel()
+        s, w = toward_one(d, _SURV_ORDER)
+        # h at a node that underflows to 0 or 1 takes its limit value
+        with np.errstate(divide="ignore", over="ignore"):
+            cond_sf = 1.0 - self._h(s, v.ravel()[:, None])
+        return (d * (cond_sf @ w)).reshape(u.shape)[()]
 
     # -- plumbing ----------------------------------------------------------
     def __repr__(self):
@@ -219,16 +247,6 @@ class StudentT(Copula):
         if nu <= 0.0:
             raise ParameterError(f"student_t nu must be positive, got {nu}")
 
-    def _cdf(self, u, v):
-        rho, nu = self.params
-        x = stats.t.ppf(np.asarray(u, dtype=float), nu)
-        y = stats.t.ppf(np.asarray(v, dtype=float), nu)
-        flat = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-        vals = np.array(
-            [special.bvt_cdf(a, b, rho, nu) for a, b in zip(flat[0].ravel(), flat[1].ravel())]
-        ).reshape(flat[0].shape)
-        return vals if np.ndim(u) or np.ndim(v) else float(vals.ravel()[0])
-
     def _logpdf(self, u, v):
         rho, nu = self.params
         x = stats.t.ppf(u, nu)
@@ -257,22 +275,6 @@ class StudentT(Copula):
         scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
         y = rho * x + scale * stats.t.ppf(w, nu + 1.0)
         return stats.t.cdf(y, nu)
-
-    def _surv(self, u, v):
-        rho, nu = self.params
-        uu, vv = np.broadcast_arrays(np.atleast_1d(u).astype(float), np.atleast_1d(v).astype(float))
-        out = np.empty(uu.shape)
-        for ix in np.ndindex(uu.shape):
-            du, dv = 1.0 - uu[ix], 1.0 - vv[ix]
-            if min(du, dv) >= 1e-3:
-                out[ix] = du + dv - 1.0 + special.bvt_cdf(
-                    stats.t.ppf(uu[ix], nu), stats.t.ppf(vv[ix], nu), rho, nu
-                )
-            else:
-                a = stats.t.isf(du, nu)
-                b = stats.t.isf(dv, nu)
-                out[ix] = special.bvt_orthant_tail(a, b, rho, nu)
-        return out if (np.ndim(u) or np.ndim(v)) else float(out.ravel()[0])
 
     def sample(self, n, rng):
         rho, nu = self.params

@@ -109,6 +109,18 @@ def corner_refined(n_per_panel: int, a: float = 0.0, b: float = 1.0):
     return _readonly(a + (b - a) * x, (b - a) * w)
 
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def toward_one(d, n_per_panel: int):
+    """Nodes of ``corner_refined(n_per_panel)`` mapped onto [1 - d, 1],
+    one row per length in the flat array d, and the weights on (0, 1),
+    to be scaled by d. A node within 1e-16 of 1 would round to 1, where
+    some conditional CDFs are NaN, so the nodes are capped below 1."""
+    a, w = corner_refined(n_per_panel)
+    return np.minimum(1.0 - d[:, None] * a, _BELOW_ONE), w
+
+
 class PanelCalculus(NamedTuple):
     """Linear maps from the values of a function at the n Gauss-Legendre
     nodes of [-1, 1] to the calculus of its degree n-1 interpolant.

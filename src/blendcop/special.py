@@ -1,17 +1,18 @@
-"""Bivariate normal and Student t distribution functions.
+"""Bivariate normal distribution functions.
 
 ``bvn_upper`` is a vectorised port of Genz's hybrid of the Drezner-
 Wesolowsky quadrature (absolute accuracy ~1e-15, deterministic), used for
 Gaussian copula CDF values. For joint tail probabilities at extreme
 quantiles the absolute-accuracy routine is useless (the answer itself can
-be far below 1e-15), so orthant probabilities are also exposed through
-one-dimensional conditional integrals evaluated with adaptive quadrature,
-which preserve relative accuracy.
+be far below 1e-15), so the orthant probability is also exposed through a
+one-dimensional conditional integral evaluated with adaptive quadrature,
+which preserves relative accuracy. The Student t copula needs no routine
+here: its CDF and survival come by parts from its conditional CDF (see
+``families``).
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -122,65 +123,10 @@ def bvn_orthant_tail(a: float, b: float, rho: float) -> float:
     return max(val, 0.0)
 
 
-def _t_cond_scale(t, nu):
-    return np.sqrt((nu + t * t) / (nu + 1.0))
-
-
-def bvt_cdf(a: float, b: float, rho: float, nu: float) -> float:
-    """P[X <= a, Y <= b] for a standard bivariate t (correlation rho, df nu).
-
-    Quadrature of the density reduced to one dimension through the
-    conditional law Y | X=t ~ rho*t + sqrt(1-rho^2) * s(t) * T_{nu+1}.
-    """
-    sq = np.sqrt((1.0 - rho) * (1.0 + rho))
-    tdist = stats.t(nu)
-    cond = stats.t(nu + 1.0)
-
-    def f(t):
-        z = (b - rho * t) / (sq * _t_cond_scale(t, nu))
-        return tdist.pdf(t) * cond.cdf(z)
-
-    lo = min(tdist.ppf(1e-14), a - 1.0)
-    val, _ = quad(f, lo, a, epsabs=1e-14, epsrel=1e-10, limit=200)
-    return min(max(val, 0.0), 1.0)
-
-
-def bvt_orthant_tail(a: float, b: float, rho: float, nu: float) -> float:
-    """P[X > a, Y > b] for a standard bivariate t, with relative accuracy.
-
-    Intended for the deep joint tail (a, b well above zero); the
-    polynomial decay is tamed by the substitution t = a * exp(z).
-    """
-    sq = np.sqrt((1.0 - rho) * (1.0 + rho))
-    tdist = stats.t(nu)
-    cond = stats.t(nu + 1.0)
-
-    def f(t):
-        z = (b - rho * t) / (sq * _t_cond_scale(t, nu))
-        return tdist.pdf(t) * cond.sf(z)
-
-    if a <= 0.5:
-        hi = max(b, 1.0) + 50.0 * max(1.0, np.sqrt(nu))
-        val, _ = quad(f, a, hi, epsabs=1e-300, epsrel=1e-10, limit=200)
-    else:
-        zmax = 80.0 / min(nu, 40.0)
-        val, _ = quad(
-            lambda z: f(a * np.exp(z)) * a * np.exp(z),
-            0.0,
-            zmax,
-            epsabs=1e-300,
-            epsrel=1e-10,
-            limit=200,
-        )
-    return max(val, 0.0)
-
-
 __all__ = [
     "bvn_cdf",
     "bvn_upper",
     "bvn_orthant_tail",
-    "bvt_cdf",
-    "bvt_orthant_tail",
     "norm_pdf",
     "ndtr",
     "ndtri",

@@ -2,11 +2,15 @@
 
 These deliberately avoid the package's production code paths: midpoint
 rules instead of Gauss-Legendre panels, finite differences instead of
-closed-form densities, nested trapezoids instead of cached grids.
-``unit_nodes`` and ``tensor_integrate`` are plain helpers of the
-quadrature tests and do use the package's rules.
+closed-form densities, nested trapezoids instead of cached grids,
+adaptive quadrature of the bivariate t density reduced to one dimension
+instead of the package's by-parts rule. ``unit_nodes`` and
+``tensor_integrate`` are plain helpers of the quadrature tests and do
+use the package's rules.
 """
 import numpy as np
+from scipy import stats
+from scipy.integrate import quad
 
 
 def mixed_fd(cdf, u, v, h=1e-4):
@@ -49,6 +53,59 @@ def gl_2d(f, n=128, eps=1e-9):
     w = 0.5 * (1.0 - 2.0 * eps) * w
     U, V = np.meshgrid(x, x, indexing="ij")
     return float(w @ f(U, V) @ w)
+
+
+def _t_cond_scale(t, nu):
+    return np.sqrt((nu + t * t) / (nu + 1.0))
+
+
+def bvt_cdf(a: float, b: float, rho: float, nu: float) -> float:
+    """P[X <= a, Y <= b] for a standard bivariate t (correlation rho, df nu).
+
+    Quadrature of the density reduced to one dimension through the
+    conditional law Y | X=t ~ rho*t + sqrt(1-rho^2) * s(t) * T_{nu+1}.
+    """
+    sq = np.sqrt((1.0 - rho) * (1.0 + rho))
+    tdist = stats.t(nu)
+    cond = stats.t(nu + 1.0)
+
+    def f(t):
+        z = (b - rho * t) / (sq * _t_cond_scale(t, nu))
+        return tdist.pdf(t) * cond.cdf(z)
+
+    lo = min(tdist.ppf(1e-14), a - 1.0)
+    val, _ = quad(f, lo, a, epsabs=1e-14, epsrel=1e-10, limit=200)
+    return min(max(val, 0.0), 1.0)
+
+
+def bvt_orthant_tail(a: float, b: float, rho: float, nu: float) -> float:
+    """P[X > a, Y > b] for a standard bivariate t, with relative accuracy.
+
+    Intended for the deep joint tail (a, b well above zero); the
+    polynomial decay is tamed by the substitution t = a * exp(z).
+    """
+    sq = np.sqrt((1.0 - rho) * (1.0 + rho))
+    tdist = stats.t(nu)
+    cond = stats.t(nu + 1.0)
+
+    def f(t):
+        z = (b - rho * t) / (sq * _t_cond_scale(t, nu))
+        return tdist.pdf(t) * cond.sf(z)
+
+    if a <= 0.5:
+        hi = max(b, 1.0) + 50.0 * max(1.0, np.sqrt(nu))
+        val, _ = quad(f, a, hi, epsabs=1e-300, epsrel=1e-10, limit=200)
+    else:
+        zmax = 80.0 / min(nu, 40.0)
+        val, _ = quad(
+            lambda z: f(a * np.exp(z)) * a * np.exp(z),
+            0.0,
+            zmax,
+            epsabs=1e-300,
+            epsrel=1e-10,
+            limit=200,
+        )
+    return max(val, 0.0)
 
 
 def unit_nodes(spec):

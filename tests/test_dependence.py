@@ -143,6 +143,9 @@ def test_kendall_tau_monte_carlo_and_quadrature():
     assert abs(tau_mc - TAU_GAUSS06) < 0.01
     tau_quad = kendall_tau(gau, method="quadrature")
     assert abs(tau_quad - TAU_GAUSS06) < 2e-3
+    # 2 asin(rho) / pi holds for every elliptical copula
+    tau_t = kendall_tau(make_copula("student_t", [0.5, 4.0]), method="quadrature")
+    assert abs(tau_t - 1.0 / 3.0) < 2e-3
     gum = make_copula("gumbel", [2.0])
     assert abs(kendall_tau(gum, n=100_000, rng=4) - 0.5) < 0.01
     indep = make_copula("gaussian", [0.0])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, ks_2samp, kstest
+from scipy.stats import t as tdist
 
+from blendcop.dependence import DEFAULT_R_GRID
 from blendcop.errors import ParameterError
 from blendcop.families import CLAMP, FAMILIES, make_copula, parse_copula
-from oracles import gl_2d, fd_du, mixed_fd
+from oracles import bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
 
 # Gumbel alpha=2 at (0.5, 0.5): exp(-sqrt(2) log 2), frozen at 30 digits via mpmath
 GUMBEL2_CDF_HALF = 0.37521422724648177
@@ -53,10 +55,9 @@ def test_frechet_bounds(cop):
 
 @pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
 def test_uniform_margins(cop):
-    pts = GRID if cop.tag != "student_t" else GRID[::4]
     top = 1.0 - CLAMP
-    assert_allclose(cop.cdf(pts, np.full_like(pts, top)), pts, atol=1e-6)
-    assert_allclose(cop.cdf(np.full_like(pts, top), pts), pts, atol=1e-6)
+    assert_allclose(cop.cdf(GRID, np.full_like(GRID, top)), GRID, atol=1e-6)
+    assert_allclose(cop.cdf(np.full_like(GRID, top), GRID), GRID, atol=1e-6)
 
 
 @pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
@@ -64,16 +65,14 @@ def test_pdf_matches_cdf_finite_difference(cop):
     pts = [(0.3, 0.4), (0.5, 0.5), (0.7, 0.2), (0.9, 0.9), (0.2, 0.8)]
     for u, v in pts:
         approx = mixed_fd(lambda a, b: cop.cdf(a, b), u, v, h=1e-4)
-        tol = 2e-4 if cop.tag == "student_t" else 1e-4
-        assert_allclose(cop.pdf(u, v), approx, rtol=tol)
+        assert_allclose(cop.pdf(u, v), approx, rtol=1e-4)
 
 
 @pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
 def test_cond_cdf_matches_cdf_finite_difference(cop):
     for u, v in [(0.3, 0.6), (0.5, 0.5), (0.8, 0.3), (0.9, 0.95)]:
         approx = fd_du(lambda a, b: cop.cdf(a, b), u, v, h=1e-6)
-        tol = 5e-5 if cop.tag == "student_t" else 1e-6
-        assert_allclose(cop.cond_cdf(u, v), approx, rtol=2e-4, atol=tol)
+        assert_allclose(cop.cond_cdf(u, v), approx, rtol=2e-4, atol=1e-6)
 
 
 @pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
@@ -158,6 +157,27 @@ def test_student_t_sampler_against_quadrature_cdf(rng):
         c = cop.cdf(q, q)
         se = np.sqrt(c * (1 - c) / 100_000)
         assert abs(emp - c) < 3.5 * se
+
+
+def test_student_t_survival_against_orthant_oracle():
+    # by parts on the corner-refined rule vs adaptive quadrature of the
+    # bivariate t density, at every study level down to 1 - r = 1.49e-8
+    rho, nu = 0.5, 4.0
+    cop = make_copula("student_t", [rho, nu])
+    for r in DEFAULT_R_GRID:
+        a = tdist.isf(1.0 - r, nu)
+        assert_allclose(cop.survival(r, r), bvt_orthant_tail(a, a, rho, nu), rtol=1e-7)
+
+
+def test_student_t_cdf_against_oracle():
+    rho, nu = 0.5, 4.0
+    cop = make_copula("student_t", [rho, nu])
+    pts = np.linspace(0.05, 0.95, 7)
+    U, V = np.meshgrid(pts, pts, indexing="ij")
+    ref = [
+        bvt_cdf(tdist.ppf(u, nu), tdist.ppf(v, nu), rho, nu) for u, v in zip(U.ravel(), V.ravel())
+    ]
+    assert_allclose(cop.cdf(U, V).ravel(), ref, rtol=0.0, atol=1e-7)
 
 
 def test_deep_corner_survival_relative_accuracy():

@@ -9,6 +9,7 @@ from blendcop.quadrature import (
     gauss_legendre,
     panel_calculus,
     skewed_refined,
+    toward_one,
 )
 from oracles import tensor_integrate, unit_nodes
 
@@ -57,6 +58,16 @@ def test_corner_refined_is_memoised_and_read_only():
     assert_allclose(xa, 0.2 + 0.5 * x, rtol=1e-15)
     assert_allclose(wa, 0.5 * w, rtol=1e-15)
     assert not xa.flags.writeable
+
+
+def test_toward_one_maps_each_row_onto_its_interval():
+    d = np.array([0.5, 1e-3, 1e-15])
+    s, w = toward_one(d, 8)
+    assert s.shape == (3, w.size) and np.all(s < 1.0)
+    # int_{1-d}^1 sqrt(1 - s) ds = 2/3 d^1.5, whose slope is singular at 1
+    assert_allclose(d[:2] * (np.sqrt(1.0 - s[:2]) @ w), 2.0 / 3.0 * d[:2] ** 1.5, rtol=1e-8)
+    # nodes closer to 1 than one ulp are capped at the largest double below 1
+    assert s[2].max() == np.nextafter(1.0, 0.0)
 
 
 def test_skewed_refined_resolves_boundary_layer_at_one():

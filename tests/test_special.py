@@ -2,7 +2,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
-from blendcop.special import bvn_cdf, bvn_orthant_tail, bvn_upper, bvt_cdf, bvt_orthant_tail
+from blendcop.special import bvn_cdf, bvn_orthant_tail, bvn_upper
+from oracles import bvt_cdf, bvt_orthant_tail
 
 
 def test_bvn_cdf_against_scipy():
