@@ -13,7 +13,6 @@ from .errors import (
     UndefinedMeasureError,
 )
 from .families import FAMILIES, Copula, make_copula, parse_copula
-from .quadrature import QuadratureSpec
 from .weighting import WEIGHTINGS, WeightingFunction, make_weighting, parse_weighting
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "InputError",
     "ModelNotBuiltError",
     "ParameterError",
-    "QuadratureSpec",
     "SamplingError",
     "UndefinedMeasureError",
     "WeightingFunction",

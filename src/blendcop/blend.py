@@ -17,22 +17,23 @@ and each Pi_c integrates the component's conditional CDF by parts, so no
 density spike near a corner is ever sampled.
 
 One rule serves K and both margins: the corner-refined Gauss-Legendre
-rule over the whole unit interval. ``build`` evaluates Pi_tail and
-Pi_body at its nodes on axis 0, where the same values give
-K_tail = int Pi_tail and K_body = 1 - int Pi_body. Every weighting is
-symmetric, pi(u, v) = pi(v, u), so when both components are exchangeable
-cstar is symmetric too and axis 1 shares axis 0's margin; otherwise a
-second pass evaluates Pi_tail and Pi_body on axis 1. On each panel the
-node values of f fix a polynomial interpolant, whose exact integrals give
-the CDF (summed up from 0) and the survival function (summed down from 1,
-so levels near 1 keep their relative accuracy) at every node and panel
-end, and whose derivative gives the slope of f there. The pdf, CDF and
-quantile are cubic Hermite steps between neighbouring entries of that
-table, each with exact slopes. Quantiles inside the two outermost panels,
-within 2e-6 of an end, are roots of the exact marginal integrals instead,
-since no polynomial follows the margin's power-law behaviour at the end
-itself. The build evaluates no density; a component density that is not
-finite at a point where cstar is evaluated raises ``EvaluationError``.
+rule of order ``_BUILD_ORDER`` over the whole unit interval. ``build``
+evaluates Pi_tail and Pi_body at its nodes on axis 0, where the same
+values give K_tail = int Pi_tail and K_body = 1 - int Pi_body. Every
+weighting is symmetric, pi(u, v) = pi(v, u), so when both components are
+exchangeable cstar is symmetric too and axis 1 shares axis 0's margin;
+otherwise a second pass evaluates Pi_tail and Pi_body on axis 1. On each
+panel the node values of f fix a polynomial interpolant, whose exact
+integrals give the CDF (summed up from 0) and the survival function
+(summed down from 1, so levels near 1 keep their relative accuracy) at
+every node and panel end, and whose derivative gives the slope of f
+there. The pdf, CDF and quantile are cubic Hermite steps between
+neighbouring entries of that table, each with exact slopes. Quantiles
+inside the two outermost panels, within 2e-6 of an end, are roots of the
+exact marginal integrals instead, since no polynomial follows the
+margin's power-law behaviour at the end itself. The build evaluates no
+density; a component density that is not finite at a point where cstar
+is evaluated raises ``EvaluationError``.
 
 Rectangle probabilities have one primitive, the joint upper survival
 S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
@@ -52,7 +53,6 @@ from .errors import EvaluationError, InputError, ModelNotBuiltError
 from .families import Copula, clamp_unit, make_copula, parse_copula
 from .quadrature import (
     UNIT_BREAKS,
-    QuadratureSpec,
     corner_refined,
     gauss_legendre,
     panel_calculus,
@@ -61,6 +61,9 @@ from .quadrature import (
 from .weighting import WeightingFunction, make_weighting, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
+#: Order of the corner-refined rule (224 nodes) on which ``build`` computes
+#: K and both margins.
+_BUILD_ORDER = 16
 #: Order of the corner-refined rule (84 nodes) of ``joint_upper_survival``,
 #: and its points per batch: a (batch, 84, 84) temporary takes about 1 MB.
 _RECT_ORDER = 6
@@ -189,24 +192,18 @@ def _abscissae(p):
     return x
 
 
-#: Keys of a model file; ``eps`` and ``grid_size`` are accepted from older files.
+#: Keys of a model file; ``nodes``, ``eps`` and ``grid_size`` are accepted
+#: from older files and ignored.
 _MODEL_KEYS = {"tail", "body", "weighting", "nodes", "eps", "grid_size"}
 
 
 class BlendedModel:
     """A (tail, body, weighting) triple plus its numerical cache."""
 
-    def __init__(
-        self,
-        tail: Copula,
-        body: Copula,
-        weighting: WeightingFunction,
-        quad: QuadratureSpec | None = None,
-    ):
+    def __init__(self, tail: Copula, body: Copula, weighting: WeightingFunction):
         self.tail = tail
         self.body = body
         self.weighting = weighting
-        self.quad = quad if quad is not None else QuadratureSpec()
         self._cache = None
 
     # ------------------------------------------------------------------
@@ -224,7 +221,7 @@ class BlendedModel:
         return self._cache
 
     def build(self) -> "BlendedModel":
-        x, w = corner_refined(self.quad.panel_order)
+        x, w = corner_refined(_BUILD_ORDER)
         e_t, e_b = self._pi_expectations(0, x)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
         K = k_t + k_b
@@ -426,7 +423,6 @@ class BlendedModel:
             make_copula(self.tail.tag, tail_params),
             make_copula(self.body.tag, body_params),
             make_weighting(self.weighting.tag, theta),
-            self.quad,
         )
 
     def spec_strings(self):
@@ -441,14 +437,13 @@ class BlendedModel:
         lines = ["# blendcop model"]
         for key, val in self.spec_strings().items():
             lines.append(f"{key} = {val}")
-        lines.append(f"nodes = {self.quad.nodes}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "BlendedModel":
-        """Read a file written by ``save``. ``grid_size`` and ``eps``
-        lines, written by older versions, are ignored."""
+        """Read a file written by ``save``. ``nodes``, ``grid_size`` and
+        ``eps`` lines, written by older versions, are ignored."""
         fields = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -464,7 +459,6 @@ class BlendedModel:
         if missing:
             raise InputError(f"model file {path} missing keys: {sorted(missing)}")
         try:
-            quad = QuadratureSpec(nodes=int(fields.get("nodes", 64)))
             parts = (
                 parse_copula(fields["tail"]),
                 parse_copula(fields["body"]),
@@ -472,7 +466,7 @@ class BlendedModel:
             )
         except ValueError as exc:
             raise InputError(f"model file {path}: {exc}") from exc
-        return cls(*parts, quad)
+        return cls(*parts)
 
     def __repr__(self):
         return f"BlendedModel(tail={self.tail!r}, body={self.body!r}, weighting={self.weighting!r})"

@@ -8,13 +8,16 @@ extremal-dependence diagnostics, where absolute-accuracy formulas like
 1 - u - v + C(u, v) cancel catastrophically).
 
 The joint survival has one of two sources. Eight families write it in
-closed form, and the Gaussian integrates the bivariate normal orthant
-deep in the corner. Student t takes the default of ``Copula``: S by
-parts, S(u, v) = int_u^1 (1 - h(s, v)) ds, on the order-8 corner-refined
-rule (112 nodes) mapped onto [u, 1], and C = u + v - 1 + S. For
-student_t(0.5,4) that S stays within 1.1e-8 relative of an adaptive
-quadrature of the bivariate t orthant at every level down to
-1 - r = 1.49e-8.
+closed form. The Gaussian and Student t take the default of ``Copula``:
+S by parts, S(u, v) = int_u^1 hbar(s, v) ds with the conditional
+survival hbar = P[V > v | U = s], on the order-12 corner-refined rule
+(168 nodes) mapped onto [u, 1], and C = u + v - 1 + S. Both write hbar
+as the reflected conditional distribution, which does not round to 0
+where h rounds to 1, so negatively correlated tails keep their relative
+accuracy too. Against adaptive quadrature of the bivariate orthant at
+every level down to 1 - r = 1.49e-8, S stays within 4.8e-8 relative for
+the Gaussian (rho from -0.9 to 0.95, on and off the diagonal) and
+within 1.1e-9 for student_t(+-0.5, 4).
 
 Public entry points clamp their arguments to [CLAMP, 1 - CLAMP]; the
 underscore methods assume arguments strictly inside (0, 1) and are used
@@ -32,9 +35,10 @@ from .errors import EvaluationError, ParameterError, SamplingError
 from .quadrature import toward_one
 
 CLAMP = 1e-10
-#: Order of the corner-refined rule (112 nodes) of the by-parts ``_surv``;
-#: order 6 errs by 3.5e-7 relative on the student_t chi at 1 - r = 1.49e-8.
-_SURV_ORDER = 8
+#: Order of the corner-refined rule (168 nodes) of the by-parts ``_surv``.
+#: On the chi of gaussian(0.5) down to 1 - r = 1.49e-8, orders 8, 10 and
+#: 12 err by 2.2e-7, 1.3e-7 and 4.8e-8 relative.
+_SURV_ORDER = 12
 
 
 def clamp_unit(x):
@@ -150,19 +154,28 @@ class Copula:
             raise SamplingError(f"{self} conditional inversion failed at u={bad}")
         return v
 
+    def _hbar(self, u, v):
+        """P[V > v | U = u]. A family overrides it where 1 - h would
+        round to 0 while the conditional survival itself does not."""
+        return 1.0 - self._h(u, v)
+
     def _surv(self, u, v):
-        """S(u, v) = int_u^1 (1 - h(s, v)) ds, by parts, on the order-8
+        """S(u, v) = int_u^1 hbar(s, v) ds, by parts, on the order-12
         corner-refined rule mapped onto [u, 1], for all points at once.
-        The integrand is bounded, so S keeps its relative accuracy deep
-        in the upper corner; ``_cdf`` built on it keeps only absolute
-        accuracy."""
+        An exchangeable family integrates along the larger coordinate,
+        since S(u, v) = S(v, u). The integrand is bounded, so S keeps its
+        relative accuracy deep in the upper corner; ``_cdf`` built on it
+        keeps only absolute accuracy."""
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        shape = u.shape
+        if self.exchangeable:
+            u, v = np.maximum(u, v), np.minimum(u, v)
         d = 1.0 - u.ravel()
         s, w = toward_one(d, _SURV_ORDER)
         # h at a node that underflows to 0 or 1 takes its limit value
         with np.errstate(divide="ignore", over="ignore"):
-            cond_sf = 1.0 - self._h(s, v.ravel()[:, None])
-        return (d * (cond_sf @ w)).reshape(u.shape)[()]
+            cond_sf = self._hbar(s, v.ravel()[:, None])
+        return (d * (cond_sf @ w)).reshape(shape)[()]
 
     # -- plumbing ----------------------------------------------------------
     def __repr__(self):
@@ -196,9 +209,6 @@ class Gaussian(Copula):
     def rho(self):
         return self.params[0]
 
-    def _cdf(self, u, v):
-        return special.bvn_cdf(ndtri(u), ndtri(v), self.rho)
-
     def _logpdf(self, u, v):
         r = self.rho
         x = ndtri(u)
@@ -206,29 +216,20 @@ class Gaussian(Copula):
         om = (1.0 - r) * (1.0 + r)
         return -0.5 * np.log(om) - (r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * om)
 
-    def _h(self, u, v):
+    def _cond_z(self, u, v):
+        """Standardised v given U = u: h(u, v) = Phi(z), hbar = Phi(-z)."""
         r = self.rho
-        return ndtr((ndtri(v) - r * ndtri(u)) / np.sqrt((1.0 - r) * (1.0 + r)))
+        return (ndtri(v) - r * ndtri(u)) / np.sqrt((1.0 - r) * (1.0 + r))
+
+    def _h(self, u, v):
+        return ndtr(self._cond_z(u, v))
+
+    def _hbar(self, u, v):
+        return ndtr(-self._cond_z(u, v))
 
     def _hinv(self, u, w):
         r = self.rho
         return ndtr(r * ndtri(u) + np.sqrt((1.0 - r) * (1.0 + r)) * ndtri(w))
-
-    def _surv(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        deep = np.minimum(1.0 - u, 1.0 - v) < 1e-3
-        out = np.where(deep, 0.0, 1.0 - u - v + special.bvn_cdf(ndtri(u), ndtri(v), self.rho))
-        if np.any(deep):
-            flat = np.argwhere(np.atleast_1d(deep))
-            o = np.atleast_1d(np.asarray(out, dtype=float))
-            uu, vv = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
-            for ix in map(tuple, flat):
-                a = -ndtri(1.0 - uu[ix])
-                b = -ndtri(1.0 - vv[ix])
-                o[ix] = special.bvn_orthant_tail(a, b, self.rho)
-            out = o.reshape(np.shape(out)) if np.ndim(out) else float(o[0])
-        return out if np.ndim(out) else float(out)
 
     def sample(self, n, rng):
         z = rng.standard_normal((n, 2))
@@ -262,12 +263,20 @@ class StudentT(Copula):
         )
         return const + lognum - logden
 
-    def _h(self, u, v):
+    def _cond_z(self, u, v):
+        """Standardised v given U = u, a t variate with nu + 1 degrees
+        of freedom: h(u, v) = T(z), hbar = T(-z)."""
         rho, nu = self.params
         x = stats.t.ppf(u, nu)
         y = stats.t.ppf(v, nu)
         scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
-        return stats.t.cdf((y - rho * x) / scale, nu + 1.0)
+        return (y - rho * x) / scale
+
+    def _h(self, u, v):
+        return stats.t.cdf(self._cond_z(u, v), self.params[1] + 1.0)
+
+    def _hbar(self, u, v):
+        return stats.t.cdf(-self._cond_z(u, v), self.params[1] + 1.0)
 
     def _hinv(self, u, w):
         rho, nu = self.params

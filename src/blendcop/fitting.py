@@ -10,7 +10,7 @@ correlations), restarted from jittered initial points.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -19,7 +19,6 @@ from scipy.stats import kendalltau
 from .blend import BlendedModel, ModelParams
 from .errors import BlendcopError, FitError, InputError
 from .families import CLAMP, Copula, make_copula
-from .quadrature import QuadratureSpec
 from .weighting import make_weighting
 
 _LOG_FLOOR = np.log(1e-300)
@@ -61,7 +60,8 @@ class Dataset:
     """Pseudo-observations on (0, 1) margins.
 
     Values must lie in [0, 1]; they are clamped to [CLAMP, 1 - CLAMP].
-    NaN or a value outside [0, 1] raises ``InputError``.
+    NaN, a value outside [0, 1], coordinate arrays that are not 1-d and
+    of equal length, or fewer than two observations raise ``InputError``.
     """
 
     u: np.ndarray
@@ -81,9 +81,9 @@ class Dataset:
         self.u = np.clip(u, CLAMP, 1.0 - CLAMP)
         self.v = np.clip(v, CLAMP, 1.0 - CLAMP)
         if self.u.shape != self.v.shape or self.u.ndim != 1:
-            raise ValueError("dataset needs two equal-length 1-d coordinate arrays")
+            raise InputError("dataset needs two equal-length 1-d coordinate arrays")
         if self.n < 2:
-            raise ValueError("dataset needs at least two observations")
+            raise InputError("dataset needs at least two observations")
 
     @property
     def n(self) -> int:
@@ -109,7 +109,6 @@ class FitSpec:
     restarts: int = 3
     jitter: float = 0.3
     seed: int = 0
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
 
 @dataclass
@@ -251,7 +250,6 @@ def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
         make_copula(spec.tail_tag, _default_family_params(spec.tail_tag, tau_hat)),
         make_copula(spec.body_tag, _default_family_params(spec.body_tag, tau_hat)),
         make_weighting(spec.weighting_tag, 1.0),
-        spec.quad,
     )
     if spec.initial is not None:
         init = spec.initial

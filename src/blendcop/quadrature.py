@@ -10,7 +10,6 @@ for smooth integrands.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -20,28 +19,6 @@ import numpy as np
 _PANEL_INNER = 0.1
 #: Number of geometric panels per endpoint.
 _PANEL_GEO = 5
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The one resolution knob of a blended model's numerical artifacts.
-
-    ``nodes`` sets the per-panel order of the corner-refined rule
-    (``max(6, nodes // 4)``). K and both margins are computed at the
-    nodes of that rule over the whole unit interval, so doubling
-    ``nodes`` refines all of them. Rectangle probabilities use a fixed
-    rule of their own (see ``BlendedModel.joint_upper_survival``).
-    """
-
-    nodes: int = 64
-
-    def __post_init__(self):
-        if self.nodes < 16:
-            raise ValueError(f"quadrature nodes must be >= 16, got {self.nodes}")
-
-    @property
-    def panel_order(self) -> int:
-        return max(6, self.nodes // 4)
 
 
 @lru_cache(maxsize=64)

@@ -3,14 +3,15 @@
 These deliberately avoid the package's production code paths: midpoint
 rules instead of Gauss-Legendre panels, finite differences instead of
 closed-form densities, nested trapezoids instead of cached grids,
-adaptive quadrature of the bivariate t density reduced to one dimension
-instead of the package's by-parts rule. ``unit_nodes`` and
+adaptive quadrature of the bivariate normal and t densities reduced to
+one dimension instead of the package's by-parts rule. ``unit_nodes`` and
 ``tensor_integrate`` are plain helpers of the quadrature tests and do
 use the package's rules.
 """
 import numpy as np
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 
 def mixed_fd(cdf, u, v, h=1e-4):
@@ -53,6 +54,24 @@ def gl_2d(f, n=128, eps=1e-9):
     w = 0.5 * (1.0 - 2.0 * eps) * w
     U, V = np.meshgrid(x, x, indexing="ij")
     return float(w @ f(U, V) @ w)
+
+
+def bvn_orthant_tail(a: float, b: float, rho: float) -> float:
+    """P[X > a, Y > b] for a standard bivariate normal, with relative
+    accuracy at extreme quantiles.
+
+    Conditional reduction: integrates phi(t) * Phibar((b - rho t)/sqrt(1-rho^2))
+    over t in (a, inf). The integrand is positive, so adaptive quadrature
+    keeps relative error even when the probability is far below 1e-15.
+    """
+    sq = np.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def f(t):
+        return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi) * ndtr(-(b - rho * t) / sq)
+
+    hi = max(a, b, 0.0) + 14.0
+    val, _ = quad(f, a, hi, epsabs=0.0, epsrel=1e-11, limit=200)
+    return max(val, 0.0)
 
 
 def _t_cond_scale(t, nu):
@@ -108,11 +127,12 @@ def bvt_orthant_tail(a: float, b: float, rho: float, nu: float) -> float:
     return max(val, 0.0)
 
 
-def unit_nodes(spec):
-    """Corner-refined rule on the inset interval [1e-6, 1 - 1e-6]."""
+def unit_nodes(order):
+    """Corner-refined rule of the given panel order on the inset interval
+    [1e-6, 1 - 1e-6]."""
     from blendcop.quadrature import corner_refined
 
-    return corner_refined(spec.panel_order, 1e-6, 1.0 - 1e-6)
+    return corner_refined(order, 1e-6, 1.0 - 1e-6)
 
 
 def tensor_integrate(f, x, w):

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from blendcop.blend import BlendedModel, _Margin
+from blendcop import blend
+from blendcop.blend import _BUILD_ORDER, BlendedModel, _Margin
 from blendcop.errors import InputError, ModelNotBuiltError
 from blendcop.families import make_copula
-from blendcop.quadrature import UNIT_BREAKS, QuadratureSpec, corner_refined, gauss_legendre
+from blendcop.quadrature import UNIT_BREAKS, corner_refined, gauss_legendre
 from blendcop.weighting import make_weighting
 from oracles import gl_2d
 
@@ -37,10 +38,9 @@ TABLE4_CASES = [
 ]
 
 
-def build(tail, tparams, body, bparams, wtag="power", theta=1.5, **quad_kw):
-    quad = QuadratureSpec(**quad_kw) if quad_kw else None
+def build(tail, tparams, body, bparams, wtag="power", theta=1.5):
     return BlendedModel(
-        make_copula(tail, tparams), make_copula(body, bparams), make_weighting(wtag, theta), quad
+        make_copula(tail, tparams), make_copula(body, bparams), make_weighting(wtag, theta)
     ).build()
 
 
@@ -238,9 +238,10 @@ def test_joint_upper_survival_matches_brute_force(power_model):
 
 @pytest.mark.parametrize("label,tt,tp,bt,bp", TABLE4_CASES)
 @pytest.mark.parametrize("wtag", ["power", "exp_complement"])
-def test_grid_refinement_stability(label, tt, tp, bt, bp, wtag):
+def test_grid_refinement_stability(label, tt, tp, bt, bp, wtag, monkeypatch):
     coarse = build(tt, tp, bt, bp, wtag, 1.0)
-    fine = build(tt, tp, bt, bp, wtag, 1.0, nodes=128)
+    monkeypatch.setattr(blend, "_BUILD_ORDER", 2 * _BUILD_ORDER)
+    fine = build(tt, tp, bt, bp, wtag, 1.0)
     assert abs(coarse.norm_constants[0] - fine.norm_constants[0]) < 1e-5
     grid = np.linspace(0.15, 0.85, 5)
     U, V = np.meshgrid(grid, grid, indexing="ij")
@@ -256,7 +257,7 @@ def test_save_load_round_trip(tmp_path, power_model):
     assert again.tail == power_model.tail
     assert again.body == power_model.body
     assert again.weighting == power_model.weighting
-    assert again.quad == power_model.quad
+    assert "nodes" not in path.read_text()
     again.build()
     pts = (np.array([0.3, 0.7]), np.array([0.6, 0.8]))
     assert_allclose(again.copula_pdf(*pts), power_model.copula_pdf(*pts), rtol=1e-12)
@@ -266,9 +267,8 @@ def test_load_ignores_grid_size_line(tmp_path, power_model):
     path = tmp_path / "old.txt"
     power_model.save(path)
     assert "grid_size" not in path.read_text()
-    path.write_text(path.read_text() + "grid_size = 200\neps = 1e-6\n")
+    path.write_text(path.read_text() + "grid_size = 200\neps = 1e-6\nnodes = 128\n")
     again = BlendedModel.load(path)
-    assert again.quad == power_model.quad
     assert again.tail == power_model.tail and again.weighting == power_model.weighting
 
 
@@ -276,7 +276,7 @@ def test_load_ignores_grid_size_line(tmp_path, power_model):
     "text",
     [
         "tail = gumbel(2)\nbody = gaussian(0.6)\n",
-        "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\nnodes = many\n",
+        "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(many)\n",
         "tail = gumbel(2)\nbody = gaussian(2)\nweighting = power(1.5)\n",
         "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\nsize 3\n",
         "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\ncolour = red\n",
@@ -345,7 +345,7 @@ def test_exchangeable_blend_shares_its_margin(i, wtag):
     shared, other = m._cache["axes"]
     assert shared is other
     # the axis-1 margin as the second pass would compute it
-    x, _ = corner_refined(m.quad.panel_order)
+    x, _ = corner_refined(_BUILD_ORDER)
     e_t, e_b = m._pi_expectations(1, x)
     axis1 = _Margin((1.0 + e_t - e_b) / m.norm_constants[0])
     for name in ("pdf", "cdf", "sf", "level"):

@@ -18,7 +18,7 @@ from blendcop.dependence import (
     theoretical_limits,
 )
 from blendcop.errors import UndefinedMeasureError
-from blendcop.families import make_copula
+from blendcop.families import make_copula, parse_copula
 from blendcop.weighting import make_weighting
 from oracles import kendall_tau_concordance
 
@@ -219,3 +219,14 @@ def test_blended_student_t_chi_eta_at_deepest_level():
     chi, eta = chi_eta(m, R_MAX)
     assert np.isfinite(chi) and 0.0 < chi < 1.0
     assert np.isfinite(eta) and 0.0 < eta <= 1.0
+
+
+@pytest.mark.parametrize("text", ["gaussian(-0.9)", "student_t(-0.9,30)"])
+def test_negative_correlation_chi_eta_defined_at_every_level(text):
+    # the joint survival of a negatively correlated elliptical copula is
+    # tiny but positive; 1 - u - v + C or 1 - h would round it to 0
+    cop = parse_copula(text)
+    for r in DEFAULT_R_GRID:
+        chi, eta = chi_eta(cop, r)
+        assert np.isfinite(chi) and chi > 0.0, r
+        assert np.isfinite(eta) and eta > 0.0, r

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, ks_2samp, kstest
+from scipy.special import ndtri
 from scipy.stats import t as tdist
 
 from blendcop.dependence import DEFAULT_R_GRID
 from blendcop.errors import ParameterError
 from blendcop.families import CLAMP, FAMILIES, make_copula, parse_copula
-from oracles import bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
+from oracles import bvn_orthant_tail, bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
 
 # Gumbel alpha=2 at (0.5, 0.5): exp(-sqrt(2) log 2), frozen at 30 digits via mpmath
 GUMBEL2_CDF_HALF = 0.37521422724648177
@@ -161,12 +162,17 @@ def test_student_t_sampler_against_quadrature_cdf(rng):
 
 def test_student_t_survival_against_orthant_oracle():
     # by parts on the corner-refined rule vs adaptive quadrature of the
-    # bivariate t density, at every study level down to 1 - r = 1.49e-8
-    rho, nu = 0.5, 4.0
-    cop = make_copula("student_t", [rho, nu])
-    for r in DEFAULT_R_GRID:
-        a = tdist.isf(1.0 - r, nu)
-        assert_allclose(cop.survival(r, r), bvt_orthant_tail(a, a, rho, nu), rtol=1e-7)
+    # bivariate t density, at every study level down to 1 - r = 1.49e-8,
+    # and for rho = -0.5 also off the diagonal
+    R = DEFAULT_R_GRID
+    off_diagonal = [(R[i], R[i + 3]) for i in range(R.size - 3)]
+    off_diagonal += [(v, u) for u, v in off_diagonal]
+    nu = 4.0
+    for rho, pairs in ((0.5, []), (-0.5, off_diagonal)):
+        cop = make_copula("student_t", [rho, nu])
+        for u, v in [(r, r) for r in R] + pairs:
+            ref = bvt_orthant_tail(tdist.isf(1.0 - u, nu), tdist.isf(1.0 - v, nu), rho, nu)
+            assert_allclose(cop.survival(u, v), ref, rtol=1e-7)
 
 
 def test_student_t_cdf_against_oracle():
@@ -178,6 +184,19 @@ def test_student_t_cdf_against_oracle():
         bvt_cdf(tdist.ppf(u, nu), tdist.ppf(v, nu), rho, nu) for u, v in zip(U.ravel(), V.ravel())
     ]
     assert_allclose(cop.cdf(U, V).ravel(), ref, rtol=0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.5, 0.95])
+def test_gaussian_survival_against_orthant_oracle(rho):
+    # by parts on the corner-refined rule vs adaptive quadrature of the
+    # bivariate normal orthant, on and off the diagonal, down to 1 - r = 1.49e-8
+    cop = make_copula("gaussian", [rho])
+    R = DEFAULT_R_GRID
+    pairs = [(r, r) for r in R] + [(R[i], R[i + 3]) for i in range(R.size - 3)]
+    pairs += [(v, u) for u, v in pairs[R.size :]]
+    u, v = np.array(pairs).T
+    ref = [bvn_orthant_tail(-ndtri(1.0 - a), -ndtri(1.0 - b), rho) for a, b in pairs]
+    assert_allclose(cop.survival(u, v), ref, rtol=1e-7)
 
 
 def test_deep_corner_survival_relative_accuracy():

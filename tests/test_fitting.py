@@ -44,8 +44,20 @@ def test_dataset_validation():
     assert d.u.min() > 0.0 and d.u.max() < 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.7])
+#: Coordinate arrays of a wrong shape or length, keyed by test id.
+BAD_SHAPES = {
+    "one-observation": (np.array([0.5]), np.array([0.5])),
+    "unequal-lengths": (np.array([0.1, 0.2]), np.array([0.1])),
+    "two-dimensional": (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.7, *BAD_SHAPES])
 def test_dataset_rejects_nan_and_out_of_range(bad):
+    if isinstance(bad, str):
+        with pytest.raises(InputError, match="dataset needs"):
+            Dataset(*BAD_SHAPES[bad])
+        return
     with pytest.raises(InputError, match="in \\[0, 1\\]"):
         Dataset(np.array([0.2, bad]), np.array([0.3, 0.4]))
     with pytest.raises(ValueError):  # InputError is also a ValueError

@@ -1,40 +1,51 @@
 import numpy as np
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from blendcop.special import bvn_cdf, bvn_orthant_tail, bvn_upper
-from oracles import bvt_cdf, bvt_orthant_tail
+from blendcop.families import make_copula
+from oracles import bvn_orthant_tail, bvt_cdf, bvt_orthant_tail
+
+
+def _bvn(rho):
+    return multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+
+
+def _bvn_upper(a, b, rho):
+    """P[X > a, Y > b] from scipy's bivariate normal CDF."""
+    return 1.0 - ndtr(a) - ndtr(b) + _bvn(rho).cdf([a, b])
 
 
 def test_bvn_cdf_against_scipy():
+    # the Gaussian copula CDF at (Phi(a), Phi(b)) is the bivariate normal CDF at (a, b)
     rhos = [-0.99, -0.95, -0.6, 0.0, 0.3, 0.6, 0.925, 0.93, 0.99]
     pts = [(0.5, 0.3), (0.0, 0.0), (-1.5, 2.0), (2.5, 2.5), (-3.0, -3.0)]
     for rho in rhos:
-        ref_dist = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
+        cop = make_copula("gaussian", [rho])
         for a, b in pts:
-            assert_allclose(bvn_cdf(a, b, rho), ref_dist.cdf([a, b]), atol=5e-13)
+            assert_allclose(cop.cdf(ndtr(a), ndtr(b)), _bvn(rho).cdf([a, b]), atol=1e-7)
 
 
 def test_bvn_cdf_vectorised():
     a = np.linspace(-2, 2, 7)
-    got = bvn_cdf(a, a[::-1], 0.4)
-    ref = [bvn_cdf(float(x), float(y), 0.4) for x, y in zip(a, a[::-1])]
+    cop = make_copula("gaussian", [0.4])
+    got = cop.cdf(ndtr(a), ndtr(a[::-1]))
+    ref = [cop.cdf(ndtr(x), ndtr(y)) for x, y in zip(a, a[::-1])]
     assert_allclose(got, ref, rtol=1e-13)
+    assert_allclose(got, _bvn(0.4).cdf(np.column_stack([a, a[::-1]])), atol=1e-7)
 
 
 def test_bvn_upper_complements_cdf():
-    from scipy.special import ndtr
-
     for rho in (-0.4, 0.6):
+        cop = make_copula("gaussian", [rho])
         for a, b in [(0.3, -0.7), (1.0, 2.0)]:
-            ident = 1.0 - ndtr(a) - ndtr(b) + bvn_cdf(a, b, rho)
-            assert_allclose(bvn_upper(a, b, rho), ident, atol=1e-12)
+            assert_allclose(cop.survival(ndtr(a), ndtr(b)), _bvn_upper(a, b, rho), atol=1e-7)
 
 
 def test_orthant_tail_matches_moderate_region():
     for rho in (0.3, 0.6):
         for a in (0.5, 1.5):
-            assert_allclose(bvn_orthant_tail(a, a, rho), bvn_upper(a, a, rho), rtol=1e-9)
+            assert_allclose(bvn_orthant_tail(a, a, rho), _bvn_upper(a, a, rho), rtol=1e-9)
 
 
 def test_orthant_tail_deep_values_positive_and_decreasing():
