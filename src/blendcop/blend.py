@@ -385,11 +385,13 @@ class BlendedModel:
         """P[U* > x, V* > y] under cstar, at broadcast arrays of points.
 
         Integrating each component's density by parts in v leaves only
-        its conditional CDF h, which is bounded, so no density spike is
-        ever sampled:
-          K S = int_x^1 [pi (1 - h_tail) + (1 - pi) (1 - h_body)](s, y) ds
+        its conditional CDF h and conditional survival hbar = 1 - h, both
+        bounded, so no density spike is ever sampled:
+          K S = int_x^1 [pi hbar_tail + (1 - pi) hbar_body](s, y) ds
                 + int_x^1 int_y^1 dpi/dv (s, t) [h_body - h_tail](s, t) dt ds,
         on the order-6 corner-refined rule mapped onto [x, 1] and [y, 1].
+        Each family's ``_hbar`` keeps hbar's relative accuracy where 1 - h
+        would round to 0.
         """
         K = self._require_cache()["K"]
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -402,7 +404,7 @@ class BlendedModel:
                 t, _ = toward_one(dy[b], _RECT_ORDER)
                 s, t, yb = s[:, :, None], t[:, None, :], yy[b, None, None]
                 pi = self.weighting(s, yb)
-                edge = pi * (1.0 - self.tail._h(s, yb)) + (1.0 - pi) * (1.0 - self.body._h(s, yb))
+                edge = pi * self.tail._hbar(s, yb) + (1.0 - pi) * self.body._hbar(s, yb)
                 inner = self.weighting.dv(s, t) * (self.body._h(s, t) - self.tail._h(s, t))
                 # sums along rows, so a point's value does not depend on its batch
                 edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)

@@ -6,6 +6,11 @@ gradients are available; optimisation is Nelder-Mead over
 an unconstrained reparameterisation (logs for positive parameters and
 the weight, log(alpha - 1) for families needing alpha > 1, Fisher-z for
 correlations), restarted from jittered initial points.
+
+``fit_mle`` and ``fit_single_copula`` share one core, ``_fit``, and one
+likelihood, ``log_likelihood``: each log-density is floored at
+log(1e-300) whether the model is a blend or a single copula, so the AICs
+of blended and single-copula fits to the same data are comparable.
 """
 from __future__ import annotations
 
@@ -21,7 +26,17 @@ from .errors import BlendcopError, FitError, InputError
 from .families import CLAMP, Copula, make_copula
 from .weighting import make_weighting
 
+#: Floor of every log-density in the likelihood, blend or single copula.
 _LOG_FLOOR = np.log(1e-300)
+#: Nelder-Mead budget of objective evaluations per start.
+_MAX_EVALUATIONS = 2000
+#: Nelder-Mead tolerance on the unconstrained parameters (``xatol``).
+_XTOL = 1e-4
+#: Half-width of the uniform jitter added to the unconstrained start
+#: point to make each restart after the first.
+_JITTER = 0.3
+#: Seed of the jitter, so a fit is reproducible.
+_SEED = 0
 
 #: Unconstrained reparameterisation per family, one entry per parameter.
 _TRANSFORMS = {
@@ -91,7 +106,11 @@ class Dataset:
 
     @classmethod
     def from_array(cls, arr) -> "Dataset":
+        """Dataset from an (n, 2) array; any other shape raises
+        ``InputError``."""
         arr = np.asarray(arr, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise InputError(f"dataset needs an (n, 2) array, got shape {arr.shape}")
         return cls(arr[:, 0], arr[:, 1])
 
     def kendall_tau(self) -> float:
@@ -104,11 +123,7 @@ class FitSpec:
     body_tag: str
     weighting_tag: str
     initial: ModelParams | None = None
-    max_evaluations: int = 2000
-    xtol: float = 1e-4
     restarts: int = 3
-    jitter: float = 0.3
-    seed: int = 0
 
 
 @dataclass
@@ -142,14 +157,17 @@ def aic(loglik: float, k: int) -> float:
     return 2.0 * k - 2.0 * float(loglik)
 
 
-def log_likelihood(model: BlendedModel, data: Dataset) -> float:
-    """Sum of log copula densities over the observations."""
+def log_likelihood(model: BlendedModel | Copula, data: Dataset) -> float:
+    """Sum of log copula densities over the observations, each floored
+    at log(1e-300)."""
     return log_likelihood_detail(model, data)[0]
 
 
-def log_likelihood_detail(model: BlendedModel, data: Dataset):
-    """(loglik, number of floor-clamped densities)."""
-    vals = model.copula_logpdf(data.u, data.v)
+def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
+    """(loglik, number of floor-clamped densities) of a built blend or a
+    single copula."""
+    logpdf = model.copula_logpdf if isinstance(model, BlendedModel) else model.logpdf
+    vals = logpdf(data.u, data.v)
     clamped = int(np.count_nonzero(vals < _LOG_FLOOR))
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
 
@@ -215,124 +233,70 @@ class _Objective:
         return -ll
 
 
-def _run_restarts(objective, z0, spec_seed, restarts, jitter, max_evaluations, xtol):
-    rng = np.random.default_rng(spec_seed)
-    starts = [np.asarray(z0, dtype=float)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(starts[0] + rng.uniform(-jitter, jitter, size=len(z0)))
-    best = None
-    converged = False
-    for start in starts:
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxfev": max_evaluations,
-                "xatol": xtol,
-                "fatol": 1e-6,
-                "initial_simplex": None,
-            },
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-    if best is None or not np.isfinite(best.fun):
-        raise FitError("no restart produced a finite log-likelihood")
-    return best, converged
-
-
-def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
-    """Maximum-likelihood fit of a blended model."""
+def _fit(label, tags, init, make, data, restarts):
+    """Maximise the log-likelihood of ``make(params)`` over the
+    unconstrained parameters, from ``init`` and ``restarts - 1`` jittered
+    copies of it, then refit the best point through
+    ``log_likelihood_detail``."""
     t0 = time.perf_counter()
-    tau_hat = data.kendall_tau()
-    template = BlendedModel(
-        make_copula(spec.tail_tag, _default_family_params(spec.tail_tag, tau_hat)),
-        make_copula(spec.body_tag, _default_family_params(spec.body_tag, tau_hat)),
-        make_weighting(spec.weighting_tag, 1.0),
-    )
-    if spec.initial is not None:
-        init = spec.initial
-    else:
-        init = ModelParams(1.0, template.tail.params, template.body.params)
-    tags = (
-        ("log",)
-        + _TRANSFORMS[spec.tail_tag]
-        + _TRANSFORMS[spec.body_tag]
-    )
-    n_tail = len(template.tail.params)
-
-    def build_and_loglik(params):
-        theta = params[0]
-        tail_p = params[1 : 1 + n_tail]
-        body_p = params[1 + n_tail :]
-        model = template.with_params(theta, tail_p, body_p).build()
-        return log_likelihood(model, data)
-
-    objective = _Objective(build_and_loglik, tags)
-    z0 = _to_unconstrained(tags, init.flatten())
-    best, converged = _run_restarts(
-        objective, z0, spec.seed, spec.restarts, spec.jitter, spec.max_evaluations, spec.xtol
-    )
+    # looks the module-level ``log_likelihood`` up at each evaluation, so a
+    # replacement of that name sees every evaluation
+    objective = _Objective(lambda params: log_likelihood(make(params), data), tags)
+    z0 = _to_unconstrained(tags, init)
+    rng = np.random.default_rng(_SEED)
+    starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
+    options = {"maxfev": _MAX_EVALUATIONS, "xatol": _XTOL, "fatol": 1e-6}
+    runs = [minimize(objective, start, method="Nelder-Mead", options=options) for start in starts]
+    best = min(runs, key=lambda res: res.fun)  # the first of equals
+    if not np.isfinite(best.fun):
+        raise FitError("no restart produced a finite log-likelihood")
     params = _from_unconstrained(tags, best.x)
-    model = template.with_params(params[0], params[1 : 1 + n_tail], params[1 + n_tail :]).build()
+    model = make(params)
     ll, clamped = log_likelihood_detail(model, data)
     warnings = []
     if clamped > 0.01 * data.n:
         warnings.append(
             f"ill-conditioned likelihood: {clamped}/{data.n} densities at the 1e-300 floor"
         )
-    k = 1 + len(template.tail.params) + len(template.body.params)
-    label = f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}"
     return FitResult(
         model=model,
         label=label,
         loglik=ll,
-        k=k,
-        aic=aic(ll, k),
+        k=len(params),
+        aic=aic(ll, len(params)),
         evaluations=objective.evaluations,
-        converged=converged,
+        converged=bool(best.success),
         trace=objective.trace,
         warnings=warnings,
         seconds=time.perf_counter() - t0,
     )
 
 
-def fit_single_copula(
-    tag: str,
-    data: Dataset,
-    initial=None,
-    max_evaluations: int = 2000,
-    xtol: float = 1e-4,
-    restarts: int = 3,
-    jitter: float = 0.3,
-    seed: int = 0,
-) -> FitResult:
+def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
+    """Maximum-likelihood fit of a blended model."""
+    init = spec.initial
+    if init is None:
+        tau_hat = data.kendall_tau()
+        init = ModelParams(
+            1.0,
+            _default_family_params(spec.tail_tag, tau_hat),
+            _default_family_params(spec.body_tag, tau_hat),
+        )
+    n_tail = len(init.tail)
+
+    def make(params):
+        return BlendedModel(
+            make_copula(spec.tail_tag, params[1 : 1 + n_tail]),
+            make_copula(spec.body_tag, params[1 + n_tail :]),
+            make_weighting(spec.weighting_tag, params[0]),
+        ).build()
+
+    tags = ("log",) + _TRANSFORMS[spec.tail_tag] + _TRANSFORMS[spec.body_tag]
+    label = f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}"
+    return _fit(label, tags, init.flatten(), make, data, spec.restarts)
+
+
+def fit_single_copula(tag: str, data: Dataset, restarts: int = 3) -> FitResult:
     """Maximum-likelihood fit of one copula family."""
-    t0 = time.perf_counter()
-    tags = _TRANSFORMS[tag]
-    init = tuple(initial) if initial is not None else _default_family_params(tag, data.kendall_tau())
-
-    def loglik(params):
-        cop = make_copula(tag, params)
-        return float(np.sum(cop.logpdf(data.u, data.v)))
-
-    objective = _Objective(loglik, tags)
-    z0 = _to_unconstrained(tags, init)
-    best, converged = _run_restarts(objective, z0, seed, restarts, jitter, max_evaluations, xtol)
-    params = _from_unconstrained(tags, best.x)
-    cop = make_copula(tag, params)
-    ll = loglik(params)
-    k = len(params)
-    return FitResult(
-        model=cop,
-        label=tag,
-        loglik=ll,
-        k=k,
-        aic=aic(ll, k),
-        evaluations=objective.evaluations,
-        converged=converged,
-        trace=objective.trace,
-        warnings=[],
-        seconds=time.perf_counter() - t0,
-    )
+    init = _default_family_params(tag, data.kendall_tau())
+    return _fit(tag, _TRANSFORMS[tag], init, lambda params: make_copula(tag, params), data, restarts)

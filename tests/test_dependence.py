@@ -221,12 +221,26 @@ def test_blended_student_t_chi_eta_at_deepest_level():
     assert np.isfinite(eta) and 0.0 < eta <= 1.0
 
 
-@pytest.mark.parametrize("text", ["gaussian(-0.9)", "student_t(-0.9,30)"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gaussian(-0.9)",
+        "student_t(-0.9,30)",
+        "blend:gaussian(-0.9)",
+        "blend:student_t(-0.9,30)",
+        "blend:gaussian(-0.5)",
+    ],
+)
 def test_negative_correlation_chi_eta_defined_at_every_level(text):
     # the joint survival of a negatively correlated elliptical copula is
-    # tiny but positive; 1 - u - v + C or 1 - h would round it to 0
-    cop = parse_copula(text)
+    # tiny but positive; 1 - u - v + C or 1 - h would round it to 0. A
+    # blend of the copula with itself is the copula, so its chi matches.
+    blended = text.startswith("blend:")
+    cop = parse_copula(text.removeprefix("blend:"))
+    model = BlendedModel(cop, cop, make_weighting("power", 1.0)).build() if blended else cop
     for r in DEFAULT_R_GRID:
-        chi, eta = chi_eta(cop, r)
+        chi, eta = chi_eta(model, r)
         assert np.isfinite(chi) and chi > 0.0, r
         assert np.isfinite(eta) and eta > 0.0, r
+        if blended:
+            assert_allclose(chi, chi_eta(cop, r)[0], rtol=1e-5, err_msg=str(r))

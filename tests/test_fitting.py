@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 from blendcop.blend import BlendedModel, ModelParams
 from blendcop.errors import EvaluationError, InputError
 from blendcop.families import make_copula
+from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
     FitResult,
@@ -51,12 +52,23 @@ BAD_SHAPES = {
     "two-dimensional": (np.full((2, 2), 0.5), np.full((2, 2), 0.5)),
 }
 
+#: Arrays that ``Dataset.from_array`` must reject, as not (n, 2).
+BAD_ARRAYS = {
+    "array-1d": np.full(4, 0.5),
+    "array-one-column": np.full((4, 1), 0.5),
+    "array-three-columns": np.full((4, 3), 0.5),
+}
 
-@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.7, *BAD_SHAPES])
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.7, *BAD_SHAPES, *BAD_ARRAYS])
 def test_dataset_rejects_nan_and_out_of_range(bad):
-    if isinstance(bad, str):
+    if bad in BAD_SHAPES:
         with pytest.raises(InputError, match="dataset needs"):
             Dataset(*BAD_SHAPES[bad])
+        return
+    if bad in BAD_ARRAYS:
+        with pytest.raises(InputError, match="dataset needs an \\(n, 2\\) array"):
+            Dataset.from_array(BAD_ARRAYS[bad])
         return
     with pytest.raises(InputError, match="in \\[0, 1\\]"):
         Dataset(np.array([0.2, bad]), np.array([0.3, 0.4]))
@@ -137,11 +149,18 @@ def test_loglik_against_full_pipeline_oracle():
 
 
 def test_loglik_detail_counts_clamped():
-    m = build("gaussian", [0.9], "gaussian", [0.9], "power", 1.0)
-    data = Dataset(np.array([1e-9, 0.5, 0.2]) + 0.0, np.array([1.0 - 1e-9, 0.5, 0.3]))
-    ll, clamped = log_likelihood_detail(m, data)
-    assert np.isfinite(ll)
-    assert clamped >= 0
+    # gaussian(0.99) has density far below 1e-300 at (1e-9, 1 - 1e-9): the
+    # floor holds it at log(1e-300) for the copula and its blend alike
+    cop = make_copula("gaussian", [0.99])
+    m = build("gaussian", [0.99], "gaussian", [0.99], "power", 1.0)
+    data = Dataset(np.array([1e-9, 0.5, 0.2]), np.array([1.0 - 1e-9, 0.5, 0.3]))
+    others = float(np.sum(cop.logpdf(data.u[1:], data.v[1:])))
+    results = [log_likelihood_detail(model, data) for model in (cop, m)]
+    for ll, clamped in results:
+        assert clamped == 1
+        assert_allclose(ll, np.log(1e-300) + others, rtol=0, atol=1e-6 * data.n)
+    assert_allclose(results[0][0], results[1][0], rtol=0, atol=1e-6 * data.n)
+    assert log_likelihood(cop, data) == results[0][0]
 
 
 def test_fit_single_gaussian_independent(rng):
@@ -185,12 +204,13 @@ def test_nelder_mead_matches_golden_section(rng):
     assert abs(res.params[0] - golden.x) < 1e-4
 
 
-def test_fit_mle_reproducible_trace(rng):
+def test_fit_mle_reproducible_trace(rng, monkeypatch):
     uv = sample_blended_copula(
         build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 80, rng
     )
     data = Dataset.from_array(uv)
-    spec = FitSpec("gumbel", "gaussian", "power", restarts=2, max_evaluations=40, seed=7)
+    monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 40)
+    spec = FitSpec("gumbel", "gaussian", "power", restarts=2)
     r1 = fit_mle(spec, data)
     r2 = fit_mle(spec, data)
     assert r1.evaluations == r2.evaluations
@@ -200,19 +220,14 @@ def test_fit_mle_reproducible_trace(rng):
         assert (l1 == l2) or (np.isneginf(l1) and np.isneginf(l2))
 
 
-def test_fit_mle_initial_override_and_result_fields(rng):
+def test_fit_mle_initial_override_and_result_fields(rng, monkeypatch):
     uv = sample_blended_copula(
         build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 120, rng
     )
     data = Dataset.from_array(uv)
+    monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 150)
     spec = FitSpec(
-        "gumbel",
-        "gaussian",
-        "power",
-        initial=ModelParams(0.9, (1.8,), (0.25,)),
-        restarts=1,
-        max_evaluations=150,
-        seed=3,
+        "gumbel", "gaussian", "power", initial=ModelParams(0.9, (1.8,), (0.25,)), restarts=1
     )
     res = fit_mle(spec, data)
     assert res.k == 3
@@ -229,12 +244,34 @@ def test_fit_mle_initial_override_and_result_fields(rng):
     )
 
 
-def test_fit_mle_blend_recovery_smoke():
+def test_fit_mle_blend_recovery_smoke(monkeypatch):
     true = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
     uv = sample_blended_copula(true, 500, np.random.default_rng(123))
-    spec = FitSpec("gumbel", "clayton", "power", restarts=1, max_evaluations=400, seed=1)
+    monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 400)
+    spec = FitSpec("gumbel", "clayton", "power", restarts=1)
     res = fit_mle(spec, Dataset.from_array(uv))
     assert res.loglik >= log_likelihood(true, Dataset.from_array(uv)) - 1e-6
     assert abs(res.params.tail[0] - 2.0) < 0.8
     assert abs(res.params.body[0] - 1.0) < 0.8
     assert 0.3 < res.params.theta < 2.5
+
+
+def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
+    # the benchmark times fit_mle split at each return of the module-level
+    # log_likelihood, so the objective must look it up at call time, once
+    # per evaluation, and the final refit must not call it
+    uv = sample_blended_copula(
+        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 60, rng
+    )
+    calls = []
+    inner = fitting.log_likelihood
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(fitting, "log_likelihood", counted)
+    monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 30)
+    res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
+    assert 0 < res.evaluations <= 30
+    assert len(calls) == res.evaluations
