@@ -18,6 +18,7 @@ from scipy.stats import kendalltau
 from .blend import BlendedModel
 from .errors import UndefinedMeasureError
 from .families import CLAMP, Copula, Gaussian, Frank, Gumbel, HuslerReiss
+from .fitting import Dataset
 from .quadrature import corner_refined, gauss_legendre
 from .sampling import sample_blended_copula
 
@@ -122,10 +123,15 @@ def empirical_chi_eta(u, v, r):
     uses the empirical joint survival. Zero joint exceedances leave eta
     undefined and raise, reporting the count. Where every pair exceeds r
     the joint survival is 1, so eta = log(1 - r) / log 1 is undefined and
-    returned as NaN while chi stands.
+    returned as NaN while chi stands. The pseudo-observations are checked
+    as ``Dataset`` checks them: NaN, a value outside [0, 1] or arrays of
+    unequal length raise ``InputError``.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    data = Dataset(u, v)
+    return _empirical_chi_eta(data.u, data.v, r)
+
+
+def _empirical_chi_eta(u, v, r):
     r = float(r)
     n = len(u)
     joint_below = np.count_nonzero((u <= r) & (v <= r))
@@ -140,13 +146,16 @@ def empirical_chi_eta(u, v, r):
 
 
 def empirical_curves(u, v, grid=None, label="empirical"):
-    """Empirical chi/eta curves; undefined levels become NaN."""
+    """Empirical chi/eta curves; undefined levels become NaN. The
+    pseudo-observations are checked once, as ``empirical_chi_eta``
+    checks them."""
+    data = Dataset(u, v)
     grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
     chis = np.full(len(grid), np.nan)
     etas = np.full(len(grid), np.nan)
     for i, r in enumerate(grid):
         try:
-            chis[i], etas[i] = empirical_chi_eta(u, v, r)
+            chis[i], etas[i] = _empirical_chi_eta(data.u, data.v, r)
         except UndefinedMeasureError:
             pass
     return (

@@ -19,12 +19,22 @@ every level down to 1 - r = 1.49e-8, S stays within 4.8e-8 relative for
 the Gaussian (rho from -0.9 to 0.95, on and off the diagonal) and
 within 1.1e-9 for student_t(+-0.5, 4).
 
+Each family lists its parameters once, as (name, ``Domain``) pairs in
+``param_domains``. The four domains (``CORRELATION``, ``POSITIVE``,
+``ABOVE_ONE``, ``NONZERO``) are the one place that states a parameter's
+range, checked on construction (NaN and inf fail), and the map the fit
+searches it through.
+
 Public entry points clamp their arguments to [CLAMP, 1 - CLAMP]; the
 underscore methods assume arguments strictly inside (0, 1) and are used
 by internal machinery that must reach closer to the corner than the
 public clamp allows.
 """
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -60,27 +70,51 @@ def _bisect_conditional(hfun, u, w, lo=CLAMP, hi=1.0 - CLAMP, iters=90):
     return 0.5 * (a + b)
 
 
+@dataclass(frozen=True)
+class Domain:
+    """A parameter's range: its error text, a membership test
+    (``p in domain``) and the fit's maps ``forward`` onto the real line
+    and ``backward`` from it."""
+
+    text: str
+    holds: Callable[[float], bool]
+    forward: Callable
+    backward: Callable
+
+    def __contains__(self, p):
+        # each test is positive and comes after isfinite, so NaN and inf fail
+        return math.isfinite(p) and self.holds(p)
+
+
+CORRELATION = Domain("must lie in (-1, 1)", lambda p: -1.0 < p < 1.0, np.arctanh, np.tanh)
+POSITIVE = Domain("must be positive", lambda p: p > 0.0, np.log, np.exp)
+ABOVE_ONE = Domain(
+    "must exceed 1", lambda p: p > 1.0, lambda p: np.log(p - 1.0), lambda z: 1.0 + np.exp(z)
+)
+NONZERO = Domain("must be nonzero", lambda p: p != 0.0, lambda p: p, lambda z: z)
+
+
 class Copula:
     """Base class; subclasses define the closed forms of one family."""
 
     tag: str = ""
-    param_names: tuple = ()
+    #: (name, domain) of each parameter, in order.
+    param_domains: tuple = ()
     #: C(u, v) = C(v, u), true of every family but coles_tawn with
     #: alpha != beta. A blend of two exchangeable families builds one
     #: margin for both axes.
     exchangeable: bool = True
 
     def __init__(self, *params):
-        if len(params) != len(self.param_names):
+        if len(params) != len(self.param_domains):
+            names = tuple(name for name, _ in self.param_domains)
             raise ParameterError(
-                f"{self.tag} takes {len(self.param_names)} parameter(s) "
-                f"{self.param_names}, got {len(params)}"
+                f"{self.tag} takes {len(names)} parameter(s) {names}, got {len(params)}"
             )
         self.params = tuple(float(p) for p in params)
-        self._validate()
-
-    def _validate(self):
-        raise NotImplementedError
+        for (name, domain), p in zip(self.param_domains, self.params):
+            if p not in domain:
+                raise ParameterError(f"{self.tag} {name} {domain.text}, got {p}")
 
     # -- public API (clamped) -------------------------------------------
     def cdf(self, u, v):
@@ -198,12 +232,7 @@ class Copula:
 # ---------------------------------------------------------------------------
 class Gaussian(Copula):
     tag = "gaussian"
-    param_names = ("rho",)
-
-    def _validate(self):
-        (rho,) = self.params
-        if not -1.0 < rho < 1.0:
-            raise ParameterError(f"gaussian rho must lie in (-1, 1), got {rho}")
+    param_domains = (("rho", CORRELATION),)
 
     @property
     def rho(self):
@@ -239,14 +268,7 @@ class Gaussian(Copula):
 
 class StudentT(Copula):
     tag = "student_t"
-    param_names = ("rho", "nu")
-
-    def _validate(self):
-        rho, nu = self.params
-        if not -1.0 < rho < 1.0:
-            raise ParameterError(f"student_t rho must lie in (-1, 1), got {rho}")
-        if nu <= 0.0:
-            raise ParameterError(f"student_t nu must be positive, got {nu}")
+    param_domains = (("rho", CORRELATION), ("nu", POSITIVE))
 
     def _logpdf(self, u, v):
         rho, nu = self.params
@@ -298,12 +320,7 @@ class StudentT(Copula):
 # ---------------------------------------------------------------------------
 class Frank(Copula):
     tag = "frank"
-    param_names = ("alpha",)
-
-    def _validate(self):
-        (a,) = self.params
-        if a == 0.0:
-            raise ParameterError("frank alpha must be nonzero")
+    param_domains = (("alpha", NONZERO),)
 
     def _parts(self, u, v):
         a = self.params[0]
@@ -338,12 +355,7 @@ class Frank(Copula):
 
 class Clayton(Copula):
     tag = "clayton"
-    param_names = ("alpha",)
-
-    def _validate(self):
-        (a,) = self.params
-        if a <= 0.0:
-            raise ParameterError(f"clayton alpha must be positive, got {a}")
+    param_domains = (("alpha", POSITIVE),)
 
     def _wm1(self, u, v):
         # w - 1 where w = u^-a + v^-a - 1, computed without cancellation
@@ -377,12 +389,7 @@ class Clayton(Copula):
 
 class Joe(Copula):
     tag = "joe"
-    param_names = ("alpha",)
-
-    def _validate(self):
-        (a,) = self.params
-        if a <= 1.0:
-            raise ParameterError(f"joe alpha must exceed 1, got {a}")
+    param_domains = (("alpha", ABOVE_ONE),)
 
     def _A(self, x, y):
         a = self.params[0]
@@ -457,12 +464,7 @@ class _ExtremeValue(Copula):
 
 class Gumbel(_ExtremeValue):
     tag = "gumbel"
-    param_names = ("alpha",)
-
-    def _validate(self):
-        (a,) = self.params
-        if a <= 1.0:
-            raise ParameterError(f"gumbel alpha must exceed 1, got {a}")
+    param_domains = (("alpha", ABOVE_ONE),)
 
     def _ell(self, x, y):
         a = self.params[0]
@@ -489,16 +491,11 @@ class Gumbel(_ExtremeValue):
 
 class InvertedGumbel(Copula):
     tag = "inverted_gumbel"
-    param_names = ("alpha",)
+    param_domains = (("alpha", ABOVE_ONE),)
 
     def __init__(self, *params):
         super().__init__(*params)
         self._base = Gumbel(*params)
-
-    def _validate(self):
-        (a,) = self.params
-        if a <= 1.0:
-            raise ParameterError(f"inverted_gumbel alpha must exceed 1, got {a}")
 
     def _cdf(self, u, v):
         x = -np.log1p(-u)
@@ -517,12 +514,7 @@ class InvertedGumbel(Copula):
 
 class HuslerReiss(_ExtremeValue):
     tag = "husler_reiss"
-    param_names = ("alpha",)
-
-    def _validate(self):
-        (a,) = self.params
-        if a <= 0.0:
-            raise ParameterError(f"husler_reiss alpha must be positive, got {a}")
+    param_domains = (("alpha", POSITIVE),)
 
     def _z(self, x, y):
         a = self.params[0]
@@ -546,12 +538,7 @@ class HuslerReiss(_ExtremeValue):
 
 class Galambos(_ExtremeValue):
     tag = "galambos"
-    param_names = ("alpha",)
-
-    def _validate(self):
-        (a,) = self.params
-        if a <= 0.0:
-            raise ParameterError(f"galambos alpha must be positive, got {a}")
+    param_domains = (("alpha", POSITIVE),)
 
     def _logG(self, x, y):
         a = self.params[0]
@@ -585,17 +572,12 @@ class ColesTawn(_ExtremeValue):
     """
 
     tag = "coles_tawn"
-    param_names = ("alpha", "beta")
+    param_domains = (("alpha", POSITIVE), ("beta", POSITIVE))
 
     @property
     def exchangeable(self):
         a, b = self.params
         return a == b
-
-    def _validate(self):
-        a, b = self.params
-        if a <= 0.0 or b <= 0.0:
-            raise ParameterError(f"coles_tawn alpha and beta must be positive, got ({a}, {b})")
 
     def _q(self, x, y):
         a, b = self.params
@@ -655,12 +637,18 @@ FAMILIES = {
 }
 
 
-def make_copula(tag: str, params) -> Copula:
+def family_class(tag: str) -> type[Copula]:
+    """The family registered under ``tag``; an unknown tag raises
+    ``ParameterError`` listing the valid ones."""
     if tag not in FAMILIES:
         raise ParameterError(
             f"unknown copula family {tag!r}; valid tags: {', '.join(sorted(FAMILIES))}"
         )
-    return FAMILIES[tag](*params)
+    return FAMILIES[tag]
+
+
+def make_copula(tag: str, params) -> Copula:
+    return family_class(tag)(*params)
 
 
 def parse_copula(text: str) -> Copula:

@@ -2,10 +2,11 @@
 
 The likelihood of a blended model depends on its parameters through
 numerically built normalising constants and marginal tables, so no
-gradients are available; optimisation is Nelder-Mead over
-an unconstrained reparameterisation (logs for positive parameters and
-the weight, log(alpha - 1) for families needing alpha > 1, Fisher-z for
-correlations), restarted from jittered initial points.
+gradients are available; optimisation is Nelder-Mead over an
+unconstrained reparameterisation, restarted from jittered initial
+points. Each parameter's map onto the real line is read from its
+``families.Domain``, the one place that also states its range. Tags are
+resolved through the registries before the first evaluation.
 
 ``fit_mle`` and ``fit_single_copula`` share one core, ``_fit``, and one
 likelihood, ``log_likelihood``: each log-density is floored at
@@ -23,8 +24,8 @@ from scipy.stats import kendalltau
 
 from .blend import BlendedModel, ModelParams
 from .errors import BlendcopError, FitError, InputError
-from .families import CLAMP, Copula, make_copula
-from .weighting import make_weighting
+from .families import CLAMP, Copula, family_class
+from .weighting import weighting_class
 
 #: Floor of every log-density in the likelihood, blend or single copula.
 _LOG_FLOOR = np.log(1e-300)
@@ -37,33 +38,6 @@ _XTOL = 1e-4
 _JITTER = 0.3
 #: Seed of the jitter, so a fit is reproducible.
 _SEED = 0
-
-#: Unconstrained reparameterisation per family, one entry per parameter.
-_TRANSFORMS = {
-    "gaussian": ("fisher",),
-    "student_t": ("fisher", "log"),
-    "frank": ("identity",),
-    "clayton": ("log",),
-    "joe": ("log_shift1",),
-    "gumbel": ("log_shift1",),
-    "inverted_gumbel": ("log_shift1",),
-    "husler_reiss": ("log",),
-    "galambos": ("log",),
-    "coles_tawn": ("log", "log"),
-}
-
-_FORWARD = {
-    "identity": lambda x: x,
-    "log": np.log,
-    "log_shift1": lambda x: np.log(x - 1.0),
-    "fisher": np.arctanh,
-}
-_BACKWARD = {
-    "identity": lambda z: z,
-    "log": np.exp,
-    "log_shift1": lambda z: 1.0 + np.exp(z),
-    "fisher": np.tanh,
-}
 
 # coarse inversion table for the elliptical tau(rho) map
 _RHO_TABLE = np.linspace(-0.95, 0.95, 39)
@@ -91,7 +65,7 @@ class Dataset:
                 raise InputError(
                     f"pseudo-observations must lie in [0, 1]: {name} has "
                     f"{np.count_nonzero(bad)} values that are NaN or outside, "
-                    f"the first {arr[bad].flat[0]!r}"
+                    f"the first {float(arr[bad].flat[0])!r}"
                 )
         self.u = np.clip(u, CLAMP, 1.0 - CLAMP)
         self.v = np.clip(v, CLAMP, 1.0 - CLAMP)
@@ -172,15 +146,16 @@ def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
 
 
-def _to_unconstrained(tags, params):
-    out = []
-    for tag, p in zip(tags, params):
-        out.append(_FORWARD[tag](p))
-    return np.asarray(out, dtype=float)
+def _to_unconstrained(domains, params):
+    return np.asarray([d.forward(p) for d, p in zip(domains, params)], dtype=float)
 
 
-def _from_unconstrained(tags, z):
-    return tuple(float(_BACKWARD[tag](zi)) for tag, zi in zip(tags, z))
+def _from_unconstrained(domains, z):
+    return tuple(float(d.backward(zi)) for d, zi in zip(domains, z))
+
+
+def _domains(family):
+    return tuple(domain for _, domain in family.param_domains)
 
 
 def _rho_from_tau(tau_hat: float) -> float:
@@ -214,15 +189,15 @@ class _Objective:
     exception is a fault and propagates.
     """
 
-    def __init__(self, build_and_loglik, tags):
+    def __init__(self, build_and_loglik, domains):
         self._eval = build_and_loglik
-        self.tags = tags
+        self.domains = domains
         self.evaluations = 0
         self.trace = []
 
     def __call__(self, z):
         self.evaluations += 1
-        params = _from_unconstrained(self.tags, z)
+        params = _from_unconstrained(self.domains, z)
         try:
             ll = self._eval(params)
         except (BlendcopError, ArithmeticError):
@@ -233,7 +208,7 @@ class _Objective:
         return -ll
 
 
-def _fit(label, tags, init, make, data, restarts):
+def _fit(label, domains, init, make, data, restarts):
     """Maximise the log-likelihood of ``make(params)`` over the
     unconstrained parameters, from ``init`` and ``restarts - 1`` jittered
     copies of it, then refit the best point through
@@ -241,8 +216,8 @@ def _fit(label, tags, init, make, data, restarts):
     t0 = time.perf_counter()
     # looks the module-level ``log_likelihood`` up at each evaluation, so a
     # replacement of that name sees every evaluation
-    objective = _Objective(lambda params: log_likelihood(make(params), data), tags)
-    z0 = _to_unconstrained(tags, init)
+    objective = _Objective(lambda params: log_likelihood(make(params), data), domains)
+    z0 = _to_unconstrained(domains, init)
     rng = np.random.default_rng(_SEED)
     starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
     options = {"maxfev": _MAX_EVALUATIONS, "xatol": _XTOL, "fatol": 1e-6}
@@ -250,7 +225,7 @@ def _fit(label, tags, init, make, data, restarts):
     best = min(runs, key=lambda res: res.fun)  # the first of equals
     if not np.isfinite(best.fun):
         raise FitError("no restart produced a finite log-likelihood")
-    params = _from_unconstrained(tags, best.x)
+    params = _from_unconstrained(domains, best.x)
     model = make(params)
     ll, clamped = log_likelihood_detail(model, data)
     warnings = []
@@ -274,6 +249,9 @@ def _fit(label, tags, init, make, data, restarts):
 
 def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
     """Maximum-likelihood fit of a blended model."""
+    tail = family_class(spec.tail_tag)
+    body = family_class(spec.body_tag)
+    weighting = weighting_class(spec.weighting_tag)
     init = spec.initial
     if init is None:
         tau_hat = data.kendall_tau()
@@ -282,21 +260,23 @@ def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
             _default_family_params(spec.tail_tag, tau_hat),
             _default_family_params(spec.body_tag, tau_hat),
         )
+    # a start point of the wrong length or outside a domain fails here,
+    # not as NaN in the unconstrained start
+    tail(*init.tail), body(*init.body), weighting(init.theta)
     n_tail = len(init.tail)
 
     def make(params):
         return BlendedModel(
-            make_copula(spec.tail_tag, params[1 : 1 + n_tail]),
-            make_copula(spec.body_tag, params[1 + n_tail :]),
-            make_weighting(spec.weighting_tag, params[0]),
+            tail(*params[1 : 1 + n_tail]), body(*params[1 + n_tail :]), weighting(params[0])
         ).build()
 
-    tags = ("log",) + _TRANSFORMS[spec.tail_tag] + _TRANSFORMS[spec.body_tag]
+    domains = (weighting.domain,) + _domains(tail) + _domains(body)
     label = f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}"
-    return _fit(label, tags, init.flatten(), make, data, spec.restarts)
+    return _fit(label, domains, init.flatten(), make, data, spec.restarts)
 
 
 def fit_single_copula(tag: str, data: Dataset, restarts: int = 3) -> FitResult:
     """Maximum-likelihood fit of one copula family."""
+    family = family_class(tag)
     init = _default_family_params(tag, data.kendall_tau())
-    return _fit(tag, _TRANSFORMS[tag], init, lambda params: make_copula(tag, params), data, restarts)
+    return _fit(tag, _domains(family), init, lambda params: family(*params), data, restarts)

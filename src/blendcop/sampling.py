@@ -17,20 +17,19 @@ from .blend import BlendedModel
 from .errors import SamplingError
 
 TAIL, BODY = "tail", "body"
+#: Proposals per stream in the first round, as a multiple of n_target / K.
+_OVERSAMPLE = 1.3
 
 
 @dataclass
 class SampleRequest:
     model: BlendedModel
     n_target: int
-    oversample: float = 1.3
     seed: int | np.random.Generator | None = None
 
     def __post_init__(self):
         if self.n_target < 0:
             raise ValueError("n_target must be nonnegative")
-        if self.oversample < 1.0:
-            raise ValueError("oversample factor must be >= 1")
 
     def rng(self) -> np.random.Generator:
         if isinstance(self.seed, np.random.Generator):
@@ -56,7 +55,7 @@ def rejection_round(model: BlendedModel, n: int, rng: np.random.Generator):
 def sample_cstar(req: SampleRequest):
     """Exactly ``n_target`` draws from the blended density with origin tags.
 
-    Proposal count starts at ceil(oversample * n_target / K) per stream
+    Proposal count starts at ceil(_OVERSAMPLE * n_target / K) per stream
     and doubles on shortfall; after two doublings a persistent shortfall
     is an error. The pooled accepted draws are cut to size by taking the
     prefix of a random permutation, preserving exchangeability.
@@ -66,7 +65,7 @@ def sample_cstar(req: SampleRequest):
     K, _, _ = model.norm_constants
     if req.n_target == 0:
         return np.empty((0, 2)), np.empty(0, dtype=object)
-    n = int(np.ceil(req.oversample * req.n_target / K))
+    n = int(np.ceil(_OVERSAMPLE * req.n_target / K))
     pool = []
     tags = []
     for _ in range(3):

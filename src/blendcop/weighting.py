@@ -10,12 +10,16 @@ the axes. Two forms are built in; further forms can be added to the
 registry as long as they are symmetric and also provide the partial
 derivative in v and the conditional expectation used by the survival
 diagnostics.
+
+Theta's range and the map the fit searches it through are stated once,
+by the ``families.Domain`` in ``WeightingFunction.domain``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ParameterError
+from .families import POSITIVE
 from .quadrature import skewed_refined
 
 # Given a coordinate t, a conditional CDF steps up within about 1 - t of
@@ -29,11 +33,13 @@ _GLW_X, _GLW_W = skewed_refined(6)
 
 class WeightingFunction:
     tag: str = ""
+    #: Domain of theta.
+    domain = POSITIVE
 
     def __init__(self, theta: float):
         theta = float(theta)
-        if not theta > 0.0:
-            raise ParameterError(f"weighting theta must be positive, got {theta}")
+        if theta not in self.domain:
+            raise ParameterError(f"weighting theta {self.domain.text}, got {theta}")
         self.theta = theta
 
     def __call__(self, u, v):
@@ -118,12 +124,18 @@ def register_weighting(cls):
     return cls
 
 
-def make_weighting(tag: str, theta: float) -> WeightingFunction:
+def weighting_class(tag: str) -> type[WeightingFunction]:
+    """The weighting registered under ``tag``; an unknown tag raises
+    ``ParameterError`` listing the valid ones."""
     if tag not in WEIGHTINGS:
         raise ParameterError(
             f"unknown weighting {tag!r}; valid tags: {', '.join(sorted(WEIGHTINGS))}"
         )
-    return WEIGHTINGS[tag](theta)
+    return WEIGHTINGS[tag]
+
+
+def make_weighting(tag: str, theta: float) -> WeightingFunction:
+    return weighting_class(tag)(theta)
 
 
 def parse_weighting(text: str) -> WeightingFunction:

@@ -280,6 +280,7 @@ def test_load_ignores_grid_size_line(tmp_path, power_model):
         "tail = gumbel(2)\nbody = gaussian(2)\nweighting = power(1.5)\n",
         "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\nsize 3\n",
         "tail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\ncolour = red\n",
+        "tail = gumbel(nan)\nbody = gaussian(0.6)\nweighting = power(1.5)\n",
     ],
 )
 def test_load_rejects_malformed_file(tmp_path, text):

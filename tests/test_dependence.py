@@ -17,7 +17,7 @@ from blendcop.dependence import (
     kendall_tau,
     theoretical_limits,
 )
-from blendcop.errors import UndefinedMeasureError
+from blendcop.errors import InputError, UndefinedMeasureError
 from blendcop.families import make_copula, parse_copula
 from blendcop.weighting import make_weighting
 from oracles import kendall_tau_concordance
@@ -210,6 +210,27 @@ def test_empirical_undefined_raises_with_count():
     assert np.isfinite(chi) and np.isnan(eta)
     assert np.isfinite(chi_c.values[0]) and np.isnan(chi_c.values[1])
     assert np.all(np.isnan(eta_c.values))
+
+
+def _bad_pseudo_observations(case):
+    rng = np.random.default_rng(3)
+    u, v = rng.random(1000), rng.random(1000)
+    if case == "nan":
+        u[:300] = np.nan  # chi(0.5) read 0.36 against 0.50 when NaN passed
+    elif case == "out-of-range":
+        v[7] = 1.5
+    else:
+        v = v[:-1]
+    return u, v
+
+
+@pytest.mark.parametrize("case", ["nan", "out-of-range", "unequal-lengths"])
+def test_empirical_rejects_bad_pseudo_observations(case):
+    u, v = _bad_pseudo_observations(case)
+    with pytest.raises(InputError):
+        empirical_chi_eta(u, v, 0.5)
+    with pytest.raises(InputError):
+        empirical_curves(u, v)
 
 
 def test_blended_student_t_chi_eta_at_deepest_level():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,8 @@ from scipy.stats import t as tdist
 
 from blendcop.dependence import DEFAULT_R_GRID
 from blendcop.errors import ParameterError
-from blendcop.families import CLAMP, FAMILIES, make_copula, parse_copula
+from blendcop.families import CLAMP, FAMILIES, NONZERO, make_copula, parse_copula
+from blendcop.weighting import WEIGHTINGS, make_weighting
 from oracles import bvn_orthant_tail, bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
 
 # Gumbel alpha=2 at (0.5, 0.5): exp(-sqrt(2) log 2), frozen at 30 digits via mpmath
@@ -244,10 +247,64 @@ def test_parameter_domain_errors():
         ("coles_tawn", [1.0]),
         ("coles_tawn", [1.0, -1.0]),
         ("nope", [1.0]),
+        # NaN and inf fall outside every domain
+        ("gaussian", [np.nan]),
+        ("student_t", [0.2, np.nan]),
+        ("frank", [np.nan]),
+        ("clayton", [np.nan]),
+        ("joe", [np.nan]),
+        ("joe", [np.inf]),
+        ("gumbel", [np.nan]),
+        ("inverted_gumbel", [np.nan]),
+        ("husler_reiss", [np.nan]),
+        ("galambos", [np.nan]),
+        ("coles_tawn", [np.nan, 1.0]),
     ]
     for tag, params in bad:
         with pytest.raises(ParameterError):
             make_copula(tag, params)
+
+
+def test_domain_error_names_family_parameter_and_value():
+    with pytest.raises(ParameterError, match=r"^gumbel alpha must exceed 1, got 0\.99$"):
+        make_copula("gumbel", [0.99])
+    with pytest.raises(ParameterError, match=r"^coles_tawn beta must be positive, got -1\.0$"):
+        make_copula("coles_tawn", [1.0, -1.0])
+
+
+#: Every unconstrained value the fit may try for one parameter.
+Z_GRID = np.linspace(-10.0, 10.0, 21)
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_family_domains_map_the_real_line_into_the_domain(tag):
+    # the fit searches z and builds the family at backward(z): backward
+    # must invert forward at the representative parameters, and every z
+    # must give a valid copula
+    domains = [domain for _, domain in FAMILIES[tag].param_domains]
+    cops = [c for c in REPRESENTATIVE if c.tag == tag]
+    assert cops, f"no representative parameters for {tag}"
+    for cop in cops:
+        for domain, p in zip(domains, cop.params):
+            assert_allclose(domain.backward(domain.forward(p)), p, rtol=1e-12)
+    for zs in itertools.product(Z_GRID, repeat=len(domains)):
+        params = [domain.backward(z) for domain, z in zip(domains, zs)]
+        if NONZERO in domains and 0.0 in zs:
+            # the identity map of a nonzero parameter sends z = 0 to 0,
+            # outside the domain; the objective scores that point -inf
+            with pytest.raises(ParameterError):
+                make_copula(tag, params)
+            continue
+        assert make_copula(tag, params).params == tuple(params)
+
+
+@pytest.mark.parametrize("tag", sorted(WEIGHTINGS))
+def test_weighting_domain_maps_the_real_line_into_the_domain(tag):
+    domain = WEIGHTINGS[tag].domain
+    for theta in (0.4, 1.5, 3.0):
+        assert_allclose(domain.backward(domain.forward(theta)), theta, rtol=1e-12)
+    for z in Z_GRID:
+        assert make_weighting(tag, domain.backward(z)).theta == domain.backward(z)
 
 
 def test_parse_and_repr_round_trip():

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel, ModelParams
-from blendcop.errors import EvaluationError, InputError
-from blendcop.families import make_copula
+from blendcop.errors import EvaluationError, InputError, ParameterError
+from blendcop.families import POSITIVE, make_copula
 from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
@@ -86,7 +86,7 @@ def test_objective_scores_package_errors_and_propagates_faults():
             raise KeyError("a fault in the evaluation")
         return -params[0]
 
-    obj = _Objective(evaluate, ("log",))
+    obj = _Objective(evaluate, (POSITIVE,))
     assert obj(np.log([2.0])) == np.inf
     assert obj(np.log([0.95])) == np.inf
     assert obj(np.log([0.7])) == pytest.approx(0.7)
@@ -106,7 +106,7 @@ def test_nonfinite_density_at_a_data_point_scores_minus_inf(monkeypatch, role, b
     monkeypatch.setattr(fam, "_logpdf", lambda u, v: np.where(u > 0.8, bad, logpdf(u, v)))
     with pytest.raises(EvaluationError, match=f"non-finite {role} density"):
         m.copula_logpdf(data.u, data.v)
-    obj = _Objective(lambda params: log_likelihood(m, data), ("log",))
+    obj = _Objective(lambda params: log_likelihood(m, data), (POSITIVE,))
     assert obj(np.zeros(1)) == np.inf
     assert obj.trace[-1][1] == -np.inf
 
@@ -275,3 +275,38 @@ def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
     res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
     assert 0 < res.evaluations <= 30
     assert len(calls) == res.evaluations
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda data: fit_mle(
+            FitSpec("nope", "clayton", "power", initial=ModelParams(1.0, (2.0,), (1.0,))), data
+        ),
+        lambda data: fit_mle(FitSpec("gumbel", "nope", "power"), data),
+        lambda data: fit_mle(FitSpec("gumbel", "clayton", "powr"), data),
+        lambda data: fit_single_copula("nope", data),
+    ],
+    ids=["tail-with-initial", "body", "weighting", "single"],
+)
+def test_unknown_tag_fails_before_the_first_evaluation(fit, monkeypatch):
+    monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
+    data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
+    with pytest.raises(ParameterError, match="valid tags"):
+        fit(data)
+
+
+@pytest.mark.parametrize(
+    "initial,message",
+    [
+        (ModelParams(1.0, (2.0, 3.0), (1.0,)), "gumbel takes 1 parameter"),
+        (ModelParams(1.0, (0.5,), (1.0,)), "gumbel alpha must exceed 1, got 0.5"),
+        (ModelParams(0.0, (2.0,), (1.0,)), "weighting theta must be positive, got 0.0"),
+    ],
+    ids=["tail-length", "tail-domain", "theta-domain"],
+)
+def test_bad_initial_fails_before_the_first_evaluation(initial, message, monkeypatch):
+    monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
+    data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
+    with pytest.raises(ParameterError, match=message):
+        fit_mle(FitSpec("gumbel", "clayton", "power", initial=initial), data)

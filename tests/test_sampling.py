@@ -124,5 +124,3 @@ def test_shortfall_error(model, monkeypatch):
 def test_request_validation(model):
     with pytest.raises(ValueError):
         SampleRequest(model, -1)
-    with pytest.raises(ValueError):
-        SampleRequest(model, 10, oversample=0.5)

@@ -79,6 +79,10 @@ def test_invalid_theta():
         PowerProduct(0.0)
     with pytest.raises(ParameterError):
         ExpComplement(-1.0)
+    for cls in (PowerProduct, ExpComplement):
+        for theta in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="theta must be positive"):
+                cls(theta)
 
 
 def test_parse_and_registry():
