@@ -37,9 +37,10 @@ is evaluated raises ``EvaluationError``.
 
 Rectangle probabilities have one primitive, the joint upper survival
 S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
-CDFs by parts in the same way (see ``joint_upper_survival``). chi and eta
-read it directly, and the induced copula's CDF is
-C(u, v) = u + v - 1 + S(F^-1(u), G^-1(v)).
+CDFs by parts in the same way (see ``joint_upper_survival``). At the
+marginal quantiles it is the induced copula's ``survival``, which chi and
+eta read and which gives its CDF u + v - 1 + survival(u, v). A built
+model answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
 """
 from __future__ import annotations
 
@@ -200,6 +201,8 @@ _MODEL_KEYS = {"tail", "body", "weighting", "nodes", "eps", "grid_size"}
 class BlendedModel:
     """A (tail, body, weighting) triple plus its numerical cache."""
 
+    source = "blended"  # of its dependence curves
+
     def __init__(self, tail: Copula, body: Copula, weighting: WeightingFunction):
         self.tail = tail
         self.body = body
@@ -292,10 +295,10 @@ class BlendedModel:
                 out[ix] = self._quantile_exact(axis, float(q[ix]))
         return float(out[0]) if scalar else out
 
-    def copula_pdf(self, u, v):
-        return np.exp(self.copula_logpdf(u, v))
+    def pdf(self, u, v):
+        return np.exp(self.logpdf(u, v))
 
-    def copula_logpdf(self, u, v):
+    def logpdf(self, u, v):
         """Log-density of the copula induced by cstar."""
         c = self._require_cache()
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
@@ -317,14 +320,18 @@ class BlendedModel:
             log_f[order] = np.log(self.marginal_pdf(axis, xs))
         return x, log_f
 
+    def survival(self, u, v):
+        """P[U > u, V > v] under the induced copula: the joint upper
+        survival of cstar at x = F^-1(u), y = G^-1(v)."""
+        u, v = clamp_unit(u), clamp_unit(v)
+        return self.joint_upper_survival(self.marginal_quantile(0, u), self.marginal_quantile(1, v))
+
     def copula_cdf(self, u, v):
-        """CDF of the induced copula: C(u, v) = u + v - 1 + S(x, y) at
-        x = F^-1(u), y = G^-1(v), with S the joint upper survival of
-        cstar, clipped to the Frechet bounds."""
+        """CDF of the induced copula, C(u, v) = u + v - 1 + S(u, v) with S
+        from ``survival``, clipped to the Frechet bounds."""
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
-        sf = self.joint_upper_survival(self.marginal_quantile(0, u), self.marginal_quantile(1, v))
         lower = u + v - 1.0
-        out = np.clip(lower + sf, np.maximum(lower, 0.0), np.minimum(u, v))
+        out = np.clip(lower + self.survival(u, v), np.maximum(lower, 0.0), np.minimum(u, v))
         return out if out.ndim else float(out)
 
     # ------------------------------------------------------------------

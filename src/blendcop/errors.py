@@ -31,4 +31,5 @@ class UndefinedMeasureError(BlendcopError):
 
 class InputError(BlendcopError, ValueError):
     """Outside input is malformed: pseudo-observations that are NaN or lie
-    outside [0, 1], or a model file that cannot be parsed."""
+    outside [0, 1], a model file that cannot be parsed, a dependence level
+    outside (0, R_MAX], or a negative sample size."""

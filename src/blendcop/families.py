@@ -41,7 +41,7 @@ from scipy import stats
 from scipy.special import betainc, gammaln, ndtr, ndtri
 
 from . import special
-from .errors import EvaluationError, ParameterError, SamplingError
+from .errors import EvaluationError, InputError, ParameterError, SamplingError
 from .quadrature import toward_one
 
 CLAMP = 1e-10
@@ -104,6 +104,7 @@ class Copula:
     #: alpha != beta. A blend of two exchangeable families builds one
     #: margin for both axes.
     exchangeable: bool = True
+    source = "single-copula"  # of its dependence curves
 
     def __init__(self, *params):
         if len(params) != len(self.param_domains):
@@ -151,16 +152,20 @@ class Copula:
         return np.maximum(self._surv(clamp_unit(u), clamp_unit(v)), 0.0)
 
     def sample(self, n, rng):
-        """n exact draws, via conditional inversion unless a latent
-        representation is cheaper."""
+        """n exact draws; a negative n raises ``InputError``."""
         if n < 0:
-            raise ValueError("sample size must be nonnegative")
+            raise InputError(f"sample size must be nonnegative, got {n}")
+        return self._sample(n, rng)
+
+    # -- internals (unclamped) -------------------------------------------
+    def _sample(self, n, rng):
+        """n draws by conditional inversion; a family with a cheaper
+        latent representation overrides it."""
         u = rng.random(n)
         w = rng.random(n)
         v = self._hinv(clamp_unit(u), np.clip(w, 1e-14, 1 - 1e-14))
         return np.column_stack([u, v])
 
-    # -- internals (unclamped) -------------------------------------------
     def _cdf(self, u, v):
         """C = u + v - 1 + S, with S from ``_surv``. C inherits the
         absolute error of S, so it is accurate in absolute terms only:
@@ -260,7 +265,7 @@ class Gaussian(Copula):
         r = self.rho
         return ndtr(r * ndtri(u) + np.sqrt((1.0 - r) * (1.0 + r)) * ndtri(w))
 
-    def sample(self, n, rng):
+    def _sample(self, n, rng):
         z = rng.standard_normal((n, 2))
         y = self.rho * z[:, 0] + np.sqrt(1.0 - self.rho**2) * z[:, 1]
         return np.column_stack([ndtr(z[:, 0]), ndtr(y)])
@@ -307,7 +312,7 @@ class StudentT(Copula):
         y = rho * x + scale * stats.t.ppf(w, nu + 1.0)
         return stats.t.cdf(y, nu)
 
-    def sample(self, n, rng):
+    def _sample(self, n, rng):
         rho, nu = self.params
         z = rng.standard_normal((n, 2))
         y = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
@@ -439,21 +444,20 @@ class _ExtremeValue(Copula):
         return np.exp(-self._ell(-np.log(u), -np.log(v)))
 
     def _h(self, u, v):
-        x = -np.log(np.asarray(u, dtype=float))
-        y = -np.log(np.asarray(v, dtype=float))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(-self._ell(x, y) + x) * self._dell_dx(x, y)
-        out = np.where(x == 0.0, 0.0, out)
-        out = np.where(y == 0.0, 1.0, out)
-        return out if np.ndim(out) else float(out)
+        return self._conditional(u, v, 0)
 
     def _h2(self, u, v):
-        x = -np.log(np.asarray(u, dtype=float))
-        y = -np.log(np.asarray(v, dtype=float))
+        return self._conditional(u, v, 1)
+
+    def _conditional(self, u, v, given):
+        """``_h`` (``given`` = 0) or ``_h2`` (1): C dell/dx_given / u_given,
+        0 where the given coordinate is 1 and 1 where the other one is."""
+        xy = (-np.log(np.asarray(u, dtype=float)), -np.log(np.asarray(v, dtype=float)))
+        dell = (self._dell_dx, self._dell_dy)[given]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(-self._ell(x, y) + y) * self._dell_dy(x, y)
-        out = np.where(y == 0.0, 0.0, out)
-        out = np.where(x == 0.0, 1.0, out)
+            out = np.exp(-self._ell(*xy) + xy[given]) * dell(*xy)
+        out = np.where(xy[given] == 0.0, 0.0, out)
+        out = np.where(xy[1 - given] == 0.0, 1.0, out)
         return out if np.ndim(out) else float(out)
 
     def _surv(self, u, v):

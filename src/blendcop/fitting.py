@@ -140,8 +140,7 @@ def log_likelihood(model: BlendedModel | Copula, data: Dataset) -> float:
 def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
     """(loglik, number of floor-clamped densities) of a built blend or a
     single copula."""
-    logpdf = model.copula_logpdf if isinstance(model, BlendedModel) else model.logpdf
-    vals = logpdf(data.u, data.v)
+    vals = model.logpdf(data.u, data.v)
     clamped = int(np.count_nonzero(vals < _LOG_FLOOR))
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
 

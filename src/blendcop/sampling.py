@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blend import BlendedModel
-from .errors import SamplingError
+from .errors import InputError, SamplingError
 
 TAIL, BODY = "tail", "body"
 #: Proposals per stream in the first round, as a multiple of n_target / K.
@@ -29,7 +29,7 @@ class SampleRequest:
 
     def __post_init__(self):
         if self.n_target < 0:
-            raise ValueError("n_target must be nonnegative")
+            raise InputError(f"n_target must be nonnegative, got {self.n_target}")
 
     def rng(self) -> np.random.Generator:
         if isinstance(self.seed, np.random.Generator):

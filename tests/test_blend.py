@@ -85,7 +85,7 @@ def test_degenerate_weight_reduces_to_tail():
     # K spans the whole square and pi = (uv)^1e-12 is 1 up to ~1e-12 |log(uv)|,
     # so cstar matches the tail density well inside the 1e-5 slack
     assert_allclose(m.cstar_pdf(U, V), tail.pdf(U, V), rtol=1e-5)
-    assert_allclose(m.copula_pdf(U, V), tail.pdf(U, V), rtol=2e-4, atol=1e-4)
+    assert_allclose(m.pdf(U, V), tail.pdf(U, V), rtol=2e-4, atol=1e-4)
     assert_allclose(m.copula_cdf(0.5, 0.5), GUMBEL2_CDF_HALF, atol=1e-3)
 
 
@@ -98,7 +98,7 @@ def test_identical_components_collapse():
     assert_allclose(m.marginal_pdf(1, xs), np.ones_like(xs), atol=1e-5)
     assert_allclose(m.marginal_quantile(0, 0.73), 0.73, atol=1e-5)
     U, V = np.meshgrid(xs[::3], xs[::3], indexing="ij")
-    assert_allclose(m.copula_pdf(U, V), comp.pdf(U, V), rtol=1e-4)
+    assert_allclose(m.pdf(U, V), comp.pdf(U, V), rtol=1e-4)
     assert_allclose(m.copula_cdf(0.3, 0.7), comp.cdf(0.3, 0.7), atol=1e-3)
 
 
@@ -202,17 +202,17 @@ def test_exact_integrals_match_cache(power_model):
 
 
 def test_copula_pdf_normalises(power_model):
-    total = gl_2d(lambda u, v: power_model.copula_pdf(u, v), n=128, eps=1e-6)
+    total = gl_2d(lambda u, v: power_model.pdf(u, v), n=128, eps=1e-6)
     assert_allclose(total, 1.0, atol=2e-3)
 
 
 def test_copula_uniform_margins(power_model):
     x, w = gauss_legendre(64, 1e-6, 1.0 - 1e-6)
     for u in np.linspace(0.01, 0.99, 99):
-        row = power_model.copula_pdf(np.full_like(x, u), x) @ w
+        row = power_model.pdf(np.full_like(x, u), x) @ w
         assert abs(row - 1.0) < 5e-3, f"margin at u={u}: {row}"
     for v in np.linspace(0.05, 0.95, 10):
-        col = power_model.copula_pdf(x, np.full_like(x, v)) @ w
+        col = power_model.pdf(x, np.full_like(x, v)) @ w
         assert abs(col - 1.0) < 5e-3
 
 
@@ -245,8 +245,8 @@ def test_grid_refinement_stability(label, tt, tp, bt, bp, wtag, monkeypatch):
     assert abs(coarse.norm_constants[0] - fine.norm_constants[0]) < 1e-5
     grid = np.linspace(0.15, 0.85, 5)
     U, V = np.meshgrid(grid, grid, indexing="ij")
-    c0 = coarse.copula_pdf(U, V)
-    c1 = fine.copula_pdf(U, V)
+    c0 = coarse.pdf(U, V)
+    c1 = fine.pdf(U, V)
     assert np.max(np.abs(c0 / c1 - 1.0)) < 1e-3
 
 
@@ -260,7 +260,7 @@ def test_save_load_round_trip(tmp_path, power_model):
     assert "nodes" not in path.read_text()
     again.build()
     pts = (np.array([0.3, 0.7]), np.array([0.6, 0.8]))
-    assert_allclose(again.copula_pdf(*pts), power_model.copula_pdf(*pts), rtol=1e-12)
+    assert_allclose(again.pdf(*pts), power_model.pdf(*pts), rtol=1e-12)
 
 
 def test_load_ignores_grid_size_line(tmp_path, power_model):

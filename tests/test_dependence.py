@@ -1,31 +1,30 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import blendcop
 from blendcop.blend import BlendedModel
 from blendcop.dependence import (
     DEFAULT_R_GRID,
     R_MAX,
     chi_eta,
-    chi_r,
     dependence_curves,
     empirical_chi_eta,
     empirical_curves,
-    eta_r,
     kendall_tau,
-    theoretical_limits,
 )
 from blendcop.errors import InputError, UndefinedMeasureError
 from blendcop.families import make_copula, parse_copula
+from blendcop.sampling import sample_blended_copula
 from blendcop.weighting import make_weighting
 from oracles import kendall_tau_concordance
 
 # frozen closed-form limits (30-digit mpmath evaluation)
-CHI_GUMBEL2 = 0.585786437627
 CHI_GUMBEL3 = 0.740078950105
-CHI_HR2 = 0.617075077452
 TAU_GAUSS06 = 0.409665529398  # 2 asin(0.6)/pi; concordance oracle agrees to ~1e-3
 
 
@@ -33,30 +32,6 @@ def build(ttag, tp, btag, bp, wtag="power", theta=1.0):
     return BlendedModel(
         make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, theta)
     ).build()
-
-
-def test_chi_r_independence_identity():
-    indep = lambda u, v: u * v
-    for r in np.linspace(0.05, 0.99, 20):
-        assert_allclose(chi_r(indep, r), 1.0 - r, rtol=1e-12)
-        assert_allclose(eta_r(indep, r), 0.5, rtol=1e-12)
-
-
-def test_chi_r_comonotone():
-    como = lambda u, v: min(u, v)
-    for r in (0.3, 0.9, 0.99):
-        assert_allclose(chi_r(como, r), 1.0, rtol=1e-12)
-
-
-def test_chi_r_domain_errors():
-    indep = lambda u, v: u * v
-    with pytest.raises(ValueError):
-        chi_r(indep, 1.0)
-    with pytest.raises(ValueError):
-        eta_r(indep, -0.2)
-    negdep = lambda u, v: max(u + v - 1.0, 0.0)
-    with pytest.raises(UndefinedMeasureError):
-        eta_r(negdep, 0.9)
 
 
 def test_single_copula_chi_eta_limits():
@@ -76,14 +51,12 @@ def test_single_copula_chi_eta_limits():
     assert_allclose(eta, 0.5, atol=0.02)
 
 
-def test_theoretical_limits_table():
-    assert_allclose(theoretical_limits(make_copula("gumbel", [2.0]))[0], CHI_GUMBEL2, atol=1e-12)
-    assert theoretical_limits(make_copula("gumbel", [2.0]))[1] == 1.0
-    assert_allclose(theoretical_limits(make_copula("gumbel", [3.0]))[0], CHI_GUMBEL3, atol=1e-12)
-    assert_allclose(theoretical_limits(make_copula("husler_reiss", [2.0]))[0], CHI_HR2, atol=1e-12)
-    assert theoretical_limits(make_copula("gaussian", [0.6])) == (0.0, 0.8)
-    assert theoretical_limits(make_copula("frank", [7.0])) == (0.0, 0.5)
-    assert theoretical_limits(make_copula("clayton", [1.0])) == (None, None)
+@pytest.mark.parametrize("r", [0.0, -0.2, 1.0, R_MAX + 1e-12, float("nan")])
+@pytest.mark.parametrize("blended", [False, True], ids=["copula", "blend"])
+def test_chi_eta_rejects_levels_outside_its_range(r, blended):
+    model = build("gumbel", [2.0], "clayton", [1.0]) if blended else make_copula("gumbel", [2.0])
+    with pytest.raises(InputError, match="dependence level"):
+        chi_eta(model, r)
 
 
 def test_blended_identical_components_match_single():
@@ -137,21 +110,39 @@ def test_blended_theta_monotonicity_toward_body(wtag, slack):
         assert gaps[-1] < gaps[0]
 
 
+def _tau_of_draws(uv):
+    return kendall_tau_concordance(uv[:, 0], uv[:, 1])
+
+
 def test_kendall_tau_monte_carlo_and_quadrature():
     gau = make_copula("gaussian", [0.6])
-    tau_mc = kendall_tau(gau, n=100_000, rng=3)
+    tau_mc = _tau_of_draws(gau.sample(100_000, np.random.default_rng(3)))
     assert abs(tau_mc - TAU_GAUSS06) < 0.01
-    tau_quad = kendall_tau(gau, method="quadrature")
+    tau_quad = kendall_tau(gau)
     assert abs(tau_quad - TAU_GAUSS06) < 2e-3
     # 2 asin(rho) / pi holds for every elliptical copula
-    tau_t = kendall_tau(make_copula("student_t", [0.5, 4.0]), method="quadrature")
+    tau_t = kendall_tau(make_copula("student_t", [0.5, 4.0]))
     assert abs(tau_t - 1.0 / 3.0) < 2e-3
     gum = make_copula("gumbel", [2.0])
-    assert abs(kendall_tau(gum, n=100_000, rng=4) - 0.5) < 0.01
+    assert abs(_tau_of_draws(gum.sample(100_000, np.random.default_rng(4))) - 0.5) < 0.01
     indep = make_copula("gaussian", [0.0])
-    assert abs(kendall_tau(indep, n=100_000, rng=5)) < 3.0 * 2.0 / (3.0 * np.sqrt(100_000.0))
-    with pytest.raises(ValueError):
-        kendall_tau(gau, method="bogus")
+    tau_indep = _tau_of_draws(indep.sample(100_000, np.random.default_rng(5)))
+    assert abs(tau_indep) < 3.0 * 2.0 / (3.0 * np.sqrt(100_000.0))
+
+
+# tau = 2 asin(rho) / pi (elliptical), 1 - 1/alpha (gumbel), alpha / (alpha + 2) (clayton)
+CLOSED_FORM_TAU = {
+    "gaussian(0.6)": TAU_GAUSS06,
+    "student_t(0.5,4)": 1.0 / 3.0,
+    "gumbel(2)": 0.5,
+    "clayton(1)": 1.0 / 3.0,
+    "gaussian(0)": 0.0,
+}
+
+
+@pytest.mark.parametrize("text", list(CLOSED_FORM_TAU))
+def test_kendall_tau_matches_closed_form(text):
+    assert abs(kendall_tau(parse_copula(text)) - CLOSED_FORM_TAU[text]) < 1e-4
 
 
 def test_kendall_tau_against_concordance_oracle(rng):
@@ -159,14 +150,16 @@ def test_kendall_tau_against_concordance_oracle(rng):
     y = 0.6 * z[:, 0] + np.sqrt(1 - 0.36) * z[:, 1]
     oracle = kendall_tau_concordance(z[:, 0], y)
     assert abs(oracle - TAU_GAUSS06) < 2e-3
-    tau_mc = kendall_tau(make_copula("gaussian", [0.6]), n=100_000, rng=rng)
+    gau = make_copula("gaussian", [0.6])
+    tau_mc = _tau_of_draws(gau.sample(100_000, rng))
     assert abs(tau_mc - oracle) < 0.01
+    assert abs(kendall_tau(gau) - oracle) < 0.01
 
 
 def test_kendall_tau_blended_quadrature_vs_mc():
     m = build("gumbel", [2.0], "gaussian", [0.6], "power", 1.5)
-    tau_mc = kendall_tau(m, n=100_000, rng=8)
-    tau_quad = kendall_tau(m, method="quadrature")
+    tau_mc = _tau_of_draws(sample_blended_copula(m, 100_000, np.random.default_rng(8)))
+    tau_quad = kendall_tau(m)
     assert abs(tau_mc - tau_quad) < 0.01
 
 
@@ -265,3 +258,38 @@ def test_negative_correlation_chi_eta_defined_at_every_level(text):
         assert np.isfinite(eta) and eta > 0.0, r
         if blended:
             assert_allclose(chi, chi_eta(cop, r)[0], rtol=1e-5, err_msg=str(r))
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_no_module_of_the_package_branches_on_the_blend_type():
+    # a built blend answers as a copula, so no caller asks which it has
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(blendcop.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and "BlendedModel" in _names(node.args[1])
+    ]
+    assert not offenders, f"isinstance(..., BlendedModel) at {offenders}"
+
+
+def test_dependence_imports_neither_blend_nor_sampling():
+    tree = ast.parse(Path(blendcop.__file__).with_name("dependence.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported |= {f"{base}.{alias.name}".lstrip(".") for alias in node.names}
+    imported = {name.removeprefix("blendcop.") for name in imported}
+    assert not imported & {"blend", "sampling"}, sorted(imported)

@@ -8,7 +8,7 @@ from scipy.special import ndtri
 from scipy.stats import t as tdist
 
 from blendcop.dependence import DEFAULT_R_GRID
-from blendcop.errors import ParameterError
+from blendcop.errors import InputError, ParameterError
 from blendcop.families import CLAMP, FAMILIES, NONZERO, make_copula, parse_copula
 from blendcop.weighting import WEIGHTINGS, make_weighting
 from oracles import bvn_orthant_tail, bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
@@ -110,6 +110,12 @@ def test_sampler_matches_cdf(cop, rng):
         c = cop.cdf(q, q)
         se = np.sqrt(c * (1.0 - c) / n)
         assert abs(emp - c) < 3.0 * se + 1e-12, f"{cop} at ({q},{q}): {emp} vs {c}"
+
+
+@pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
+def test_negative_sample_size_raises_input_error(cop, rng):
+    with pytest.raises(InputError, match="sample size"):
+        cop.sample(-1, rng)
 
 
 def test_sampler_uniform_margins(rng):

@@ -105,7 +105,7 @@ def test_nonfinite_density_at_a_data_point_scores_minus_inf(monkeypatch, role, b
     # poison the component density at the one data point with u > 0.8
     monkeypatch.setattr(fam, "_logpdf", lambda u, v: np.where(u > 0.8, bad, logpdf(u, v)))
     with pytest.raises(EvaluationError, match=f"non-finite {role} density"):
-        m.copula_logpdf(data.u, data.v)
+        m.logpdf(data.u, data.v)
     obj = _Objective(lambda params: log_likelihood(m, data), (POSITIVE,))
     assert obj(np.zeros(1)) == np.inf
     assert obj.trace[-1][1] == -np.inf

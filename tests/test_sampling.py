@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import chisquare, ks_2samp, kstest
 
 from blendcop.blend import BlendedModel
-from blendcop.errors import SamplingError
+from blendcop.errors import InputError, SamplingError
 from blendcop.families import make_copula
 from blendcop.quadrature import gauss_legendre
 from blendcop.sampling import BODY, TAIL, SampleRequest, rejection_round, sample_blended_copula, sample_cstar
@@ -122,5 +122,5 @@ def test_shortfall_error(model, monkeypatch):
 
 
 def test_request_validation(model):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="n_target"):
         SampleRequest(model, -1)
