@@ -7,7 +7,6 @@ from .errors import (
     EvaluationError,
     FitError,
     InputError,
-    ModelNotBuiltError,
     ParameterError,
     SamplingError,
     UndefinedMeasureError,
@@ -23,7 +22,6 @@ __all__ = [
     "FAMILIES",
     "FitError",
     "InputError",
-    "ModelNotBuiltError",
     "ParameterError",
     "SamplingError",
     "UndefinedMeasureError",

@@ -8,8 +8,9 @@ tail, are mixed through a pointwise weight and renormalised:
 Because the weight depends on the coordinates, cstar has non-uniform
 margins; the object actually fitted to data is the copula induced by
 cstar, obtained by dividing out the margins after a quantile transform.
-All marginal quantities are numerical and rebuilt whenever the parameter
-vector changes. Integrating K cstar over the other coordinate gives
+All marginal quantities are numerical. A model is built when it is
+constructed, so a new parameter vector is a new model. Integrating K
+cstar over the other coordinate gives
 
     K f(x) = 1 + Pi_tail(x) - Pi_body(x),   Pi_c(x) = E_c[pi | coord = x],
 
@@ -30,8 +31,10 @@ every node and panel end, and whose derivative gives the slope of f
 there. The pdf, CDF and quantile are cubic Hermite steps between
 neighbouring entries of that table, each with exact slopes. Quantiles
 inside the two outermost panels, within 2e-6 of an end, are roots of the
-exact marginal integrals instead, since no polynomial follows the
-margin's power-law behaviour at the end itself. The build evaluates no
+exact mass within d of that end instead, since no polynomial follows the
+margin's power-law behaviour at the end itself. That mass, ``_end_mass``
+on a 32-point Gauss rule, is the one exact marginal integral; only this
+root uses it, solved once per distinct level. The build evaluates no
 density; a component density that is not finite at a point where cstar
 is evaluated raises ``EvaluationError``.
 
@@ -39,8 +42,8 @@ Rectangle probabilities have one primitive, the joint upper survival
 S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
 CDFs by parts in the same way (see ``joint_upper_survival``). At the
 marginal quantiles it is the induced copula's ``survival``, which chi and
-eta read and which gives its CDF u + v - 1 + survival(u, v). A built
-model answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
+eta read and which gives its CDF u + v - 1 + survival(u, v). A model
+answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import EvaluationError, InputError, ModelNotBuiltError
+from .errors import EvaluationError, InputError
 from .families import Copula, clamp_unit, make_copula, parse_copula
 from .quadrature import (
     UNIT_BREAKS,
@@ -199,7 +202,8 @@ _MODEL_KEYS = {"tail", "body", "weighting", "nodes", "eps", "grid_size"}
 
 
 class BlendedModel:
-    """A (tail, body, weighting) triple plus its numerical cache."""
+    """A (tail, body, weighting) triple with K and its margins, built on
+    construction."""
 
     source = "blended"  # of its dependence curves
 
@@ -207,35 +211,26 @@ class BlendedModel:
         self.tail = tail
         self.body = body
         self.weighting = weighting
-        self._cache = None
+        self.build()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @property
-    def built(self) -> bool:
-        return self._cache is not None
-
-    def _require_cache(self):
-        if self._cache is None:
-            raise ModelNotBuiltError(
-                "blended model cache not built; call .build() before evaluating"
-            )
-        return self._cache
-
     def build(self) -> "BlendedModel":
+        """Compute K, ``norm_constants`` = (K, K_tail, K_body) and the
+        margins of the current parameters; construction calls it."""
         x, w = corner_refined(_BUILD_ORDER)
         e_t, e_b = self._pi_expectations(0, x)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
-        K = k_t + k_b
+        self.K = K = k_t + k_b
+        self.norm_constants = (K, k_t, k_b)
         margin = _checked_margin(0, x, (1.0 + e_t - e_b) / K)
         if self.tail.exchangeable and self.body.exchangeable:
             # cstar(u, v) = cstar(v, u), the weighting being symmetric too
-            axes = [margin, margin]
+            self._axes = (margin, margin)
         else:
             e_t, e_b = self._pi_expectations(1, x)
-            axes = [margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K)]
-        self._cache = {"K_t": k_t, "K_b": k_b, "K": K, "axes": axes}
+            self._axes = (margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K))
         return self
 
     def _unnorm_density(self, u, v):
@@ -258,31 +253,23 @@ class BlendedModel:
     # ------------------------------------------------------------------
     # densities and margins
     # ------------------------------------------------------------------
-    @property
-    def norm_constants(self):
-        """(K, K_tail, K_body); K = K_tail + K_body by construction."""
-        c = self._require_cache()
-        return c["K"], c["K_t"], c["K_b"]
-
     def cstar_pdf(self, u, v):
         """Normalised blended density at interior points."""
-        c = self._require_cache()
-        return self._unnorm_density(clamp_unit(u), clamp_unit(v)) / c["K"]
+        return self._unnorm_density(clamp_unit(u), clamp_unit(v)) / self.K
 
     def marginal_pdf(self, axis, x):
-        m = self._require_cache()["axes"][axis]
-        return m.pdf_at(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+        return self._axes[axis].pdf_at(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
     def marginal_cdf(self, axis, x):
-        m = self._require_cache()["axes"][axis]
         xx = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        out = np.clip(m.cdf_at(xx), 0.0, 1.0)
+        out = np.clip(self._axes[axis].cdf_at(xx), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def marginal_quantile(self, axis, q):
         """Inverse marginal CDF: a Hermite step on the tabulated levels
-        (slope 1 / pdf), the exact root inside the outermost panels."""
-        m = self._require_cache()["axes"][axis]
+        (slope 1 / pdf), the exact root inside the outermost panels,
+        solved once per distinct level."""
+        m = self._axes[axis]
         scalar = np.ndim(q) == 0
         q = np.atleast_1d(np.asarray(q, dtype=float))
         # 1/2 joins the range so that an empty q passes
@@ -291,8 +278,9 @@ class BlendedModel:
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         out = m.quantile_at(q)
         if lo < m.inner[0] or hi > m.inner[1]:
-            for ix in map(tuple, np.argwhere((q < m.inner[0]) | (q > m.inner[1]))):
-                out[ix] = self._quantile_exact(axis, float(q[ix]))
+            outer = (q < m.inner[0]) | (q > m.inner[1])
+            levels, index = np.unique(q[outer], return_inverse=True)
+            out[outer] = np.array([self._quantile_exact(axis, float(p)) for p in levels])[index]
         return float(out[0]) if scalar else out
 
     def pdf(self, u, v):
@@ -300,12 +288,11 @@ class BlendedModel:
 
     def logpdf(self, u, v):
         """Log-density of the copula induced by cstar."""
-        c = self._require_cache()
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, log_fx = self._quantile_log_pdf(0, u.ravel())
         y, log_fy = self._quantile_log_pdf(1, v.ravel())
         with np.errstate(divide="ignore"):
-            out = np.log(self._unnorm_density(x, y)) - np.log(c["K"]) - log_fx - log_fy
+            out = np.log(self._unnorm_density(x, y)) - np.log(self.K) - log_fx - log_fy
         return out.reshape(u.shape)[()]
 
     def _quantile_log_pdf(self, axis, q):
@@ -322,9 +309,14 @@ class BlendedModel:
 
     def survival(self, u, v):
         """P[U > u, V > v] under the induced copula: the joint upper
-        survival of cstar at x = F^-1(u), y = G^-1(v)."""
+        survival of cstar at x = F^-1(u), y = G^-1(v). Axes that share
+        one margin look u and v up together."""
         u, v = clamp_unit(u), clamp_unit(v)
-        return self.joint_upper_survival(self.marginal_quantile(0, u), self.marginal_quantile(1, v))
+        if self._axes[0] is self._axes[1]:
+            x, y = self.marginal_quantile(0, np.stack(np.broadcast_arrays(u, v)))
+        else:
+            x, y = self.marginal_quantile(0, u), self.marginal_quantile(1, v)
+        return self.joint_upper_survival(x, y)
 
     def copula_cdf(self, u, v):
         """CDF of the induced copula, C(u, v) = u + v - 1 + S(u, v) with S
@@ -335,7 +327,7 @@ class BlendedModel:
         return out if out.ndim else float(out)
 
     # ------------------------------------------------------------------
-    # exact marginal integrals near the ends, and the joint tail
+    # the exact marginal mass near an end, and the joint tail
     # ------------------------------------------------------------------
     def _pi_expectations(self, axis, t):
         """(Pi_tail(t), Pi_body(t)) where Pi_c(t) = E[pi | coord = t] under c.
@@ -356,37 +348,29 @@ class BlendedModel:
                 self.weighting.conditional_expectation(t, cond_b),
             )
 
-    def marginal_cdf_exact(self, axis, x):
-        """F(x) by a 32-point Gauss rule on [0, x]; accurate for tiny x."""
+    def _end_mass(self, axis, d, top):
+        """The marginal mass within d of 1 (``top``) or of 0, by a 32-point
+        Gauss rule on that interval; accurate for tiny d."""
         s, w = _GL32
-        e_t, e_b = self._pi_expectations(axis, x * s)
-        return float(x * (1.0 + (e_t - e_b) @ w) / self._require_cache()["K"])
-
-    def marginal_survival_exact(self, axis, d):
-        """P[coord > 1 - d] by a 32-point Gauss rule on [1 - d, 1];
-        accurate for tiny d."""
-        s, w = _GL32
-        e_t, e_b = self._pi_expectations(axis, 1.0 - d * s)
-        return float(d * (1.0 + (e_t - e_b) @ w) / self._require_cache()["K"])
+        e_t, e_b = self._pi_expectations(axis, 1.0 - d * s if top else d * s)
+        return float(d * (1.0 + (e_t - e_b) @ w) / self.K)
 
     def _quantile_exact(self, axis, q):
-        """Quantile from the exact CDF (q < 1/2) or survival (q > 1/2),
-        for levels whose quantile lies in an outermost panel."""
-        if q >= 0.5:
-            target, mass = 1.0 - q, self.marginal_survival_exact
-        else:
-            target, mass = q, self.marginal_cdf_exact
-        gap = lambda logd: np.log(mass(axis, np.exp(logd)) / target)
+        """Quantile from the exact mass below (q < 1/2) or above (q >= 1/2)
+        it, for levels whose quantile lies in an outermost panel."""
+        top = q >= 0.5
+        target = 1.0 - q if top else q
+        gap = lambda logd: np.log(self._end_mass(axis, np.exp(logd), top) / target)
         # the marginal pdf is at most 2 / K, so less than the target lies
         # within target K / 4 of the end; the outermost panel holds more
-        lo = np.log(0.25 * target * self._require_cache()["K"])
+        lo = np.log(0.25 * target * self.K)
         hi = np.log(2.0 * UNIT_BREAKS[1])
         try:
             logd = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-13)
         except ValueError as exc:  # no sign change, or a NaN mass
             raise EvaluationError(f"marginal quantile of {q!r} on axis {axis}: {exc}") from exc
         d = float(np.exp(logd))
-        return 1.0 - d if q >= 0.5 else d
+        return 1.0 - d if top else d
 
     def joint_upper_survival(self, x, y):
         """P[U* > x, V* > y] under cstar, at broadcast arrays of points.
@@ -400,7 +384,6 @@ class BlendedModel:
         Each family's ``_hbar`` keeps hbar's relative accuracy where 1 - h
         would round to 0.
         """
-        K = self._require_cache()["K"]
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         dx, dy, yy = 1.0 - x.ravel(), 1.0 - y.ravel(), y.ravel()
         out = np.empty(dx.size)
@@ -417,7 +400,7 @@ class BlendedModel:
                 edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)
                 inner_sum = np.sum((inner @ aw) * aw, axis=1)
                 out[b] = dx[b] * (edge_sum + dy[b] * inner_sum)
-        return np.maximum(out / K, 0.0).reshape(x.shape)[()]
+        return np.maximum(out / self.K, 0.0).reshape(x.shape)[()]
 
     # ------------------------------------------------------------------
     # parameters and serialisation
@@ -427,7 +410,7 @@ class BlendedModel:
         return ModelParams(self.weighting.theta, self.tail.params, self.body.params)
 
     def with_params(self, theta, tail_params, body_params) -> "BlendedModel":
-        """Same structure, new parameter vector, fresh (unbuilt) cache."""
+        """Same structure, new parameter vector, built."""
         return BlendedModel(
             make_copula(self.tail.tag, tail_params),
             make_copula(self.body.tag, body_params),

@@ -10,7 +10,7 @@ there while the survival routines keep relative accuracy).
 Kendall's tau is 4 E[C(U, V)] - 1 (Nelsen 2006, Thm 5.1.1), and E[C] =
 E[S] under uniform margins, so tau = 4 int int S c - 1 on the order-8
 corner-refined rule over [1e-6, 1 - 1e-6]^2. A model is read through
-``survival``, ``pdf`` and ``source``, which a built blend answers too.
+``survival``, ``pdf`` and ``source``, which a blend answers too.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class DependenceCurve:
 
 
 def chi_eta(obj, r):
-    """(chi(r), eta(r)) for a copula or a built blended model. A level
+    """(chi(r), eta(r)) for a copula or a blended model. A level
     outside (0, R_MAX], NaN included, raises ``InputError``."""
     r = float(r)
     if not 0.0 < r <= R_MAX:
@@ -63,7 +63,7 @@ def dependence_curves(obj, grid=None, label=""):
 
 
 def kendall_tau(obj):
-    """Kendall's tau of a copula or a built blended model,
+    """Kendall's tau of a copula or a blended model,
     4 int int S c du dv - 1 on the order-8 corner-refined rule."""
     x, w = corner_refined(8, 1e-6, 1.0 - 1e-6)
     u, v = x[:, None], x[None, :]

@@ -13,10 +13,6 @@ class EvaluationError(BlendcopError):
     """A numerical evaluation produced a non-finite intermediate value."""
 
 
-class ModelNotBuiltError(BlendcopError):
-    """A blended-model operation was requested before the numerical cache exists."""
-
-
 class SamplingError(BlendcopError):
     """Sampling failed (root-finder breakdown or persistent acceptance shortfall)."""
 

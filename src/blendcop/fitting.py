@@ -138,8 +138,8 @@ def log_likelihood(model: BlendedModel | Copula, data: Dataset) -> float:
 
 
 def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
-    """(loglik, number of floor-clamped densities) of a built blend or a
-    single copula."""
+    """(loglik, number of floor-clamped densities) of a blend or a single
+    copula."""
     vals = model.logpdf(data.u, data.v)
     clamped = int(np.count_nonzero(vals < _LOG_FLOOR))
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
@@ -267,7 +267,7 @@ def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
     def make(params):
         return BlendedModel(
             tail(*params[1 : 1 + n_tail]), body(*params[1 + n_tail :]), weighting(params[0])
-        ).build()
+        )
 
     domains = (weighting.domain,) + _domains(tail) + _domains(body)
     label = f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}"

@@ -6,10 +6,10 @@ the upper corner. Every weighting must be symmetric, pi(u, v) = pi(v, u):
 the blend's margin on either axis is computed from ``dv`` and
 ``conditional_expectation`` with that axis's coordinate as the first
 argument, and a blend of exchangeable copulas shares one margin between
-the axes. Two forms are built in; further forms can be added to the
-registry as long as they are symmetric and also provide the partial
-derivative in v and the conditional expectation used by the survival
-diagnostics.
+the axes. ``WEIGHTINGS`` holds the two forms. A new form is a subclass
+added there: it must be symmetric and provide the partial derivative in
+v and the conditional expectation that the margins and the joint
+survival use.
 
 Theta's range and the map the fit searches it through are stated once,
 by the ``families.Domain`` in ``WeightingFunction.domain``.
@@ -112,16 +112,6 @@ class ExpComplement(WeightingFunction):
 
 
 WEIGHTINGS = {cls.tag: cls for cls in (PowerProduct, ExpComplement)}
-
-
-def register_weighting(cls):
-    """Register an additional weighting form under its ``tag``. The form
-    must be symmetric, pi(u, v) = pi(v, u); the blend relies on it for
-    its axis-1 margin."""
-    if not cls.tag:
-        raise ValueError("weighting class needs a nonempty tag")
-    WEIGHTINGS[cls.tag] = cls
-    return cls
 
 
 def weighting_class(tag: str) -> type[WeightingFunction]:

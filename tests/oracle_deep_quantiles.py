@@ -1,4 +1,5 @@
-"""Generate DEEP_QUANTILE_ORACLE for tests/test_blend.py.
+"""Generate DEEP_QUANTILE_ORACLE and DEEP_LOWER_QUANTILE_ORACLE for
+tests/test_blend.py.
 
 Two blends, each with a Gumbel(2) tail and the power weight
 pi(u, v) = (u v)^theta,
@@ -6,24 +7,27 @@ pi(u, v) = (u v)^theta,
     gumbel(2) / gaussian(0.5) / power(1.5),
     gumbel(2) / clayton(1) / power(0.8),
 
-blended as cstar = [pi c_tail + (1 - pi) c_body] / K. For each, the value
-is the distance 1 - x of the marginal quantile x = F^-1(1 - d) from 1, at
-d = 1.7e-4, 4.1e-6 and 1.49e-8: the root of
+blended as cstar = [pi c_tail + (1 - pi) c_body] / K. For each, the upper
+value is the distance 1 - x of the marginal quantile x = F^-1(1 - d) from
+1, and the lower value the quantile x = F^-1(d) itself, at d = 1.7e-4,
+4.1e-6 and 1.49e-8: the roots of
 
-    int_x^1 f(s) ds = d,   K f(s) = int_0^1 [pi c_tail + (1 - pi) c_body](s, v) dv.
+    int_x^1 f(s) ds = d   and   int_0^x f(s) ds = d,
+    K f(s) = int_0^1 [pi c_tail + (1 - pi) c_body](s, v) dv.
 
 Both blends are exchangeable, so one margin serves both coordinates.
 
 Only textbook closed-form copula densities are used and nothing is
 imported from the package under test:
 
-* K f(s) by adaptive ``scipy.integrate.quad`` over v below 1/2 and over
-  log(1 - v) above, with break points where the conditional density
+* K f(s) by adaptive ``scipy.integrate.quad`` over log v below 1/2 and
+  over log(1 - v) above, with break points where the conditional density
   concentrates (near v = s, and near 1 - v = 1 - s);
 * K = int_0^1 K f(s) ds by ``quad``;
-* the mass within t of 1 by ``quad`` of K f(1 - t) over t in (0, d'), so
-  the distance to 1 is never formed by a subtraction near 1;
-* the root by Newton steps on that mass.
+* the mass within t of 1 by ``quad`` of K f(1 - r) over r in (0, t), so
+  the distance to 1 is never formed by a subtraction near 1, and the
+  mass within t of 0 by ``quad`` of K f over (0, t);
+* each root by Newton steps on that mass.
 
 Everything is computed twice, at a loose and a tight quad tolerance; the
 difference bounds the error of the printed values.
@@ -37,6 +41,8 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtri
 
 LEVELS = (1.7e-4, 4.1e-6, 1.49e-8)
+#: quad tolerances (absolute and relative) of the two passes
+LOOSE, TIGHT = 1e-10, 1e-13
 
 
 # Each density takes both coordinates and their distances to 1, so that
@@ -86,39 +92,46 @@ class Margin:
         return pi * self.tail(u, v, ubar, vbar) + (1.0 - pi) * self.body(u, v, ubar, vbar)
 
     def pdf_unnorm(self, x, xbar):
-        """int_0^1 blended(x, v) dv: over v below 1/2, with break points
-        around the spike at v ~ x, and over log(1 - v) above, where the
-        spike at 1 - v ~ 1 - x is a smooth bump of unit width."""
-        lower_pts = [p for p in (x / 10, x, 10 * x) if p < 0.5]
-        lower, _ = quad(
-            lambda v: self.blended(x, v, xbar, 1.0 - v), 0.0, 0.5, points=lower_pts or None, **self.tol
+        """int_0^1 blended(x, v) dv: over log v below 1/2 and over
+        log(1 - v) above, where the spikes at v ~ x and at 1 - v ~ 1 - x
+        are smooth bumps of unit width."""
+        return self._half(x, lambda v: (x, v, xbar, 1.0 - v)) + self._half(
+            xbar, lambda w: (x, 1.0 - w, xbar, w)
         )
-        # 1 - v below exp(-40) (1 - x) holds a negligible share of the mass
-        lo, hi = math.log(xbar) - 40.0, math.log(0.5)
-        upper_pts = [p for p in (math.log(xbar) + k for k in (-3.0, 0.0, 3.0, 6.0)) if lo < p < hi]
 
-        def upper_integrand(s):
+    def _half(self, end, point):
+        """int_0^(1/2) blended(*point(w)) dw over log w, with break points
+        around log(end); w below exp(-40) end holds a negligible share of
+        the mass."""
+        lo, hi = math.log(end) - 40.0, math.log(0.5)
+        pts = [p for p in (math.log(end) + k for k in (-3.0, 0.0, 3.0, 6.0)) if lo < p < hi]
+
+        def integrand(s):
             w = math.exp(s)
-            return w * self.blended(x, 1.0 - w, xbar, w)
+            return w * self.blended(*point(w))
 
-        upper, _ = quad(upper_integrand, lo, hi, points=upper_pts or None, **self.tol)
-        return lower + upper
-
-    def norm_constant(self):
-        lower, _ = quad(lambda s: self.pdf_unnorm(s, 1.0 - s), 0.0, 0.5, **self.tol)
-        upper, _ = quad(lambda t: self.pdf_unnorm(1.0 - t, t), 0.0, 0.5, **self.tol)
-        return lower + upper
-
-    def mass_above(self, t):
-        """K P[coord > 1 - t] = int_0^t pdf_unnorm(1 - r) dr."""
-        val, _ = quad(lambda r: self.pdf_unnorm(1.0 - r, r), 0.0, t, **self.tol)
+        val, _ = quad(integrand, lo, hi, points=pts or None, **self.tol)
         return val
 
-    def upper_quantile_distance(self, d, K):
-        """t with P[coord > 1 - t] = d, by safeguarded Newton steps."""
+    def end_pdf(self, r, top):
+        """pdf_unnorm at distance r from 1 (``top``) or from 0."""
+        return self.pdf_unnorm(1.0 - r, r) if top else self.pdf_unnorm(r, 1.0 - r)
+
+    def end_mass(self, t, top):
+        """K P[coord > 1 - t] (``top``) or K P[coord < t]: the integral of
+        end_pdf over r in (0, t)."""
+        val, _ = quad(lambda r: self.end_pdf(r, top), 0.0, t, **self.tol)
+        return val
+
+    def norm_constant(self):
+        return self.end_mass(0.5, False) + self.end_mass(0.5, True)
+
+    def end_distance(self, d, K, top):
+        """t with P[coord > 1 - t] = d (``top``) or P[coord < t] = d, by
+        safeguarded Newton steps."""
         t = d
         for _ in range(50):
-            step = (self.mass_above(t) - d * K) / self.pdf_unnorm(1.0 - t, t)
+            step = (self.end_mass(t, top) - d * K) / self.end_pdf(t, top)
             t_new = min(max(t - step, 0.5 * t), 2.0 * t)
             if abs(t_new - t) < 1e-13 * t:
                 return t_new
@@ -127,25 +140,32 @@ class Margin:
 
 
 def distances(key, epsabs, epsrel):
+    """K and {"upper": [1 - x], "lower": [x]} at LEVELS."""
     marg = Margin(*MODELS[key], epsabs, epsrel)
     K = marg.norm_constant()
-    return K, [marg.upper_quantile_distance(d, K) for d in LEVELS]
+    return K, {
+        end: [marg.end_distance(d, K, end == "upper") for d in LEVELS] for end in ("upper", "lower")
+    }
 
 
 def main():
+    tables = {"upper": {}, "lower": {}}
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         for key in MODELS:
-            K_loose, loose = distances(key, 1e-10, 1e-10)
-            K, tight = distances(key, 1e-13, 1e-13)
+            K_loose, loose = distances(key, LOOSE, LOOSE)
+            K, tight = distances(key, TIGHT, TIGHT)
             print(f"{key}: K = {K:.12f}   (|tight - loose| = {abs(K - K_loose):.1e})")
-            for d, a, b in zip(LEVELS, loose, tight):
-                print(f"  d = {d:.3g}: 1 - x = {b:.10e}   (relative |tight - loose| = {abs(b / a - 1):.1e})")
-    print("DEEP_QUANTILE_ORACLE = {")
-    for key in MODELS:
-        _, tight = distances(key, 1e-13, 1e-13)
-        print(f'    "{key}": ({", ".join(f"{t:.9e}" for t in tight)}),')
-    print("}")
+            for end, table in tables.items():
+                table[key] = tight[end]
+                for d, a, b in zip(LEVELS, loose[end], tight[end]):
+                    print(f"  {end} d = {d:.3g}: distance = {b:.10e}"
+                          f"   (relative |tight - loose| = {abs(b / a - 1):.1e})")
+    for name, end in (("DEEP_QUANTILE_ORACLE", "upper"), ("DEEP_LOWER_QUANTILE_ORACLE", "lower")):
+        print(f"{name} = {{")
+        for key, tight in tables[end].items():
+            print(f'    "{key}": ({", ".join(f"{t:.9e}" for t in tight)}),')
+        print("}")
 
 
 if __name__ == "__main__":

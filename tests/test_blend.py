@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from blendcop import blend
 from blendcop.blend import _BUILD_ORDER, BlendedModel, _Margin
-from blendcop.errors import InputError, ModelNotBuiltError
+from blendcop.dependence import R_MAX, chi_eta
+from blendcop.errors import InputError
 from blendcop.families import make_copula
 from blendcop.quadrature import UNIT_BREAKS, corner_refined, gauss_legendre
 from blendcop.weighting import make_weighting
@@ -20,14 +21,18 @@ Q95_ORACLE = 0.95486492  # F_U^-1(0.95) of the same model
 K_EXP_ORACLE = 0.99220406  # gumbel(2)/gaussian(0.6)/exp_complement(1.5)
 F09_PDF_ORACLE = 1.01735395  # f_U(0.9) of the exp_complement model
 GUMBEL2_CDF_HALF = 0.37521422724648177
-# 1 - F^-1(1 - d) at d = 1.7e-4, 4.1e-6, 1.49e-8, printed by
+# 1 - F^-1(1 - d) and F^-1(d) at d = 1.7e-4, 4.1e-6, 1.49e-8, printed by
 # tests/oracle_deep_quantiles.py: closed-form component densities, the
-# margin by nested adaptive scipy quad, the root by Newton steps on the
-# mass within 1 - x of 1; nothing is imported from blendcop.
+# margin by nested adaptive scipy quad, each root by Newton steps on the
+# mass within 1 - x of 1 or within x of 0; nothing is imported from blendcop.
 DEEP_LEVELS = (1.7e-4, 4.1e-6, 1.49e-8)
 DEEP_QUANTILE_ORACLE = {
     ("gumbel", 2.0, "gaussian", 0.5, 1.5): (1.573656700e-04, 3.961990725e-06, 1.486469525e-08),
     ("gumbel", 2.0, "clayton", 1.0, 0.8): (1.339619706e-04, 3.229671110e-06, 1.173694765e-08),
+}
+DEEP_LOWER_QUANTILE_ORACLE = {
+    ("gumbel", 2.0, "gaussian", 0.5, 1.5): (1.734320624e-04, 4.182773302e-06, 1.520081029e-08),
+    ("gumbel", 2.0, "clayton", 1.0, 0.8): (1.721604767e-04, 4.152370006e-06, 1.509035992e-08),
 }
 
 TABLE4_CASES = [
@@ -41,7 +46,7 @@ TABLE4_CASES = [
 def build(tail, tparams, body, bparams, wtag="power", theta=1.5):
     return BlendedModel(
         make_copula(tail, tparams), make_copula(body, bparams), make_weighting(wtag, theta)
-    ).build()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +59,39 @@ def exp_model():
     return build("gumbel", [2.0], "gaussian", [0.6], "exp_complement", 1.5)
 
 
-def test_requires_build():
+def test_constructed_model_answers_without_build():
+    # no .build(): construction builds K and the margins
     m = BlendedModel(
         make_copula("gumbel", [2.0]), make_copula("gaussian", [0.6]), make_weighting("power", 1.5)
     )
-    with pytest.raises(ModelNotBuiltError):
-        m.cstar_pdf(0.5, 0.5)
-    with pytest.raises(ModelNotBuiltError):
-        _ = m.norm_constants
+    u, v = np.array([1e-7, 0.3, 0.9, 1.0 - 1e-7]), np.array([0.5, 0.8, 0.95, 0.999])
+    answers = lambda: [m.logpdf(u, v), m.survival(u, v), m.copula_cdf(u, v), m.marginal_quantile(1, u)]
+    before, constants = answers(), m.norm_constants
+    assert_allclose(constants[0], K_POW_ORACLE, atol=1e-4)
+    assert np.all(np.isfinite(before))
+    # a second build recomputes the same tables
+    m.build()
+    assert m.norm_constants == constants
+    assert_array_equal(answers(), before)
+
+
+def test_outer_panel_root_solved_once_per_distinct_level(power_model, monkeypatch):
+    levels = []
+    solve = BlendedModel._quantile_exact
+    monkeypatch.setattr(
+        BlendedModel, "_quantile_exact", lambda m, axis, q: levels.append(q) or solve(m, axis, q)
+    )
+    # both axes share one margin, so chi/eta at the deepest level solves once
+    chi_eta(power_model, R_MAX)
+    assert levels == [R_MAX]
+    levels.clear()
+    q = np.tile([1e-9, 0.5, 1.0 - 1e-9], (50, 1))
+    x = power_model.marginal_quantile(0, q)
+    assert sorted(levels) == [1e-9, 1.0 - 1e-9]
+    # the same numbers as one lookup per point
+    lo, hi = solve(power_model, 0, 1e-9), solve(power_model, 0, 1.0 - 1e-9)
+    assert np.all(x == [lo, power_model.marginal_quantile(0, 0.5), hi])
+    assert power_model.survival(1e-9, 1.0 - 1e-9) == power_model.joint_upper_survival(lo, hi)
 
 
 def test_norm_constants_against_oracle(power_model, exp_model):
@@ -139,7 +169,7 @@ def test_marginal_pdf_against_oracle(exp_model):
     xs = np.linspace(0.02, 0.98, 33)
     assert np.all(exp_model.marginal_pdf(0, xs) > 0.0)
     # trapezoid of the tabulated pdf reproduces the tabulated cdf
-    ax = exp_model._cache["axes"][0]
+    ax = exp_model._axes[0]
     F_trap = np.concatenate([[0.0], np.cumsum(0.5 * (ax.pdf[1:] + ax.pdf[:-1]) * np.diff(ax.x))])
     assert np.max(np.abs(F_trap - ax.cdf)) < 1e-4
 
@@ -156,15 +186,15 @@ def test_marginal_quantile_against_oracle(power_model):
 
 def test_marginal_quantile_out_of_grid_fallback(power_model):
     # levels whose quantile lies in an outermost panel are exact roots
-    lo, hi = power_model._cache["axes"][0].inner
+    lo, hi = power_model._axes[0].inner
     q = 0.5 * (hi + 1.0)
     x = power_model.marginal_quantile(0, q)
     assert UNIT_BREAKS[-2] <= x < 1.0
-    assert_allclose(power_model.marginal_survival_exact(0, 1.0 - x), 1.0 - q, rtol=1e-8)
+    assert_allclose(power_model._end_mass(0, 1.0 - x, True), 1.0 - q, rtol=1e-8)
     q = 0.5 * lo
     x = power_model.marginal_quantile(0, q)
     assert 0.0 < x <= UNIT_BREAKS[1]
-    assert_allclose(power_model.marginal_cdf_exact(0, x), q, rtol=1e-8)
+    assert_allclose(power_model._end_mass(0, x, False), q, rtol=1e-8)
 
 
 def test_marginal_cdf_resolves_corner_mass():
@@ -173,9 +203,9 @@ def test_marginal_cdf_resolves_corner_mass():
     m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
     for axis in (0, 1):
         for x in (1e-4, 0.05, 0.5, 0.95):
-            assert abs(m.marginal_cdf(axis, x) - m.marginal_cdf_exact(axis, x)) <= 3e-6
+            assert abs(m.marginal_cdf(axis, x) - m._end_mass(axis, x, False)) <= 3e-6
         # the table spans [0, 1], so the mass next to either end is counted
-        ax = m._cache["axes"][axis]
+        ax = m._axes[axis]
         assert ax.x[0] == 0.0 and ax.cdf[0] == 0.0 and ax.cdf[1] > 0.0
         assert ax.x[-1] == 1.0 and ax.sf[-1] == 0.0 and ax.sf[-2] > 0.0
 
@@ -187,15 +217,17 @@ def test_deep_tail_quantile_against_oracle(case):
     for axis in (0, 1):
         got = [1.0 - m.marginal_quantile(axis, 1.0 - d) for d in DEEP_LEVELS]
         assert_allclose(got, DEEP_QUANTILE_ORACLE[case], rtol=1e-5)
+        got = [m.marginal_quantile(axis, d) for d in DEEP_LEVELS]
+        assert_allclose(got, DEEP_LOWER_QUANTILE_ORACLE[case], rtol=1e-5)
 
 
 def test_exact_integrals_match_cache(power_model):
     for x in (0.2, 0.5, 0.9):
         assert_allclose(
-            power_model.marginal_cdf_exact(0, x), power_model.marginal_cdf(0, x), atol=1e-4
+            power_model._end_mass(0, x, False), power_model.marginal_cdf(0, x), atol=1e-4
         )
         assert_allclose(
-            power_model.marginal_survival_exact(0, 1.0 - x),
+            power_model._end_mass(0, 1.0 - x, True),
             1.0 - power_model.marginal_cdf(0, x),
             atol=1e-4,
         )
@@ -258,7 +290,6 @@ def test_save_load_round_trip(tmp_path, power_model):
     assert again.body == power_model.body
     assert again.weighting == power_model.weighting
     assert "nodes" not in path.read_text()
-    again.build()
     pts = (np.array([0.3, 0.7]), np.array([0.6, 0.8]))
     assert_allclose(again.pdf(*pts), power_model.pdf(*pts), rtol=1e-12)
 
@@ -319,7 +350,6 @@ def test_with_params(power_model):
     assert other.params.theta == 0.7
     assert other.tail.params == (2.5,)
     assert other.body.params == (0.3,)
-    assert not other.built
 
 
 # every exchangeable family of the zoo (coles_tawn only with alpha = beta);
@@ -343,7 +373,7 @@ EXCHANGEABLE = [
 def test_exchangeable_blend_shares_its_margin(i, wtag):
     (tt, tp), (bt, bp) = EXCHANGEABLE[i], EXCHANGEABLE[(i + 1) % len(EXCHANGEABLE)]
     m = build(tt, tp, bt, bp, wtag, 1.2)
-    shared, other = m._cache["axes"]
+    shared, other = m._axes
     assert shared is other
     # the axis-1 margin as the second pass would compute it
     x, _ = corner_refined(_BUILD_ORDER)
@@ -356,7 +386,7 @@ def test_exchangeable_blend_shares_its_margin(i, wtag):
 def test_asymmetric_blend_builds_two_margins():
     m = build("coles_tawn", [0.5, 0.8], "gaussian", [0.6], "power", 1.5)
     assert not m.tail.exchangeable and m.body.exchangeable
-    ax0, ax1 = m._cache["axes"]
+    ax0, ax1 = m._axes
     assert ax0 is not ax1
     K = m.norm_constants[0]
     for y in (0.05, 0.5, 0.95):

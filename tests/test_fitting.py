@@ -32,7 +32,7 @@ LOGLIK_ORACLE_SEED42 = -7.622542
 def build(ttag, tp, btag, bp, wtag, theta):
     return BlendedModel(
         make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, theta)
-    ).build()
+    )
 
 
 def test_dataset_validation():
@@ -234,7 +234,7 @@ def test_fit_mle_initial_override_and_result_fields(rng, monkeypatch):
     assert res.label == "gumbel+gaussian:power"
     assert res.aic == aic(res.loglik, 3)
     assert res.seconds > 0.0
-    assert isinstance(res.model, BlendedModel) and res.model.built
+    assert isinstance(res.model, BlendedModel)
     assert res.evaluations <= 150
     # collapse identity through the public objects
     assert_allclose(

@@ -13,7 +13,7 @@ from blendcop.weighting import make_weighting
 def build(ttag, tp, btag, bp, wtag, theta):
     return BlendedModel(
         make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, theta)
-    ).build()
+    )
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from blendcop.weighting import (
     PowerProduct,
     make_weighting,
     parse_weighting,
-    register_weighting,
 )
 
 
@@ -95,14 +94,3 @@ def test_parse_and_registry():
         parse_weighting("nope(1)")
     with pytest.raises(ParameterError):
         make_weighting("power", float("nan"))
-
-
-def test_register_new_weighting():
-    class Root(PowerProduct):
-        tag = "root_test"
-
-    register_weighting(Root)
-    try:
-        assert make_weighting("root_test", 1.0).tag == "root_test"
-    finally:
-        WEIGHTINGS.pop("root_test", None)
