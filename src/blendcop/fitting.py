@@ -1,12 +1,18 @@
 """Maximum-likelihood fitting of single copulas and blended models.
 
 The likelihood of a blended model depends on its parameters through
-numerically built normalising constants and marginal tables, so no
-gradients are available; optimisation is Nelder-Mead over an
-unconstrained reparameterisation, restarted from jittered initial
-points. Each parameter's map onto the real line is read from its
-``families.Domain``, the one place that also states its range. Tags are
-resolved through the registries before the first evaluation.
+numerically built normalising constants and marginal tables. Every rule
+behind them is fixed, so the log-likelihood is smooth in the parameters,
+though no closed-form gradient exists. It is maximised by BFGS (Nocedal &
+Wright, *Numerical Optimization*, 2006, ch. 6) on forward-difference
+gradients over an unconstrained reparameterisation, restarted from
+jittered initial points. Each parameter's map onto the real line is read
+from its ``families.Domain``, the one place that also states its range.
+Tags are resolved through the registries before the first evaluation.
+
+Standard errors come from a central-difference Hessian of the
+log-likelihood in the unconstrained coordinates at the optimum, mapped to
+the parameters by the delta method.
 
 ``fit_mle`` and ``fit_single_copula`` share one core, ``_fit``, and one
 likelihood, ``log_likelihood``: each log-density is floored at
@@ -29,10 +35,15 @@ from .weighting import weighting_class
 
 #: Floor of every log-density in the likelihood, blend or single copula.
 _LOG_FLOOR = np.log(1e-300)
-#: Nelder-Mead budget of objective evaluations per start.
+#: Budget of objective evaluations of one fit: every start, gradient
+#: probe and Hessian probe counts against it.
 _MAX_EVALUATIONS = 2000
-#: Nelder-Mead tolerance on the unconstrained parameters (``xatol``).
-_XTOL = 1e-4
+#: BFGS stops once no gradient entry in the unconstrained coordinates
+#: exceeds this (``gtol``).
+_GTOL = 1e-3
+#: Step in the unconstrained coordinates of the central-difference Hessian
+#: and of the delta method's derivative of each ``Domain.backward``.
+_HESSIAN_STEP = 1e-3
 #: Half-width of the uniform jitter added to the unconstrained start
 #: point to make each restart after the first.
 _JITTER = 0.3
@@ -112,6 +123,9 @@ class FitResult:
     trace: list
     warnings: list
     seconds: float
+    #: (k, k) covariance of the parameters in ``params.flatten()`` order
+    #: (a copula's ``params`` order); NaN when it could not be estimated.
+    cov: np.ndarray
 
     def __post_init__(self):
         if not abs(self.aic - (2.0 * self.k - 2.0 * self.loglik)) < 1e-9 * max(1.0, abs(self.aic)):
@@ -122,6 +136,11 @@ class FitResult:
     @property
     def params(self):
         return self.model.params
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Standard errors of the parameters, in ``cov``'s order."""
+        return np.sqrt(np.diag(self.cov))
 
 
 def aic(loglik: float, k: int) -> float:
@@ -167,6 +186,10 @@ def _default_family_params(tag: str, tau_hat: float):
     if tag == "student_t":
         return (_rho_from_tau(tau_hat), 5.0)
     if tag == "frank":
+        # frank's map (families.NONZERO) is the identity, so z = 0 is alpha = 0,
+        # outside the domain, and scores -inf. It stays: no continuous map of
+        # the real line onto the nonzero reals reaches both signs, and a
+        # search that crosses 0 lands on it only by hitting it exactly.
         return (9.0 * tau_hat if abs(tau_hat) > 0.06 else (0.5 if tau_hat >= 0 else -0.5),)
     if tag in ("joe", "gumbel", "inverted_gumbel"):
         return (1.5,)
@@ -179,55 +202,116 @@ def _default_family_params(tag: str, tau_hat: float):
     raise ValueError(f"no default initial for family {tag!r}")
 
 
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after the fit's budget ran out."""
+
+
 class _Objective:
     """Negative log-likelihood over the unconstrained parameter vector,
-    with a shared evaluation counter and trace.
+    with a shared evaluation counter, trace and best point.
 
     A parameter vector the model cannot evaluate (a package error or a
-    floating-point failure) scores -inf log-likelihood; any other
-    exception is a fault and propagates.
+    floating-point failure) scores -inf log-likelihood and is counted in
+    ``failures`` under its exception type's name, with the first message;
+    any other exception is a fault and propagates. An evaluation past
+    ``budget`` raises ``_BudgetSpent``.
     """
 
-    def __init__(self, build_and_loglik, domains):
+    def __init__(self, build_and_loglik, domains, budget=np.inf):
         self._eval = build_and_loglik
         self.domains = domains
+        self.budget = budget
         self.evaluations = 0
         self.trace = []
+        self.failures = {}
+        #: (value, z) of the lowest value seen; the first of equals
+        self.best = (np.inf, None)
 
     def __call__(self, z):
+        if self.evaluations >= self.budget:
+            raise _BudgetSpent
         self.evaluations += 1
         params = _from_unconstrained(self.domains, z)
         try:
             ll = self._eval(params)
-        except (BlendcopError, ArithmeticError):
+            failure = None if np.isfinite(ll) else ("non-finite", f"log-likelihood {ll!r}")
+        except (BlendcopError, ArithmeticError) as exc:
+            failure = (type(exc).__name__, str(exc))
+        if failure is not None:
             ll = -np.inf
-        if not np.isfinite(ll):
-            ll = -np.inf
+            self.failures.setdefault(failure[0], [0, failure[1]])[0] += 1
         self.trace.append((params, ll))
+        if -ll < self.best[0]:
+            self.best = (-ll, np.array(z, dtype=float))
         return -ll
+
+
+def _covariance(objective, z, fun):
+    """Covariance of the parameters at the optimum ``z`` of ``objective``,
+    whose value there is ``fun``: the inverse of a central-difference
+    Hessian in the unconstrained coordinates (2k^2 evaluations), mapped to
+    the parameters by the delta method. Returns (covariance, None), or a
+    NaN covariance and the reason when the budget runs out or the Hessian
+    is not finite and positive definite."""
+    k = len(z)
+    h = _HESSIAN_STEP
+    e = h * np.eye(k)
+    hess = np.empty((k, k))
+    try:
+        for i in range(k):
+            hess[i, i] = (objective(z + e[i]) - 2.0 * fun + objective(z - e[i])) / h**2
+            for j in range(i):
+                pp, pm = objective(z + e[i] + e[j]), objective(z + e[i] - e[j])
+                mp, mm = objective(z - e[i] + e[j]), objective(z - e[i] - e[j])
+                hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
+    except _BudgetSpent:
+        return np.full((k, k), np.nan), f"the budget of {objective.budget} evaluations ran out"
+    if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
+        return np.full((k, k), np.nan), (
+            "the log-likelihood's Hessian at the optimum is not finite and negative "
+            "definite, so some parameter is not identified there"
+        )
+    slopes = np.array([(d.backward(zi + h) - d.backward(zi - h)) / (2.0 * h)
+                       for d, zi in zip(objective.domains, z)])
+    return np.linalg.inv(hess) * np.outer(slopes, slopes), None
 
 
 def _fit(label, domains, init, make, data, restarts):
     """Maximise the log-likelihood of ``make(params)`` over the
-    unconstrained parameters, from ``init`` and ``restarts - 1`` jittered
-    copies of it, then refit the best point through
-    ``log_likelihood_detail``."""
+    unconstrained parameters by BFGS, from ``init`` and ``restarts - 1``
+    jittered copies of it, then estimate the covariance at the best point
+    evaluated and refit that point through ``log_likelihood_detail``. A
+    spent evaluation budget ends the search early, not converged."""
     t0 = time.perf_counter()
     # looks the module-level ``log_likelihood`` up at each evaluation, so a
     # replacement of that name sees every evaluation
-    objective = _Objective(lambda params: log_likelihood(make(params), data), domains)
+    objective = _Objective(
+        lambda params: log_likelihood(make(params), data), domains, _MAX_EVALUATIONS
+    )
     z0 = _to_unconstrained(domains, init)
     rng = np.random.default_rng(_SEED)
     starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
-    options = {"maxfev": _MAX_EVALUATIONS, "xatol": _XTOL, "fatol": 1e-6}
-    runs = [minimize(objective, start, method="Nelder-Mead", options=options) for start in starts]
-    best = min(runs, key=lambda res: res.fun)  # the first of equals
-    if not np.isfinite(best.fun):
+    try:
+        runs = [
+            minimize(objective, start, method="BFGS", jac="2-point", options={"gtol": _GTOL})
+            for start in starts
+        ]
+        converged = bool(min(runs, key=lambda res: res.fun).success)
+    except _BudgetSpent:
+        converged = False
+    fun, z = objective.best
+    if not np.isfinite(fun):
         raise FitError("no restart produced a finite log-likelihood")
-    params = _from_unconstrained(domains, best.x)
+    cov, trouble = _covariance(objective, z, fun)
+    warnings = [
+        f"{count} evaluations scored -inf on {name}, the first: {message}"
+        for name, (count, message) in objective.failures.items()
+    ]
+    if trouble:
+        warnings.append(f"no standard errors: {trouble}")
+    params = _from_unconstrained(domains, z)
     model = make(params)
     ll, clamped = log_likelihood_detail(model, data)
-    warnings = []
     if clamped > 0.01 * data.n:
         warnings.append(
             f"ill-conditioned likelihood: {clamped}/{data.n} densities at the 1e-300 floor"
@@ -239,10 +323,11 @@ def _fit(label, domains, init, make, data, restarts):
         k=len(params),
         aic=aic(ll, len(params)),
         evaluations=objective.evaluations,
-        converged=bool(best.success),
+        converged=converged,
         trace=objective.trace,
         warnings=warnings,
         seconds=time.perf_counter() - t0,
+        cov=cov,
     )
 
 

@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel, ModelParams
 from blendcop.errors import EvaluationError, InputError, ParameterError
-from blendcop.families import POSITIVE, make_copula
+from blendcop.families import CORRELATION, POSITIVE, make_copula
 from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
@@ -88,10 +88,15 @@ def test_objective_scores_package_errors_and_propagates_faults():
 
     obj = _Objective(evaluate, (POSITIVE,))
     assert obj(np.log([2.0])) == np.inf
+    assert obj(np.log([3.0])) == np.inf
     assert obj(np.log([0.95])) == np.inf
     assert obj(np.log([0.7])) == pytest.approx(0.7)
     with pytest.raises(KeyError):
         obj(np.log([0.1]))
+    assert obj.failures == {
+        "EvaluationError": [2, "density overflow"],
+        "ZeroDivisionError": [1, ""],
+    }
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -113,7 +118,7 @@ def test_nonfinite_density_at_a_data_point_scores_minus_inf(monkeypatch, role, b
 
 def test_fit_result_checks_aic_identity():
     fields = dict(model=None, label="x", loglik=1.0, k=2, evaluations=1, converged=True,
-                  trace=[], warnings=[], seconds=0.0)
+                  trace=[], warnings=[], seconds=0.0, cov=np.full((2, 2), np.nan))
     FitResult(aic=2.0, **fields)
     with pytest.raises(ValueError, match="AIC"):
         FitResult(aic=0.0, **fields)
@@ -191,7 +196,7 @@ def test_fit_single_student_t(rng):
     assert 2.0 < res.params[1] < 9.0
 
 
-def test_nelder_mead_matches_golden_section(rng):
+def test_fit_matches_golden_section(rng):
     uv = make_copula("gaussian", [0.45]).sample(3000, rng)
     data = Dataset.from_array(uv)
     res = fit_single_copula("gaussian", data, restarts=2)
@@ -202,6 +207,76 @@ def test_nelder_mead_matches_golden_section(rng):
 
     golden = minimize_scalar(neg_ll, bracket=(0.1, 0.45, 0.8), method="golden", tol=1e-10)
     assert abs(res.params[0] - golden.x) < 1e-4
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.7])
+def test_fit_stderr_matches_gaussian_fisher_information(rho):
+    # the Fisher information of the bivariate normal correlation gives
+    # SE = (1 - rho^2) / sqrt(n (1 + rho^2))
+    n = 2000
+    uv = make_copula("gaussian", [rho]).sample(n, np.random.default_rng(7))
+    res = fit_single_copula("gaussian", Dataset.from_array(uv), restarts=1)
+    rho_hat = res.params[0]
+    assert res.cov.shape == (1, 1) and not res.warnings
+    fisher_se = (1.0 - rho_hat**2) / np.sqrt(n * (1.0 + rho_hat**2))
+    assert_allclose(res.stderr[0], fisher_se, rtol=0.05)
+
+
+def test_unidentified_theta_gives_nan_stderr_and_a_warning():
+    # on negatively dependent data the best gumbel is the independence
+    # copula: the fit drives the tail and the body towards it, or switches
+    # the tail off, and either way theta no longer moves the likelihood
+    uv = make_copula("gaussian", [-0.5]).sample(300, np.random.default_rng(0))
+    res = fit_mle(FitSpec("gumbel", "gumbel", "power", restarts=1), Dataset.from_array(uv))
+    assert np.isfinite(res.loglik)
+    assert res.cov.shape == (3, 3)
+    assert np.isnan(res.stderr[0])
+    hessian_warning = "no standard errors: the log-likelihood's Hessian"
+    assert any(w.startswith(hessian_warning) for w in res.warnings)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["start+0.5", "start-0.5"])
+def test_fit_frank_to_independent_data(flip):
+    # alpha = 0 (z = 0) is outside frank's domain and scores -inf; a fit
+    # whose optimum lies next to it must still end finite
+    uv = np.random.default_rng(3).random((5000, 2))
+    if flip:
+        uv[:, 1] = 1.0 - uv[:, 1]
+    data = Dataset.from_array(uv)
+    assert abs(data.kendall_tau()) <= 0.06  # the start is +-0.5
+    res = fit_single_copula("frank", data, restarts=1)
+    assert np.isfinite(res.loglik)
+    assert abs(res.params[0]) < 0.5
+
+
+def test_fit_counts_objective_failures_by_type(rng):
+    uv = make_copula("gaussian", [0.5]).sample(500, rng)
+
+    def make(params):
+        if abs(np.arctanh(params[0])) > 0.7:
+            raise EvaluationError(f"rho {params[0]:.3f} beyond reach")
+        return make_copula("gaussian", params)
+
+    # from z = 0.1 the first BFGS step has length about 1 in z
+    res = fitting._fit("gaussian", (CORRELATION,), (0.1,), make, Dataset.from_array(uv), 1)
+    failed = sum(np.isneginf(ll) for _, ll in res.trace)
+    assert failed > 0 and np.isfinite(res.loglik)
+    assert [w for w in res.warnings if "-inf" in w] == [
+        f"{failed} evaluations scored -inf on EvaluationError, the first: "
+        + next(f"rho {p[0]:.3f} beyond reach" for p, ll in res.trace if np.isneginf(ll))
+    ]
+
+
+def test_spent_budget_ends_at_the_best_traced_point(rng, monkeypatch):
+    uv = sample_blended_copula(
+        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 60, rng
+    )
+    monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 30)
+    res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
+    assert res.evaluations == 30 and not res.converged
+    assert res.loglik == pytest.approx(max(ll for _, ll in res.trace), abs=1e-9)
+    assert np.all(np.isnan(res.stderr))
+    assert "no standard errors: the budget of 30 evaluations ran out" in res.warnings
 
 
 def test_fit_mle_reproducible_trace(rng, monkeypatch):
