@@ -23,9 +23,21 @@ evaluates Pi_tail and Pi_body at its nodes on axis 0, where the same
 values give K_tail = int Pi_tail and K_body = 1 - int Pi_body. Every
 weighting is symmetric, pi(u, v) = pi(v, u), so when both components are
 exchangeable cstar is symmetric too and axis 1 shares axis 0's margin;
-otherwise a second pass evaluates Pi_tail and Pi_body on axis 1. On each
-panel the node values of f fix a polynomial interpolant, whose exact
-integrals give the CDF (summed up from 0) and the survival function
+otherwise a second pass evaluates Pi_tail and Pi_body on axis 1.
+
+Each Pi_c reduces a grid of the component's conditional CDF at the
+rule's nodes and the weighting's ``v_nodes``. That grid depends only on
+the family, its parameters, the axis and the v-nodes, so ``build`` keeps
+the last ``_GRID_CACHE`` grids, read-only, and a fit's next evaluation
+reads back those its step did not change: a gradient probe of one
+component reuses the other's grid, and a probe of theta reuses both
+under ``exp_complement``, whose v-nodes do not depend on theta. The
+values are the same whether computed or read back, so the cache changes
+no result. A grid that is not finite raises ``EvaluationError`` naming
+its component.
+
+On each panel the node values of f fix a polynomial interpolant, whose
+exact integrals give the CDF (summed up from 0) and the survival function
 (summed down from 1, so levels near 1 keep their relative accuracy) at
 every node and panel end, and whose derivative gives the slope of f
 there. The pdf, CDF and quantile are cubic Hermite steps between
@@ -47,6 +59,7 @@ answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,6 +85,11 @@ _BUILD_ORDER = 16
 #: and its points per batch: a (batch, 84, 84) temporary takes about 1 MB.
 _RECT_ORDER = 6
 _RECT_BATCH = 16
+#: Component grids kept by ``_component_grid``. A grid holds 224 x 66
+#: doubles, about 118 KB, so the cache holds under 1 MB; eight grids are
+#: the last four builds of a blend of exchangeable components.
+_GRID_CACHE = 8
+_grids: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -169,6 +187,44 @@ def _checked_margin(axis, x, pdf):
     return margin
 
 
+def _h_grid(copula, axis, t, v):
+    """h of ``copula`` on ``axis`` (its ``_h``, or ``_h2`` with the
+    arguments swapped) at a column t and a row v."""
+    # h at a node that underflows to 0 or 1 takes its limit value
+    with np.errstate(divide="ignore", over="ignore"):
+        return copula._h(t, v) if axis == 0 else copula._h2(v, t)
+
+
+def _component_grid(name, copula, axis, v):
+    """``_h_grid`` of ``copula`` on ``axis`` at the nodes t of the build
+    rule and the weighting's v-nodes ``v``, read-only.
+
+    The values depend only on the family, its parameters, the axis, v and
+    the rule's order, so the last ``_GRID_CACHE`` grids are kept under that
+    key: a build whose step moved only the other component, or only the
+    weighting's theta where v does not depend on it, reads them back. A
+    value that is not finite raises ``EvaluationError`` naming the
+    component (``name``), so no cached grid holds one.
+    """
+    key = (type(copula), np.array(copula.params).tobytes(), axis, _BUILD_ORDER, v.tobytes())
+    grid = _grids.pop(key, None)
+    if grid is None:
+        t = corner_refined(_BUILD_ORDER)[0][:, None]
+        grid = _h_grid(copula, axis, t, v[None, :])
+        bad = ~np.isfinite(grid)
+        if np.any(bad):
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise EvaluationError(
+                f"non-finite conditional CDF of the {name} {copula!r} on axis {axis} "
+                f"at (t={t[i, 0]:.6g}, v={v[j]:.6g})"
+            )
+        grid.flags.writeable = False
+    _grids[key] = grid
+    if len(_grids) > _GRID_CACHE:
+        _grids.popitem(last=False)
+    return grid
+
+
 def _joined(at_ends):
     """Values at the panel ends from each panel's (left, right) values:
     f is continuous, so an inner end takes the mean of its two panels'."""
@@ -220,7 +276,7 @@ class BlendedModel:
         """Compute K, ``norm_constants`` = (K, K_tail, K_body) and the
         margins of the current parameters; construction calls it."""
         x, w = corner_refined(_BUILD_ORDER)
-        e_t, e_b = self._pi_expectations(0, x)
+        e_t, e_b = self._grid_expectations(0, x)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
         self.K = K = k_t + k_b
         self.norm_constants = (K, k_t, k_b)
@@ -229,9 +285,19 @@ class BlendedModel:
             # cstar(u, v) = cstar(v, u), the weighting being symmetric too
             self._axes = (margin, margin)
         else:
-            e_t, e_b = self._pi_expectations(1, x)
+            e_t, e_b = self._grid_expectations(1, x)
             self._axes = (margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K))
         return self
+
+    def _grid_expectations(self, axis, x):
+        """``_pi_expectations`` at the build rule's nodes ``x``, from the
+        components' grids of ``_component_grid``."""
+        w = self.weighting
+        grids = [
+            _component_grid(name, c, axis, w.v_nodes)
+            for name, c in (("tail", self.tail), ("body", self.body))
+        ]
+        return w.expectation(x[:, None], grids)
 
     def _unnorm_density(self, u, v):
         """pi c_tail + (1 - pi) c_body; a non-finite component density at
@@ -335,18 +401,10 @@ class BlendedModel:
         Integrating the unnormalised density over the other coordinate
         gives 1 + Pi_tail(t) - Pi_body(t), the marginal pdf times K.
         """
-        if axis == 0:
-            cond_t = lambda s, w: self.tail._h(s, w)
-            cond_b = lambda s, w: self.body._h(s, w)
-        else:
-            cond_t = lambda s, w: self.tail._h2(w, s)
-            cond_b = lambda s, w: self.body._h2(w, s)
-        # h at a node that underflows to 0 or 1 takes its limit value
-        with np.errstate(divide="ignore", over="ignore"):
-            return (
-                self.weighting.conditional_expectation(t, cond_t),
-                self.weighting.conditional_expectation(t, cond_b),
-            )
+        w = self.weighting
+        t = np.asarray(t, dtype=float)[:, None]
+        v = w.v_nodes[None, :]
+        return w.expectation(t, [_h_grid(c, axis, t, v) for c in (self.tail, self.body)])
 
     def _end_mass(self, axis, d, top):
         """The marginal mass within d of 1 (``top``) or of 0, by a 32-point

@@ -45,6 +45,7 @@ from .errors import EvaluationError, InputError, ParameterError, SamplingError
 from .quadrature import toward_one
 
 CLAMP = 1e-10
+_NORMAL_MIN = np.finfo(float).tiny
 #: Order of the corner-refined rule (168 nodes) of the by-parts ``_surv``.
 #: On the chi of gaussian(0.5) down to 1 - r = 1.49e-8, orders 8, 10 and
 #: 12 err by 2.2e-7, 1.3e-7 and 4.8e-8 relative.
@@ -434,11 +435,10 @@ class _ExtremeValue(Copula):
     def _ell(self, x, y):
         raise NotImplementedError
 
-    def _dell_dx(self, x, y):
+    def _ell_slope(self, x, y, given):
+        """(ell, d ell / d xy[given]) at (x, y), where xy = (x, y): the two
+        share most of their arithmetic, which is done once."""
         raise NotImplementedError
-
-    def _dell_dy(self, x, y):
-        return self._dell_dx(y, x)
 
     def _cdf(self, u, v):
         return np.exp(-self._ell(-np.log(u), -np.log(v)))
@@ -453,9 +453,9 @@ class _ExtremeValue(Copula):
         """``_h`` (``given`` = 0) or ``_h2`` (1): C dell/dx_given / u_given,
         0 where the given coordinate is 1 and 1 where the other one is."""
         xy = (-np.log(np.asarray(u, dtype=float)), -np.log(np.asarray(v, dtype=float)))
-        dell = (self._dell_dx, self._dell_dy)[given]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.exp(-self._ell(*xy) + xy[given]) * dell(*xy)
+            ell, slope = self._ell_slope(*xy, given)
+            out = np.exp(-ell + xy[given]) * slope
         out = np.where(xy[given] == 0.0, 0.0, out)
         out = np.where(xy[1 - given] == 0.0, 1.0, out)
         return out if np.ndim(out) else float(out)
@@ -470,13 +470,37 @@ class Gumbel(_ExtremeValue):
     tag = "gumbel"
     param_domains = (("alpha", ABOVE_ONE),)
 
-    def _ell(self, x, y):
-        a = self.params[0]
-        return (x**a + y**a) ** (1.0 / a)
+    def _power_sum(self, x, y):
+        """(m, q) with x^a + y^a = m^a q, so that ell = m q^(1/a).
 
-    def _dell_dx(self, x, y):
+        m is 1 where the sum is a normal number. Near (1, 1) it underflows
+        once alpha exceeds about 40, and far from it it overflows; there
+        m = max(x, y) and q = 1 + (min(x, y) / m)^a lies in [1, 2]. Only
+        those entries are scaled: elsewhere x^a and y^a stay apart, so on
+        a grid each is computed once per row or column."""
         a = self.params[0]
-        return x ** (a - 1.0) * (x**a + y**a) ** (1.0 / a - 1.0)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        with np.errstate(over="ignore"):
+            q = np.asarray(x**a + y**a)
+        odd = ~((q >= _NORMAL_MIN) & (q < np.inf))
+        if not np.any(odd):
+            return 1.0, q
+        m = np.ones_like(q)
+        xs, ys = (np.broadcast_to(z, q.shape)[odd] for z in (x, y))
+        m[odd] = big = np.maximum(xs, ys)
+        ratio = np.divide(np.minimum(xs, ys), big, out=np.zeros(big.shape), where=big > 0.0)
+        q[odd] = 1.0 + ratio**a
+        return m, q
+
+    def _ell(self, x, y):
+        m, q = self._power_sum(x, y)
+        return m * q ** (1.0 / self.params[0])
+
+    def _ell_slope(self, x, y, given):
+        # d ell / dx = (x / ell)^(a - 1) = (x / m)^(a - 1) q^(1/a - 1)
+        a = self.params[0]
+        m, q = self._power_sum(x, y)
+        return m * q ** (1.0 / a), ((x, y)[given] / m) ** (a - 1.0) * q ** (1.0 / a - 1.0)
 
     def _logpdf(self, u, v):
         a = self.params[0]
@@ -525,19 +549,21 @@ class HuslerReiss(_ExtremeValue):
         return 1.0 / a + 0.5 * a * np.log(x / y)
 
     def _ell(self, x, y):
-        return x * ndtr(self._z(x, y)) + y * ndtr(self._z(y, x))
+        return self._ell_slope(x, y, 0)[0]
 
-    def _dell_dx(self, x, y):
-        return ndtr(self._z(x, y))
+    def _ell_slope(self, x, y, given):
+        # ell = x Phi(z(x, y)) + y Phi(z(y, x)), whose slopes are the Phi
+        slopes = ndtr(self._z(x, y)), ndtr(self._z(y, x))
+        return x * slopes[0] + y * slopes[1], slopes[given]
 
     def _logpdf(self, u, v):
         a = self.params[0]
         x = -np.log(u)
         y = -np.log(v)
         z1 = self._z(x, y)
-        z2 = self._z(y, x)
-        bracket = ndtr(z1) * ndtr(z2) + 0.5 * a / y * special.norm_pdf(z1)
-        return -self._ell(x, y) + x + y + np.log(bracket)
+        p1, p2 = ndtr(z1), ndtr(self._z(y, x))
+        bracket = p1 * p2 + 0.5 * a / y * special.norm_pdf(z1)
+        return -(x * p1 + y * p2) + x + y + np.log(bracket)
 
 
 class Galambos(_ExtremeValue):
@@ -552,9 +578,11 @@ class Galambos(_ExtremeValue):
         a = self.params[0]
         return x + y - np.exp(-self._logG(x, y) / a)
 
-    def _dell_dx(self, x, y):
+    def _ell_slope(self, x, y, given):
         a = self.params[0]
-        return 1.0 - np.exp(-(1.0 + 1.0 / a) * self._logG(x, y) - (a + 1.0) * np.log(x))
+        log_g = self._logG(x, y)
+        slope = 1.0 - np.exp(-(1.0 + 1.0 / a) * log_g - (a + 1.0) * np.log((x, y)[given]))
+        return x + y - np.exp(-log_g / a), slope
 
     def _logpdf(self, u, v):
         a = self.params[0]
@@ -589,19 +617,14 @@ class ColesTawn(_ExtremeValue):
         return a * y / den, b * x / den
 
     def _ell(self, x, y):
-        a, b = self.params
-        q, _ = self._q(x, y)
-        return x * (1.0 - betainc(a + 1.0, b, q)) + y * betainc(a, b + 1.0, q)
+        return self._ell_slope(x, y, 0)[0]
 
-    def _dell_dx(self, x, y):
+    def _ell_slope(self, x, y, given):
+        # ell = x W1 + y W2, whose slopes are W1 and W2
         a, b = self.params
         q, _ = self._q(x, y)
-        return 1.0 - betainc(a + 1.0, b, q)
-
-    def _dell_dy(self, x, y):
-        a, b = self.params
-        q, _ = self._q(x, y)
-        return betainc(a, b + 1.0, q)
+        slopes = 1.0 - betainc(a + 1.0, b, q), betainc(a, b + 1.0, q)
+        return x * slopes[0] + y * slopes[1], slopes[given]
 
     def _logpdf(self, u, v):
         a, b = self.params
@@ -621,7 +644,7 @@ class ColesTawn(_ExtremeValue):
             + np.log(y)
             - 3.0 * np.log(a * y + b * x)
         )
-        return -self._ell(x, y) + x + y + np.log(W1 * W2 + np.exp(log_t))
+        return -(x * W1 + y * W2) + x + y + np.log(W1 * W2 + np.exp(log_t))
 
 
 FAMILIES = {

@@ -11,8 +11,9 @@ from its ``families.Domain``, the one place that also states its range.
 Tags are resolved through the registries before the first evaluation.
 
 Standard errors come from a central-difference Hessian of the
-log-likelihood in the unconstrained coordinates at the optimum, mapped to
-the parameters by the delta method.
+log-likelihood in the unconstrained coordinates at the optimum, in k^2 + k
+evaluations for k parameters, mapped to the parameters by the delta
+method.
 
 ``fit_mle`` and ``fit_single_copula`` share one core, ``_fit``, and one
 likelihood, ``log_likelihood``: each log-density is floored at
@@ -249,21 +250,29 @@ class _Objective:
 def _covariance(objective, z, fun):
     """Covariance of the parameters at the optimum ``z`` of ``objective``,
     whose value there is ``fun``: the inverse of a central-difference
-    Hessian in the unconstrained coordinates (2k^2 evaluations), mapped to
-    the parameters by the delta method. Returns (covariance, None), or a
-    NaN covariance and the reason when the budget runs out or the Hessian
-    is not finite and positive definite."""
+    Hessian in the unconstrained coordinates, mapped to the parameters by
+    the delta method. Returns (covariance, None), or a NaN covariance and
+    the reason when the budget runs out or the Hessian is not finite and
+    positive definite.
+
+    The Hessian costs k^2 + k evaluations: the 2k axis probes f(z +- h e_i)
+    give the diagonal, and each pair i, j adds f(z + h e_i + h e_j) and
+    f(z - h e_i - h e_j) to them in the symmetric 7-point formula
+      H_ij = [f_ij^+ - f_i^+ - f_j^+ + 2 f - f_i^- - f_j^- + f_ij^-] / 2h^2,
+    whose error is O(h^2) like the diagonal's."""
     k = len(z)
     h = _HESSIAN_STEP
     e = h * np.eye(k)
     hess = np.empty((k, k))
     try:
+        plus = [objective(z + e[i]) for i in range(k)]
+        minus = [objective(z - e[i]) for i in range(k)]
         for i in range(k):
-            hess[i, i] = (objective(z + e[i]) - 2.0 * fun + objective(z - e[i])) / h**2
+            hess[i, i] = (plus[i] - 2.0 * fun + minus[i]) / h**2
             for j in range(i):
-                pp, pm = objective(z + e[i] + e[j]), objective(z + e[i] - e[j])
-                mp, mm = objective(z - e[i] + e[j]), objective(z - e[i] - e[j])
-                hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
+                pp, mm = objective(z + e[i] + e[j]), objective(z - e[i] - e[j])
+                axes = plus[i] + plus[j] - 2.0 * fun + minus[i] + minus[j]
+                hess[i, j] = hess[j, i] = (pp - axes + mm) / (2.0 * h**2)
     except _BudgetSpent:
         return np.full((k, k), np.nan), f"the budget of {objective.budget} evaluations ran out"
     if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
@@ -292,10 +301,13 @@ def _fit(label, domains, init, make, data, restarts):
     rng = np.random.default_rng(_SEED)
     starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
     try:
-        runs = [
-            minimize(objective, start, method="BFGS", jac="2-point", options={"gtol": _GTOL})
-            for start in starts
-        ]
+        # a -inf score is counted in ``failures``; numdiff's difference of
+        # two of them, inf - inf, would only repeat it as a RuntimeWarning
+        with np.errstate(invalid="ignore"):
+            runs = [
+                minimize(objective, start, method="BFGS", jac="2-point", options={"gtol": _GTOL})
+                for start in starts
+            ]
         converged = bool(min(runs, key=lambda res: res.fun).success)
     except _BudgetSpent:
         converged = False

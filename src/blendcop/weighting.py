@@ -8,8 +8,11 @@ the blend's margin on either axis is computed from ``dv`` and
 argument, and a blend of exchangeable copulas shares one margin between
 the axes. ``WEIGHTINGS`` holds the two forms. A new form is a subclass
 added there: it must be symmetric and provide the partial derivative in
-v and the conditional expectation that the margins and the joint
-survival use.
+v, which the joint survival uses, and the conditional expectation, which
+the margins use. That expectation comes in two parts: ``v_nodes``, where
+the conditional CDF is evaluated, and ``expectation``, which reduces a
+grid of its values. A blend's build keeps the grids of its components,
+so a new theta that leaves ``v_nodes`` alone reuses them.
 
 Theta's range and the map the fit searches it through are stated once,
 by the ``families.Domain`` in ``WeightingFunction.domain``.
@@ -35,6 +38,9 @@ class WeightingFunction:
     tag: str = ""
     #: Domain of theta.
     domain = POSITIVE
+    #: The v at which ``conditional_expectation`` evaluates the conditional
+    #: CDF; ``expectation`` reduces the values there.
+    v_nodes = _GLW_X
 
     def __init__(self, theta: float):
         theta = float(theta)
@@ -50,7 +56,8 @@ class WeightingFunction:
         raise NotImplementedError
 
     def conditional_expectation(self, t, cond_cdf):
-        """E[pi(t, V)] where V has distribution function ``cond_cdf(t, v)``.
+        """E[pi(t, V)] where V has distribution function ``cond_cdf(t, v)``:
+        ``expectation`` of the grid of ``cond_cdf`` at t and ``v_nodes``.
 
         Integration by parts removes the conditional density, so this
         stays accurate even where that density concentrates into a spike:
@@ -60,8 +67,15 @@ class WeightingFunction:
         satisfy pi(u, v) = pi(v, u).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-        vals = self.dv(t, _GLW_X[None, :]) * cond_cdf(t, _GLW_X[None, :])
-        return np.ravel(self(t, 1.0)) - vals @ _GLW_W
+        return self.expectation(t, [cond_cdf(t, self.v_nodes[None, :])])[0]
+
+    def expectation(self, t, grids):
+        """[E[pi(t_i, V)] for each grid], where grid[i, j] is the
+        conditional CDF at t_i and ``v_nodes[j]``, for a column t of shape
+        (n, 1). The terms that depend only on t are computed once."""
+        dv = self.dv(t, self.v_nodes[None, :])
+        top = np.ravel(self(t, 1.0))
+        return [top - (dv * grid) @ _GLW_W for grid in grids]
 
     def __repr__(self):
         return f"{self.tag}({format(self.theta, '.12g')})"
@@ -89,13 +103,17 @@ class PowerProduct(WeightingFunction):
         th = self.theta
         return th * np.asarray(u, dtype=float) ** th * np.asarray(v, dtype=float) ** (th - 1.0)
 
-    def conditional_expectation(self, t, cond_cdf):
-        # substitute w = v^theta so the theta < 1 endpoint singularity of
-        # dpi/dv disappears: int th t^th v^(th-1) H(v) dv = t^th int H(w^(1/th)) dw
-        th = self.theta
-        t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-        vals = cond_cdf(t, _GLW_X[None, :] ** (1.0 / th))
-        return np.ravel(t**th) * (1.0 - vals @ _GLW_W)
+    # substitute w = v^theta so the theta < 1 endpoint singularity of
+    # dpi/dv disappears: int th t^th v^(th-1) H(v) dv = t^th int H(w^(1/th)) dw,
+    # with H evaluated at v = w^(1/th)
+    def __init__(self, theta: float):
+        super().__init__(theta)
+        self.v_nodes = _GLW_X ** (1.0 / self.theta)
+        self.v_nodes.flags.writeable = False
+
+    def expectation(self, t, grids):
+        scale = np.ravel(t**self.theta)
+        return [scale * (1.0 - grid @ _GLW_W) for grid in grids]
 
 
 class ExpComplement(WeightingFunction):

@@ -4,10 +4,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from blendcop import blend
-from blendcop.blend import _BUILD_ORDER, BlendedModel, _Margin
+from blendcop.blend import _BUILD_ORDER, BlendedModel, _component_grid, _Margin
 from blendcop.dependence import R_MAX, chi_eta
-from blendcop.errors import InputError
-from blendcop.families import make_copula
+from blendcop.errors import EvaluationError, InputError
+from blendcop.families import Copula, Frank, Galambos, Gumbel, HuslerReiss, make_copula
 from blendcop.quadrature import UNIT_BREAKS, corner_refined, gauss_legendre
 from blendcop.weighting import make_weighting
 from oracles import gl_2d
@@ -398,3 +398,108 @@ def test_asymmetric_blend_builds_two_margins():
         assert_allclose(m.marginal_pdf(1, y), direct, rtol=1e-6)
         # axis 0 differs by over 100 times that, so sharing would be wrong
         assert abs(m.marginal_pdf(0, y) / direct - 1.0) > 1e-4
+
+
+# ----------------------------------------------------------------------
+# the component grids that ``build`` reads from ``_component_grid``
+# ----------------------------------------------------------------------
+def _count_h(monkeypatch, *classes):
+    """Record the tag of every ``_h`` call of these families."""
+    calls = []
+    for cls in classes:
+        def counted(self, u, v, inner=cls._h):
+            calls.append(self.tag)
+            return inner(self, u, v)
+
+        monkeypatch.setattr(cls, "_h", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "step,wtag,recomputed",
+    [
+        ("tail", "power", ["gumbel"]),
+        ("body", "power", ["frank"]),
+        ("theta", "power", ["gumbel", "frank"]),
+        ("theta", "exp_complement", []),
+    ],
+)
+def test_a_step_recomputes_only_the_grids_it_changed(step, wtag, recomputed, monkeypatch):
+    calls = _count_h(monkeypatch, Gumbel, Frank)
+    params = {"tail": 2.0 + 1e-7, "body": 1.25 + 1e-7, "theta": 0.9 + 1e-7}
+    parts = lambda p: (Gumbel(p["tail"]), Frank(p["body"]), make_weighting(wtag, p["theta"]))
+    BlendedModel(*parts(params))
+    calls.clear()
+    BlendedModel(*parts({**params, step: params[step] + 1e-3}))
+    assert calls == recomputed
+
+
+def test_a_cached_build_matches_a_cold_build_byte_for_byte():
+    # coles_tawn(0.5, 0.8) is not exchangeable, so both axes have grids
+    parts = (make_copula("coles_tawn", [0.5, 0.8]), make_copula("gaussian", [0.6]),
+             make_weighting("power", 1.5))
+    blend._grids.clear()
+    cold = BlendedModel(*parts)
+    grids = list(blend._grids.values())
+    warm = BlendedModel(*parts)
+    assert len(grids) == 4 and all(a is b for a, b in zip(grids, blend._grids.values()))
+    assert repr(cold.norm_constants) == repr(warm.norm_constants)
+    x, _ = corner_refined(_BUILD_ORDER)
+    for axis in (0, 1):
+        # the uncached path gives the same node values
+        e_t, e_b = cold._pi_expectations(axis, x)
+        plain = _Margin((1.0 + e_t - e_b) / cold.K)
+        for name in ("x", "pdf", "cdf", "sf", "level"):
+            got = [getattr(m._axes[axis], name).tobytes() for m in (cold, warm)]
+            assert got == [getattr(plain, name).tobytes()] * 2, (axis, name)
+
+
+def test_grids_are_keyed_by_family_and_axis_and_read_only():
+    v = make_weighting("exp_complement", 1.0).v_nodes
+    t = corner_refined(_BUILD_ORDER)[0][:, None]
+    hr, ga = HuslerReiss(2.0), Galambos(2.0)
+    ct = make_copula("coles_tawn", [0.5, 0.8])
+    grids = [
+        _component_grid("tail", hr, 0, v),
+        _component_grid("tail", ga, 0, v),
+        _component_grid("tail", ct, 0, v),
+        _component_grid("tail", ct, 1, v),
+    ]
+    with np.errstate(divide="ignore", over="ignore"):
+        direct = [hr._h(t, v[None, :]), ga._h(t, v[None, :]), ct._h(t, v[None, :]),
+                  ct._h2(v[None, :], t)]
+    for grid, want in zip(grids, direct):
+        assert_array_equal(grid, want)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+    # equal parameters, different families; one family, different axes
+    assert not np.array_equal(grids[0], grids[1])
+    assert not np.array_equal(grids[2], grids[3])
+
+
+class _NaNNearOne(Copula):
+    """Independence, with a conditional CDF that is NaN within 1e-6 of u = 1."""
+
+    tag = "nan_near_one"
+
+    def _logpdf(self, u, v):
+        return np.zeros(np.broadcast(u, v).shape)
+
+    def _h(self, u, v):
+        return np.where(u > 1.0 - 1e-6, np.nan, v + 0.0 * u)
+
+
+def test_a_nonfinite_grid_names_its_component():
+    named = r"conditional CDF of the body nan_near_one\(\) on axis 0 at \(t=0\.9999"
+    with pytest.raises(EvaluationError, match=named):
+        BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", 1.0))
+
+
+@pytest.mark.parametrize("alpha", [45.0, 100.0])
+def test_a_steep_gumbel_tail_builds(alpha):
+    # x^alpha + y^alpha underflows on the build grid beyond alpha of about 40
+    m = BlendedModel(Gumbel(alpha), Gumbel(1.5), make_weighting("power", 1.0))
+    assert np.isfinite(m.K)
+    gentle = BlendedModel(Gumbel(39.0), Gumbel(1.5), make_weighting("power", 1.0))
+    assert abs(m.K - gentle.K) < 1e-3

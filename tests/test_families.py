@@ -134,6 +134,22 @@ def test_gumbel_cdf_frozen_value():
     assert_allclose(make_copula("gumbel", [2.0]).cdf(0.5, 0.5), GUMBEL2_CDF_HALF, atol=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [45.0, 100.0, 300.0])
+def test_steep_gumbel_against_mpmath(alpha):
+    # x^alpha + y^alpha underflows near (1, 1) and overflows far from it
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    cop = make_copula("gumbel", [alpha])
+    for u, v in ((1 - 6e-8, 1 - 1e-7), (1 - 1e-9, 1 - 3e-9), (1e-10, 2e-10), (0.3, 0.8)):
+        x, y = -mp.log(mp.mpf(u)), -mp.log(mp.mpf(v))
+        ell = (x**alpha + y**alpha) ** (1 / mp.mpf(alpha))
+        h = mp.exp(-ell + x) * (x / ell) ** (alpha - 1)
+        assert_allclose(cop._h(u, v), float(h), rtol=1e-9, atol=1e-300)
+        assert_allclose(cop._cdf(u, v), float(mp.exp(-ell)), rtol=1e-9)
+        assert np.isfinite(cop._logpdf(np.array([u]), np.array([v]))[0])
+
+
 def test_gumbel_sampler_against_cdf(rng):
     uv = make_copula("gumbel", [2.0]).sample(100_000, rng)
     emp = np.mean((uv[:, 0] <= 0.5) & (uv[:, 1] <= 0.5))

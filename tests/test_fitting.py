@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel, ModelParams
 from blendcop.errors import EvaluationError, InputError, ParameterError
-from blendcop.families import CORRELATION, POSITIVE, make_copula
+from blendcop.families import CORRELATION, NONZERO, POSITIVE, make_copula
 from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
@@ -220,6 +220,36 @@ def test_fit_stderr_matches_gaussian_fisher_information(rho):
     assert res.cov.shape == (1, 1) and not res.warnings
     fisher_se = (1.0 - rho_hat**2) / np.sqrt(n * (1.0 + rho_hat**2))
     assert_allclose(res.stderr[0], fisher_se, rtol=0.05)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hessian_reuses_its_axis_probes(k):
+    # a quadratic in the identity-mapped coordinates: every difference is
+    # exact up to rounding, in k^2 + k evaluations (not 2k^2)
+    hess = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.0]])[:k, :k]
+    z = np.array([0.1, -0.2, 0.3])[:k]
+    objective = _Objective(lambda p: -0.5 * np.asarray(p) @ hess @ p, (NONZERO,) * k)
+    cov, trouble = fitting._covariance(objective, z, 0.5 * z @ hess @ z)
+    assert trouble is None and objective.evaluations == k * k + k
+    assert_allclose(cov, np.linalg.inv(hess), rtol=1e-6)
+
+
+def test_blend_fit_hessian_costs_twelve_evaluations(rng, monkeypatch):
+    spent = []
+    inner = fitting._covariance
+
+    def counted(objective, z, fun):
+        before = objective.evaluations
+        out = inner(objective, z, fun)
+        spent.append(objective.evaluations - before)
+        return out
+
+    monkeypatch.setattr(fitting, "_covariance", counted)
+    uv = sample_blended_copula(
+        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 200, rng
+    )
+    res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
+    assert spent == [12] and res.cov.shape == (3, 3)
 
 
 def test_unidentified_theta_gives_nan_stderr_and_a_warning():
