@@ -25,16 +25,16 @@ weighting is symmetric, pi(u, v) = pi(v, u), so when both components are
 exchangeable cstar is symmetric too and axis 1 shares axis 0's margin;
 otherwise a second pass evaluates Pi_tail and Pi_body on axis 1.
 
-Each Pi_c reduces a grid of the component's conditional CDF at the
-rule's nodes and the weighting's ``v_nodes``. That grid depends only on
-the family, its parameters, the axis and the v-nodes, so ``build`` keeps
-the last ``_GRID_CACHE`` grids, read-only, and a fit's next evaluation
-reads back those its step did not change: a gradient probe of one
-component reuses the other's grid, and a probe of theta reuses both
-under ``exp_complement``, whose v-nodes do not depend on theta. The
-values are the same whether computed or read back, so the cache changes
-no result. A grid that is not finite raises ``EvaluationError`` naming
-its component.
+Each Pi_c reduces a grid of the component's conditional CDF at points t
+and the weighting's ``v_nodes``; ``_pi_expectations`` computes both, on
+grids from ``_h_grid``, which names the component of a grid that is not
+finite. At the build rule's nodes, ``build`` reads the grids through
+``_component_grid``, which keeps the last ``_GRID_CACHE`` of them,
+read-only, so a fit's next evaluation reads back those its step did not
+change: a gradient probe of one component reuses the other's grid, and a
+probe of theta reuses both under ``exp_complement``, whose v-nodes do
+not depend on theta. The values are the same whether computed or read
+back.
 
 On each panel the node values of f fix a polynomial interpolant, whose
 exact integrals give the CDF (summed up from 0) and the survival function
@@ -46,9 +46,10 @@ inside the two outermost panels, within 2e-6 of an end, are roots of the
 exact mass within d of that end instead, since no polynomial follows the
 margin's power-law behaviour at the end itself. That mass, ``_end_mass``
 on a 32-point Gauss rule, is the one exact marginal integral; only this
-root uses it, solved once per distinct level. The build evaluates no
-density; a component density that is not finite at a point where cstar
-is evaluated raises ``EvaluationError``.
+root uses it, solved once per distinct level, on uncached grids that move
+with every step. Its nodes are capped below 1, as ``toward_one``'s are.
+The build evaluates no density; a component density that is not finite
+at a point where cstar is evaluated raises ``EvaluationError``.
 
 Rectangle probabilities have one primitive, the joint upper survival
 S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
@@ -67,15 +68,16 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import EvaluationError, InputError
-from .families import Copula, clamp_unit, make_copula, parse_copula
+from .families import Copula, clamp_unit, parse_copula
 from .quadrature import (
+    BELOW_ONE,
     UNIT_BREAKS,
     corner_refined,
     gauss_legendre,
     panel_calculus,
     toward_one,
 )
-from .weighting import WeightingFunction, make_weighting, parse_weighting
+from .weighting import WeightingFunction, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
 #: Order of the corner-refined rule (224 nodes) on which ``build`` computes
@@ -187,37 +189,30 @@ def _checked_margin(axis, x, pdf):
     return margin
 
 
-def _h_grid(copula, axis, t, v):
+def _h_grid(name, copula, axis, t, v):
     """h of ``copula`` on ``axis`` (its ``_h``, or ``_h2`` with the
-    arguments swapped) at a column t and a row v."""
+    arguments swapped) at a column t and a row v. A value that is not
+    finite raises ``EvaluationError`` naming the component (``name``)."""
     # h at a node that underflows to 0 or 1 takes its limit value
     with np.errstate(divide="ignore", over="ignore"):
-        return copula._h(t, v) if axis == 0 else copula._h2(v, t)
+        grid = copula._h(t, v) if axis == 0 else copula._h2(v, t)
+    bad = ~np.isfinite(grid)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise EvaluationError(
+            f"non-finite conditional CDF of the {name} {copula!r} on axis {axis} "
+            f"at (t={t[i, 0]:.6g}, v={v[0, j]:.6g})"
+        )
+    return grid
 
 
-def _component_grid(name, copula, axis, v):
-    """``_h_grid`` of ``copula`` on ``axis`` at the nodes t of the build
-    rule and the weighting's v-nodes ``v``, read-only.
-
-    The values depend only on the family, its parameters, the axis, v and
-    the rule's order, so the last ``_GRID_CACHE`` grids are kept under that
-    key: a build whose step moved only the other component, or only the
-    weighting's theta where v does not depend on it, reads them back. A
-    value that is not finite raises ``EvaluationError`` naming the
-    component (``name``), so no cached grid holds one.
-    """
-    key = (type(copula), np.array(copula.params).tobytes(), axis, _BUILD_ORDER, v.tobytes())
+def _component_grid(name, copula, axis, t, v):
+    """``_h_grid``, read-only, kept among the last ``_GRID_CACHE`` grids
+    under the family, its parameters, the axis, t and v."""
+    key = (type(copula), np.array(copula.params).tobytes(), axis, t.tobytes(), v.tobytes())
     grid = _grids.pop(key, None)
     if grid is None:
-        t = corner_refined(_BUILD_ORDER)[0][:, None]
-        grid = _h_grid(copula, axis, t, v[None, :])
-        bad = ~np.isfinite(grid)
-        if np.any(bad):
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
-            raise EvaluationError(
-                f"non-finite conditional CDF of the {name} {copula!r} on axis {axis} "
-                f"at (t={t[i, 0]:.6g}, v={v[j]:.6g})"
-            )
+        grid = _h_grid(name, copula, axis, t, v)
         grid.flags.writeable = False
     _grids[key] = grid
     if len(_grids) > _GRID_CACHE:
@@ -252,9 +247,8 @@ def _abscissae(p):
     return x
 
 
-#: Keys of a model file; ``nodes``, ``eps`` and ``grid_size`` are accepted
-#: from older files and ignored.
-_MODEL_KEYS = {"tail", "body", "weighting", "nodes", "eps", "grid_size"}
+#: Keys of a model file.
+_MODEL_KEYS = ("tail", "body", "weighting")
 
 
 class BlendedModel:
@@ -276,7 +270,7 @@ class BlendedModel:
         """Compute K, ``norm_constants`` = (K, K_tail, K_body) and the
         margins of the current parameters; construction calls it."""
         x, w = corner_refined(_BUILD_ORDER)
-        e_t, e_b = self._grid_expectations(0, x)
+        e_t, e_b = self._pi_expectations(0, x, _component_grid)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
         self.K = K = k_t + k_b
         self.norm_constants = (K, k_t, k_b)
@@ -285,19 +279,9 @@ class BlendedModel:
             # cstar(u, v) = cstar(v, u), the weighting being symmetric too
             self._axes = (margin, margin)
         else:
-            e_t, e_b = self._grid_expectations(1, x)
+            e_t, e_b = self._pi_expectations(1, x, _component_grid)
             self._axes = (margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K))
         return self
-
-    def _grid_expectations(self, axis, x):
-        """``_pi_expectations`` at the build rule's nodes ``x``, from the
-        components' grids of ``_component_grid``."""
-        w = self.weighting
-        grids = [
-            _component_grid(name, c, axis, w.v_nodes)
-            for name, c in (("tail", self.tail), ("body", self.body))
-        ]
-        return w.expectation(x[:, None], grids)
 
     def _unnorm_density(self, u, v):
         """pi c_tail + (1 - pi) c_body; a non-finite component density at
@@ -341,7 +325,7 @@ class BlendedModel:
         # 1/2 joins the range so that an empty q passes
         lo, hi = q.min(initial=0.5), q.max(initial=0.5)
         if not (0.0 < lo and hi < 1.0):
-            raise ValueError("quantile level must lie strictly inside (0, 1)")
+            raise InputError("quantile level must lie strictly inside (0, 1)")
         out = m.quantile_at(q)
         if lo < m.inner[0] or hi > m.inner[1]:
             outer = (q < m.inner[0]) | (q > m.inner[1])
@@ -395,8 +379,9 @@ class BlendedModel:
     # ------------------------------------------------------------------
     # the exact marginal mass near an end, and the joint tail
     # ------------------------------------------------------------------
-    def _pi_expectations(self, axis, t):
-        """(Pi_tail(t), Pi_body(t)) where Pi_c(t) = E[pi | coord = t] under c.
+    def _pi_expectations(self, axis, t, grid=_h_grid):
+        """(Pi_tail(t), Pi_body(t)) where Pi_c(t) = E[pi | coord = t] under c,
+        from the grids of ``grid`` (``_h_grid`` or ``_component_grid``).
 
         Integrating the unnormalised density over the other coordinate
         gives 1 + Pi_tail(t) - Pi_body(t), the marginal pdf times K.
@@ -404,13 +389,16 @@ class BlendedModel:
         w = self.weighting
         t = np.asarray(t, dtype=float)[:, None]
         v = w.v_nodes[None, :]
-        return w.expectation(t, [_h_grid(c, axis, t, v) for c in (self.tail, self.body)])
+        parts = (("tail", self.tail), ("body", self.body))
+        return w.expectation(t, [grid(name, c, axis, t, v) for name, c in parts])
 
     def _end_mass(self, axis, d, top):
         """The marginal mass within d of 1 (``top``) or of 0, by a 32-point
-        Gauss rule on that interval; accurate for tiny d."""
+        Gauss rule on that interval; accurate for tiny d. Nodes that would
+        round to 1 are capped below it."""
         s, w = _GL32
-        e_t, e_b = self._pi_expectations(axis, 1.0 - d * s if top else d * s)
+        x = np.minimum(1.0 - d * s, BELOW_ONE) if top else d * s
+        e_t, e_b = self._pi_expectations(axis, x)
         return float(d * (1.0 + (e_t - e_b) @ w) / self.K)
 
     def _quantile_exact(self, axis, q):
@@ -467,14 +455,6 @@ class BlendedModel:
     def params(self) -> ModelParams:
         return ModelParams(self.weighting.theta, self.tail.params, self.body.params)
 
-    def with_params(self, theta, tail_params, body_params) -> "BlendedModel":
-        """Same structure, new parameter vector, built."""
-        return BlendedModel(
-            make_copula(self.tail.tag, tail_params),
-            make_copula(self.body.tag, body_params),
-            make_weighting(self.weighting.tag, theta),
-        )
-
     def spec_strings(self):
         fmt = lambda ps: ",".join(format(p, ".17g") for p in ps)
         return {
@@ -492,8 +472,8 @@ class BlendedModel:
 
     @classmethod
     def load(cls, path) -> "BlendedModel":
-        """Read a file written by ``save``. ``nodes``, ``grid_size`` and
-        ``eps`` lines, written by older versions, are ignored."""
+        """Read a file written by ``save``: one ``key = value`` line for
+        each of ``tail``, ``body`` and ``weighting``."""
         fields = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -505,7 +485,7 @@ class BlendedModel:
                 if not sep or key not in _MODEL_KEYS:
                     raise InputError(f"model file {path}, line {lineno}: cannot parse {line!r}")
                 fields[key] = val.strip()
-        missing = {"tail", "body", "weighting"} - set(fields)
+        missing = set(_MODEL_KEYS) - set(fields)
         if missing:
             raise InputError(f"model file {path} missing keys: {sorted(missing)}")
         try:

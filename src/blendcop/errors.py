@@ -28,4 +28,5 @@ class UndefinedMeasureError(BlendcopError):
 class InputError(BlendcopError, ValueError):
     """Outside input is malformed: pseudo-observations that are NaN or lie
     outside [0, 1], a model file that cannot be parsed, a dependence level
-    outside (0, R_MAX], or a negative sample size."""
+    outside (0, R_MAX], a quantile level outside (0, 1), a negative sample
+    size, no fit start, or data with no Kendall's tau to start a fit from."""

@@ -57,13 +57,14 @@ def clamp_unit(x):
     return np.clip(np.asarray(x, dtype=float), CLAMP, 1.0 - CLAMP)
 
 
-def _bisect_conditional(hfun, u, w, lo=CLAMP, hi=1.0 - CLAMP, iters=90):
-    """Solve h(u, v) = w for v by vectorised bisection (h nondecreasing in v)."""
+def _bisect_conditional(hfun, u, w):
+    """Solve h(u, v) = w for v in [CLAMP, 1 - CLAMP] by 90 steps of
+    vectorised bisection (h nondecreasing in v)."""
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    a = np.full(np.broadcast_shapes(u.shape, w.shape), lo)
-    b = np.full(a.shape, hi)
-    for _ in range(iters):
+    a = np.full(np.broadcast_shapes(u.shape, w.shape), CLAMP)
+    b = np.full(a.shape, 1.0 - CLAMP)
+    for _ in range(90):
         mid = 0.5 * (a + b)
         less = hfun(u, mid) < w
         a = np.where(less, mid, a)

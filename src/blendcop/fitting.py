@@ -114,13 +114,14 @@ class FitSpec:
 
 @dataclass
 class FitResult:
+    """A fitted model. ``k``, ``aic`` and ``evaluations`` are derived from
+    ``cov``, ``loglik`` and ``trace``, so they cannot disagree with them."""
+
     model: object  # fitted BlendedModel or Copula
     label: str
     loglik: float
-    k: int
-    aic: float
-    evaluations: int
     converged: bool
+    #: (params, log-likelihood) of every objective evaluation, in order
     trace: list
     warnings: list
     seconds: float
@@ -128,15 +129,21 @@ class FitResult:
     #: (a copula's ``params`` order); NaN when it could not be estimated.
     cov: np.ndarray
 
-    def __post_init__(self):
-        if not abs(self.aic - (2.0 * self.k - 2.0 * self.loglik)) < 1e-9 * max(1.0, abs(self.aic)):
-            raise ValueError(
-                f"AIC identity violated: aic = {self.aic!r}, k = {self.k}, loglik = {self.loglik!r}"
-            )
-
     @property
     def params(self):
         return self.model.params
+
+    @property
+    def k(self) -> int:
+        return len(self.cov)
+
+    @property
+    def aic(self) -> float:
+        return aic(self.loglik, self.k)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
 
     @property
     def stderr(self) -> np.ndarray:
@@ -182,6 +189,8 @@ def _rho_from_tau(tau_hat: float) -> float:
 
 
 def _default_family_params(tag: str, tau_hat: float):
+    if not np.isfinite(tau_hat):
+        raise InputError(f"no default start for {tag}: Kendall's tau of the data is {tau_hat!r}")
     if tag == "gaussian":
         return (_rho_from_tau(tau_hat),)
     if tag == "student_t":
@@ -222,16 +231,19 @@ class _Objective:
         self._eval = build_and_loglik
         self.domains = domains
         self.budget = budget
-        self.evaluations = 0
+        #: (params, log-likelihood) of every evaluation
         self.trace = []
         self.failures = {}
         #: (value, z) of the lowest value seen; the first of equals
         self.best = (np.inf, None)
 
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
+
     def __call__(self, z):
         if self.evaluations >= self.budget:
             raise _BudgetSpent
-        self.evaluations += 1
         params = _from_unconstrained(self.domains, z)
         try:
             ll = self._eval(params)
@@ -291,6 +303,8 @@ def _fit(label, domains, init, make, data, restarts):
     jittered copies of it, then estimate the covariance at the best point
     evaluated and refit that point through ``log_likelihood_detail``. A
     spent evaluation budget ends the search early, not converged."""
+    if restarts < 1:
+        raise InputError(f"a fit needs at least one start, got restarts = {restarts!r}")
     t0 = time.perf_counter()
     # looks the module-level ``log_likelihood`` up at each evaluation, so a
     # replacement of that name sees every evaluation
@@ -332,9 +346,6 @@ def _fit(label, domains, init, make, data, restarts):
         model=model,
         label=label,
         loglik=ll,
-        k=len(params),
-        aic=aic(ll, len(params)),
-        evaluations=objective.evaluations,
         converged=converged,
         trace=objective.trace,
         warnings=warnings,

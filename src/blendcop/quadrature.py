@@ -86,7 +86,8 @@ def corner_refined(n_per_panel: int, a: float = 0.0, b: float = 1.0):
     return _readonly(a + (b - a) * x, (b - a) * w)
 
 
-_BELOW_ONE = np.nextafter(1.0, 0.0)
+#: The largest double below 1.
+BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def toward_one(d, n_per_panel: int):
@@ -95,7 +96,7 @@ def toward_one(d, n_per_panel: int):
     to be scaled by d. A node within 1e-16 of 1 would round to 1, where
     some conditional CDFs are NaN, so the nodes are capped below 1."""
     a, w = corner_refined(n_per_panel)
-    return np.minimum(1.0 - d[:, None] * a, _BELOW_ONE), w
+    return np.minimum(1.0 - d[:, None] * a, BELOW_ONE), w
 
 
 class PanelCalculus(NamedTuple):

@@ -3,16 +3,16 @@
 A weighting pi(u, v; theta) maps the open unit square into (0, 1) and is
 nondecreasing in each argument, so the tail component dominates toward
 the upper corner. Every weighting must be symmetric, pi(u, v) = pi(v, u):
-the blend's margin on either axis is computed from ``dv`` and
-``conditional_expectation`` with that axis's coordinate as the first
-argument, and a blend of exchangeable copulas shares one margin between
-the axes. ``WEIGHTINGS`` holds the two forms. A new form is a subclass
-added there: it must be symmetric and provide the partial derivative in
-v, which the joint survival uses, and the conditional expectation, which
-the margins use. That expectation comes in two parts: ``v_nodes``, where
-the conditional CDF is evaluated, and ``expectation``, which reduces a
-grid of its values. A blend's build keeps the grids of its components,
-so a new theta that leaves ``v_nodes`` alone reuses them.
+the blend's margin on either axis is computed from ``expectation`` with
+that axis's coordinate as the first argument, and a blend of exchangeable
+copulas shares one margin between the axes. ``WEIGHTINGS`` holds the two
+forms. A new form is a subclass added there: it must be symmetric and
+provide the partial derivative in v, which the joint survival uses, and
+the conditional expectation, which the margins use. That expectation
+comes in two parts: ``v_nodes``, where the caller evaluates the
+conditional CDF, and ``expectation``, which reduces a grid of its values.
+A blend's build keeps the grids of its components, so a new theta that
+leaves ``v_nodes`` alone reuses them.
 
 Theta's range and the map the fit searches it through are stated once,
 by the ``families.Domain`` in ``WeightingFunction.domain``.
@@ -38,8 +38,8 @@ class WeightingFunction:
     tag: str = ""
     #: Domain of theta.
     domain = POSITIVE
-    #: The v at which ``conditional_expectation`` evaluates the conditional
-    #: CDF; ``expectation`` reduces the values there.
+    #: The v at which the caller evaluates the conditional CDF;
+    #: ``expectation`` reduces the values there.
     v_nodes = _GLW_X
 
     def __init__(self, theta: float):
@@ -55,24 +55,19 @@ class WeightingFunction:
         """Partial derivative of the weight in its second argument."""
         raise NotImplementedError
 
-    def conditional_expectation(self, t, cond_cdf):
-        """E[pi(t, V)] where V has distribution function ``cond_cdf(t, v)``:
-        ``expectation`` of the grid of ``cond_cdf`` at t and ``v_nodes``.
+    def expectation(self, t, grids):
+        """[E[pi(t_i, V)] for each grid], where grid[i, j] is the
+        conditional CDF H(t_i, ``v_nodes[j]``) of V given the first
+        coordinate, for a column t of shape (n, 1). The terms that depend
+        only on t are computed once.
 
         Integration by parts removes the conditional density, so this
         stays accurate even where that density concentrates into a spike:
-        E[pi] = pi(t, 1) - int_0^1 dpi/dv (t, v) * cond_cdf(t, v) dv.
+        E[pi] = pi(t, 1) - int_0^1 dpi/dv (t, v) H(t, v) dv.
         t is always pi's first argument, so this also gives the second
         coordinate's E[pi(U, t) | V = t] only because the weighting must
         satisfy pi(u, v) = pi(v, u).
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))[:, None]
-        return self.expectation(t, [cond_cdf(t, self.v_nodes[None, :])])[0]
-
-    def expectation(self, t, grids):
-        """[E[pi(t_i, V)] for each grid], where grid[i, j] is the
-        conditional CDF at t_i and ``v_nodes[j]``, for a column t of shape
-        (n, 1). The terms that depend only on t are computed once."""
         dv = self.dv(t, self.v_nodes[None, :])
         top = np.ravel(self(t, 1.0))
         return [top - (dv * grid) @ _GLW_W for grid in grids]

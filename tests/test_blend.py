@@ -182,6 +182,26 @@ def test_marginal_quantile_against_oracle(power_model):
     assert np.max(np.abs(back - qs)) < 1e-4
     with pytest.raises(ValueError):
         power_model.marginal_quantile(0, 1.5)
+    with pytest.raises(InputError, match="strictly inside"):
+        power_model.marginal_quantile(0, np.nan)
+    # a NaN level reaches the quantile through the copula interface too
+    for method in (power_model.logpdf, power_model.survival):
+        with pytest.raises(InputError, match="strictly inside"):
+            method(np.nan, 0.5)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_deep_quantile_of_a_student_t_blend(axis):
+    # within 1e-13 of 1 the exact root's nodes would round to 1, where the
+    # student_t conditional CDF is NaN; the density is flat there, so 1 - x
+    # keeps the ratio to 1 - q it has at 1e-11, to the spacing of doubles
+    m = build("student_t", [0.5, 4.0], "clayton", [1.0], "power", 1.0)
+    ratio = (1.0 - m.marginal_quantile(axis, 1.0 - 1e-11)) / (1.0 - (1.0 - 1e-11))
+    for d in (1e-13, 1e-14, 1e-15, 4.4e-16, 2.2e-16):
+        q = 1.0 - d
+        x = m.marginal_quantile(axis, q)
+        assert x < 1.0
+        assert abs((1.0 - x) - ratio * (1.0 - q)) <= 2.3e-16, d
 
 
 def test_marginal_quantile_out_of_grid_fallback(power_model):
@@ -294,13 +314,16 @@ def test_save_load_round_trip(tmp_path, power_model):
     assert_allclose(again.pdf(*pts), power_model.pdf(*pts), rtol=1e-12)
 
 
-def test_load_ignores_grid_size_line(tmp_path, power_model):
+@pytest.mark.parametrize(
+    "line", ["grid_size = 200", "eps = 1e-6", "nodes = 128"], ids=["grid_size", "eps", "nodes"]
+)
+def test_load_rejects_resolution_keys(tmp_path, power_model, line):
+    # the rules' orders are constants, so a resolution setting would be ignored
     path = tmp_path / "old.txt"
     power_model.save(path)
-    assert "grid_size" not in path.read_text()
-    path.write_text(path.read_text() + "grid_size = 200\neps = 1e-6\nnodes = 128\n")
-    again = BlendedModel.load(path)
-    assert again.tail == power_model.tail and again.weighting == power_model.weighting
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(InputError, match=f"line 5: cannot parse {line!r}"):
+        BlendedModel.load(path)
 
 
 @pytest.mark.parametrize(
@@ -343,13 +366,6 @@ def test_copula_cdf_uniform_margins(tail, tp, body, bp, theta):
     one = np.ones_like(q)
     assert np.max(np.abs(m.copula_cdf(q, one) - q)) <= 1e-8
     assert np.max(np.abs(m.copula_cdf(one, q) - q)) <= 1e-8
-
-
-def test_with_params(power_model):
-    other = power_model.with_params(0.7, (2.5,), (0.3,))
-    assert other.params.theta == 0.7
-    assert other.tail.params == (2.5,)
-    assert other.body.params == (0.3,)
 
 
 # every exchangeable family of the zoo (coles_tawn only with alpha = beta);
@@ -460,10 +476,10 @@ def test_grids_are_keyed_by_family_and_axis_and_read_only():
     hr, ga = HuslerReiss(2.0), Galambos(2.0)
     ct = make_copula("coles_tawn", [0.5, 0.8])
     grids = [
-        _component_grid("tail", hr, 0, v),
-        _component_grid("tail", ga, 0, v),
-        _component_grid("tail", ct, 0, v),
-        _component_grid("tail", ct, 1, v),
+        _component_grid("tail", hr, 0, t, v[None, :]),
+        _component_grid("tail", ga, 0, t, v[None, :]),
+        _component_grid("tail", ct, 0, t, v[None, :]),
+        _component_grid("tail", ct, 1, t, v[None, :]),
     ]
     with np.errstate(divide="ignore", over="ignore"):
         direct = [hr._h(t, v[None, :]), ga._h(t, v[None, :]), ct._h(t, v[None, :]),
@@ -479,21 +495,37 @@ def test_grids_are_keyed_by_family_and_axis_and_read_only():
 
 
 class _NaNNearOne(Copula):
-    """Independence, with a conditional CDF that is NaN within 1e-6 of u = 1."""
+    """Independence, with a conditional CDF that is NaN within ``gap`` of u = 1."""
 
     tag = "nan_near_one"
+    gap = 1e-6
 
     def _logpdf(self, u, v):
         return np.zeros(np.broadcast(u, v).shape)
 
     def _h(self, u, v):
-        return np.where(u > 1.0 - 1e-6, np.nan, v + 0.0 * u)
+        return np.where(u > 1.0 - self.gap, np.nan, v + 0.0 * u)
+
+
+class _NaNVeryNearOne(_NaNNearOne):
+    tag = "nan_very_near_one"
+    gap = 1e-12
 
 
 def test_a_nonfinite_grid_names_its_component():
     named = r"conditional CDF of the body nan_near_one\(\) on axis 0 at \(t=0\.9999"
     with pytest.raises(EvaluationError, match=named):
         BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", 1.0))
+
+
+def test_a_nonfinite_grid_in_the_outermost_panel_names_its_component():
+    # the build's nodes stay about 5e-9 from 1, so the blend builds; the
+    # exact root within 1e-11 of 1 meets the NaN
+    m = BlendedModel(_NaNVeryNearOne(), make_copula("frank", [1.0]), make_weighting("power", 1.0))
+    assert np.isfinite(m.K)
+    named = r"conditional CDF of the tail nan_very_near_one\(\) on axis 0 at \(t=1,"
+    with pytest.raises(EvaluationError, match=named):
+        m.marginal_quantile(0, 1.0 - 1e-11)
 
 
 @pytest.mark.parametrize("alpha", [45.0, 100.0])

@@ -116,12 +116,17 @@ def test_nonfinite_density_at_a_data_point_scores_minus_inf(monkeypatch, role, b
     assert obj.trace[-1][1] == -np.inf
 
 
-def test_fit_result_checks_aic_identity():
-    fields = dict(model=None, label="x", loglik=1.0, k=2, evaluations=1, converged=True,
-                  trace=[], warnings=[], seconds=0.0, cov=np.full((2, 2), np.nan))
-    FitResult(aic=2.0, **fields)
-    with pytest.raises(ValueError, match="AIC"):
-        FitResult(aic=0.0, **fields)
+def test_fit_result_derives_k_aic_and_evaluations():
+    fields = dict(model=None, label="x", loglik=1.0, converged=True,
+                  trace=[((0.5, 1.0), -3.0), ((0.6, 1.1), 1.0)], warnings=[], seconds=0.0,
+                  cov=np.full((2, 2), np.nan))
+    res = FitResult(**fields)
+    assert (res.k, res.aic, res.evaluations) == (2, 2.0, 2)
+    assert res.aic == aic(res.loglik, res.k)
+    # none of the three can be set apart from what it is derived from
+    for name, value in (("k", 2), ("aic", 2.0), ("evaluations", 2)):
+        with pytest.raises(TypeError):
+            FitResult(**fields, **{name: value})
 
 
 def test_aic_examples():
@@ -415,3 +420,34 @@ def test_bad_initial_fails_before_the_first_evaluation(initial, message, monkeyp
     data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
     with pytest.raises(ParameterError, match=message):
         fit_mle(FitSpec("gumbel", "clayton", "power", initial=initial), data)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda data: fit_single_copula("gaussian", data),
+        lambda data: fit_mle(FitSpec("gumbel", "gaussian", "power"), data),
+    ],
+    ids=["single", "blend"],
+)
+def test_undefined_tau_fails_before_the_first_evaluation(fit, monkeypatch):
+    # a constant coordinate leaves Kendall's tau, and so the default start, undefined
+    monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
+    data = Dataset(np.array([0.5, 0.5, 0.5]), np.array([0.3, 0.6, 0.8]))
+    with pytest.raises(InputError, match="Kendall's tau of the data is nan"):
+        fit(data)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda data: fit_single_copula("gaussian", data, restarts=0),
+        lambda data: fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=-1), data),
+    ],
+    ids=["single", "blend"],
+)
+def test_fewer_than_one_start_fails_before_the_first_evaluation(fit, monkeypatch):
+    monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
+    data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
+    with pytest.raises(InputError, match="at least one start"):
+        fit(data)

@@ -67,7 +67,8 @@ def test_conditional_expectation_against_sampling(w):
     cop = make_copula("gumbel", [2.0])
     rng = np.random.default_rng(5)
     for t in (0.3, 0.9):
-        got = w.conditional_expectation(np.array([t]), lambda s, x: cop._h(s, x))[0]
+        column = np.array([[t]])
+        got = w.expectation(column, [cop._h(column, w.v_nodes[None, :])])[0][0]
         v = cop.cond_quantile(np.full(200_000, t), rng.random(200_000))
         mc = np.mean(w(t, v))
         assert abs(got - mc) < 4.0 * np.std(w(t, v)) / np.sqrt(200_000.0)
