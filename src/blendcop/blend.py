@@ -45,9 +45,15 @@ neighbouring entries of that table, each with exact slopes. Quantiles
 inside the two outermost panels, within 2e-6 of an end, are roots of the
 exact mass within d of that end instead, since no polynomial follows the
 margin's power-law behaviour at the end itself. That mass, ``_end_mass``
-on a 32-point Gauss rule, is the one exact marginal integral; only this
-root uses it, solved once per distinct level, on uncached grids that move
-with every step. Its nodes are capped below 1, as ``toward_one``'s are.
+on a 32-point Gauss rule, is the one exact marginal integral, and the
+same grid, one point longer, gives the density at the interval's inner
+end, the mass's derivative. Only this root uses them, solved once per
+distinct level by Newton's method in log d: it starts from the power law
+through the table's mass and density at the outermost panel's inner end,
+bisects a known bracket where a step would leave it, and costs one
+uncached grid per step, two to four at the chi/eta levels. Its points are
+capped below 1, as ``toward_one``'s are, and raised to the smallest
+normal double near 0, so subnormal levels have quantiles too.
 The build evaluates no density; a component density that is not finite
 at a point where cstar is evaluated raises ``EvaluationError``.
 
@@ -65,12 +71,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import EvaluationError, InputError
 from .families import Copula, clamp_unit, parse_copula
 from .quadrature import (
     BELOW_ONE,
+    NORMAL_MIN,
     UNIT_BREAKS,
     corner_refined,
     gauss_legendre,
@@ -80,6 +86,11 @@ from .quadrature import (
 from .weighting import WeightingFunction, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
+#: The 32 nodes and the inner end of ``_end_mass``'s interval, per unit
+#: length.
+_END_POINTS = np.append(_GL32[0], 1.0)
+#: Steps of the outer-panel root before it gives up.
+_ROOT_STEPS = 60
 #: Order of the corner-refined rule (224 nodes) on which ``build`` computes
 #: K and both margins.
 _BUILD_ORDER = 16
@@ -124,10 +135,16 @@ class _Cubic:
         self.c2 = (3.0 * delta - 2.0 * m0 - m1) / h
         self.c3 = (m0 + m1 - 2.0 * delta) / (h * h)
 
-    def __call__(self, t):
-        i = np.searchsorted(self.inner, t, side="right")
+    def __call__(self, t, i=None):
+        """Values at t, in the intervals ``i`` if given (a search of an
+        interpolant on the same knots), else in those that hold t."""
+        if i is None:
+            i = self._interval(t)
         dt = t - self.left[i]
         return self.c0[i] + dt * (self.c1[i] + dt * (self.c2[i] + dt * self.c3[i]))
+
+    def _interval(self, t):
+        return np.searchsorted(self.inner, t, side="right")
 
 
 class _Margin:
@@ -139,11 +156,15 @@ class _Margin:
     ``level`` is the CDF up to the median and 1 - ``sf`` beyond it: the
     knots of the quantile function, which near 1 then carry the relative
     accuracy of the survival summed from 1. ``inner`` is the range of
-    levels outside the two outermost panels. ``pdf_at``, ``cdf_at`` and
-    ``quantile_at`` interpolate between neighbouring entries.
+    levels outside the two outermost panels, and ``outer`` the (mass,
+    density) at the inner end of the panel next to 0 and of the one next
+    to 1. ``pdf_at``, ``cdf_at`` and ``quantile_at`` interpolate between
+    neighbouring entries; interval i of ``level`` is interval i of ``x``.
     """
 
-    __slots__ = ("x", "pdf", "cdf", "sf", "level", "inner", "pdf_at", "cdf_at", "quantile_at")
+    __slots__ = (
+        "x", "pdf", "cdf", "sf", "level", "inner", "outer", "pdf_at", "cdf_at", "quantile_at"
+    )
 
     def __init__(self, pdf):
         n_panels = UNIT_BREAKS.size - 1
@@ -170,6 +191,7 @@ class _Margin:
         median = np.searchsorted(self.cdf, 0.5)
         self.level = np.concatenate([self.cdf[:median], 1.0 - self.sf[median:]])
         self.inner = (cdf_ends[1], 1.0 - sf_ends[-2])
+        self.outer = ((cdf_ends[1], at_ends[0, 1]), (sf_ends[-2], at_ends[0, -2]))
         self.pdf_at = _Cubic(self.x, self.pdf, slope)
         self.cdf_at = _Cubic(self.x, self.cdf, self.pdf)
         self.quantile_at = _Cubic(self.level, self.x, 1.0 / self.pdf)
@@ -319,19 +341,27 @@ class BlendedModel:
         """Inverse marginal CDF: a Hermite step on the tabulated levels
         (slope 1 / pdf), the exact root inside the outermost panels,
         solved once per distinct level."""
-        m = self._axes[axis]
         scalar = np.ndim(q) == 0
-        q = np.atleast_1d(np.asarray(q, dtype=float))
+        out, _, _ = self._quantile(axis, np.atleast_1d(np.asarray(q, dtype=float)))
+        return float(out[0]) if scalar else out
+
+    def _quantile(self, axis, q):
+        """(x, i, outer) for a flat array q: x = F^-1(q), i the table
+        interval of each level, and ``outer`` marks the levels whose x is
+        an exact root instead (None if there are none)."""
+        m = self._axes[axis]
         # 1/2 joins the range so that an empty q passes
         lo, hi = q.min(initial=0.5), q.max(initial=0.5)
         if not (0.0 < lo and hi < 1.0):
             raise InputError("quantile level must lie strictly inside (0, 1)")
-        out = m.quantile_at(q)
+        i = m.quantile_at._interval(q)
+        out = m.quantile_at(q, i)
+        outer = None
         if lo < m.inner[0] or hi > m.inner[1]:
             outer = (q < m.inner[0]) | (q > m.inner[1])
             levels, index = np.unique(q[outer], return_inverse=True)
             out[outer] = np.array([self._quantile_exact(axis, float(p)) for p in levels])[index]
-        return float(out[0]) if scalar else out
+        return out, i, outer
 
     def pdf(self, u, v):
         return np.exp(self.logpdf(u, v))
@@ -347,14 +377,20 @@ class BlendedModel:
 
     def _quantile_log_pdf(self, axis, q):
         """(x, log f(x)) at x = F^-1(q) for a flat array q. The table is
-        searched in sorted order, several times faster than in random
-        order; x = F^-1(q) keeps the order of q."""
+        searched once, in sorted order, several times faster than in
+        random order: f(x) takes the interval that the level's search
+        found, except at an exact root. x keeps the order of q."""
+        pdf_at = self._axes[axis].pdf_at
         order = np.argsort(q)
+        xs, i, outer = self._quantile(axis, q[order])
+        fs = pdf_at(xs, i)
+        if outer is not None:
+            fs[outer] = pdf_at(xs[outer])
         x = np.empty_like(q)
         log_f = np.empty_like(q)
-        x[order] = xs = self.marginal_quantile(axis, q[order])
+        x[order] = xs
         with np.errstate(divide="ignore"):
-            log_f[order] = np.log(self.marginal_pdf(axis, xs))
+            log_f[order] = np.log(fs)
         return x, log_f
 
     def survival(self, u, v):
@@ -392,31 +428,69 @@ class BlendedModel:
         parts = (("tail", self.tail), ("body", self.body))
         return w.expectation(t, [grid(name, c, axis, t, v) for name, c in parts])
 
-    def _end_mass(self, axis, d, top):
-        """The marginal mass within d of 1 (``top``) or of 0, by a 32-point
-        Gauss rule on that interval; accurate for tiny d. Nodes that would
-        round to 1 are capped below it."""
-        s, w = _GL32
-        x = np.minimum(1.0 - d * s, BELOW_ONE) if top else d * s
+    def _end_mass(self, axis, logd, top):
+        """(log M, f): M is the marginal mass within d = exp(logd) of 1
+        (``top``) or of 0, by a 32-point Gauss rule on that interval,
+        accurate for tiny d, and f the marginal density at the interval's
+        inner end, 1 - d or d, which is dM/dd. One grid gives both, at the
+        32 nodes and the inner end. Points that would round to 1 are capped
+        below it, and points below the smallest normal double are raised
+        to it, so d may be subnormal; M is returned in logs, as d times
+        the mean density, so it keeps its relative accuracy there too."""
+        _, w = _GL32
+        x = np.exp(logd) * _END_POINTS
+        x = np.minimum(1.0 - x, BELOW_ONE) if top else np.maximum(x, NORMAL_MIN)
         e_t, e_b = self._pi_expectations(axis, x)
-        return float(d * (1.0 + (e_t - e_b) @ w) / self.K)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_mass = logd + np.log((1.0 + (e_t[:-1] - e_b[:-1]) @ w) / self.K)
+        return float(log_mass), float((1.0 + e_t[-1] - e_b[-1]) / self.K)
 
     def _quantile_exact(self, axis, q):
         """Quantile from the exact mass below (q < 1/2) or above (q >= 1/2)
-        it, for levels whose quantile lies in an outermost panel."""
-        top = q >= 0.5
-        target = 1.0 - q if top else q
-        gap = lambda logd: np.log(self._end_mass(axis, np.exp(logd), top) / target)
+        it, for levels whose quantile lies in an outermost panel.
+
+        Newton's method solves log M(d) = log(target) in log d, where the
+        slope of log M is d f / M, so each step costs one grid of
+        ``_end_mass``. It starts from the power law M = m (d / b)^(b g / m)
+        through the table's mass m and density g at the outermost panel's
+        inner end, b = 2e-6 from the end. A step that leaves the bracket
+        known to hold the root, or a slope that is not finite and
+        positive, bisects the bracket instead. The root stops at a step
+        below 1e-12; a NaN mass, or no convergence in ``_ROOT_STEPS``
+        steps, raises ``EvaluationError``.
+        """
+        top = bool(q >= 0.5)
+        log_target = float(np.log(1.0 - q if top else q))
+        mass, density = self._axes[axis].outer[top]
+        b = UNIT_BREAKS[1]
         # the marginal pdf is at most 2 / K, so less than the target lies
         # within target K / 4 of the end; the outermost panel holds more
-        lo = np.log(0.25 * target * self.K)
-        hi = np.log(2.0 * UNIT_BREAKS[1])
-        try:
-            logd = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-13)
-        except ValueError as exc:  # no sign change, or a NaN mass
-            raise EvaluationError(f"marginal quantile of {q!r} on axis {axis}: {exc}") from exc
-        d = float(np.exp(logd))
-        return 1.0 - d if top else d
+        lo = log_target + np.log(0.25 * self.K)
+        hi = np.log(2.0 * b)
+        logd = np.log(b) + (log_target - np.log(mass)) * mass / (b * density)
+        if not lo < logd < hi:
+            logd = 0.5 * (lo + hi)
+        for _ in range(_ROOT_STEPS):
+            log_mass, f = self._end_mass(axis, logd, top)
+            gap = log_mass - log_target
+            if np.isnan(gap):
+                break
+            if gap < 0.0:
+                lo = logd
+            else:
+                hi = logd
+            slope = f * np.exp(logd - log_mass)
+            step = -gap / slope if 0.0 < slope < np.inf else np.nan
+            if not lo <= logd + step <= hi:
+                step = 0.5 * (lo + hi) - logd
+            logd += step
+            if abs(step) < 1e-12:
+                d = float(np.exp(logd))
+                return 1.0 - d if top else d
+        raise EvaluationError(
+            f"marginal quantile of {q!r} on axis {axis}: "
+            + ("NaN mass" if np.isnan(gap) else f"no root within {_ROOT_STEPS} steps")
+        )
 
     def joint_upper_survival(self, x, y):
         """P[U* > x, V* > y] under cstar, at broadcast arrays of points.

@@ -37,15 +37,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
-from scipy.special import betainc, gammaln, ndtr, ndtri
+from scipy.special import betainc, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 from . import special
 from .errors import EvaluationError, InputError, ParameterError, SamplingError
-from .quadrature import toward_one
+from .quadrature import NORMAL_MIN, toward_one
 
 CLAMP = 1e-10
-_NORMAL_MIN = np.finfo(float).tiny
 #: Order of the corner-refined rule (168 nodes) of the by-parts ``_surv``.
 #: On the chi of gaussian(0.5) down to 1 - r = 1.49e-8, orders 8, 10 and
 #: 12 err by 2.2e-7, 1.3e-7 and 4.8e-8 relative.
@@ -277,10 +275,17 @@ class StudentT(Copula):
     tag = "student_t"
     param_domains = (("rho", CORRELATION), ("nu", POSITIVE))
 
+    # The t CDF and quantile are scipy.special's stdtr and stdtrit, the
+    # kernels under scipy.stats.t, with the same values strictly inside
+    # (0, 1). scipy.stats.t's argument handling costs more than the
+    # kernels on the small grids that a blend's outer-panel root
+    # evaluates: on a 2-core VM, t.ppf at 32 nodes took about 107 us and
+    # stdtrit 3 us.
+
     def _logpdf(self, u, v):
         rho, nu = self.params
-        x = stats.t.ppf(u, nu)
-        y = stats.t.ppf(v, nu)
+        x = _t_quantile(nu, u)
+        y = _t_quantile(nu, v)
         om = (1.0 - rho) * (1.0 + rho)
         lognum = (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
         logden = (nu + 2.0) / 2.0 * np.log1p((x * x + y * y - 2.0 * rho * x * y) / (nu * om))
@@ -296,30 +301,37 @@ class StudentT(Copula):
         """Standardised v given U = u, a t variate with nu + 1 degrees
         of freedom: h(u, v) = T(z), hbar = T(-z)."""
         rho, nu = self.params
-        x = stats.t.ppf(u, nu)
-        y = stats.t.ppf(v, nu)
+        x = _t_quantile(nu, u)
+        y = _t_quantile(nu, v)
         scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
         return (y - rho * x) / scale
 
     def _h(self, u, v):
-        return stats.t.cdf(self._cond_z(u, v), self.params[1] + 1.0)
+        return stdtr(self.params[1] + 1.0, self._cond_z(u, v))
 
     def _hbar(self, u, v):
-        return stats.t.cdf(-self._cond_z(u, v), self.params[1] + 1.0)
+        return stdtr(self.params[1] + 1.0, -self._cond_z(u, v))
 
     def _hinv(self, u, w):
         rho, nu = self.params
-        x = stats.t.ppf(u, nu)
+        x = _t_quantile(nu, u)
         scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
-        y = rho * x + scale * stats.t.ppf(w, nu + 1.0)
-        return stats.t.cdf(y, nu)
+        y = rho * x + scale * _t_quantile(nu + 1.0, w)
+        return stdtr(nu, y)
 
     def _sample(self, n, rng):
         rho, nu = self.params
         z = rng.standard_normal((n, 2))
         y = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
         s = np.sqrt(rng.chisquare(nu, n) / nu)
-        return np.column_stack([stats.t.cdf(z[:, 0] / s, nu), stats.t.cdf(y / s, nu)])
+        return np.column_stack([stdtr(nu, z[:, 0] / s), stdtr(nu, y / s)])
+
+
+def _t_quantile(nu, p):
+    """Quantile of Student's t with nu degrees of freedom at levels p in
+    [0, 1]. ``stdtrit(nu, 0)`` is +inf, so p = 0 is given the quantile's
+    -inf: a power weighting of small theta has v-nodes that underflow to 0."""
+    return np.where(p == 0.0, -np.inf, stdtrit(nu, p))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +495,7 @@ class Gumbel(_ExtremeValue):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         with np.errstate(over="ignore"):
             q = np.asarray(x**a + y**a)
-        odd = ~((q >= _NORMAL_MIN) & (q < np.inf))
+        odd = ~((q >= NORMAL_MIN) & (q < np.inf))
         if not np.any(odd):
             return 1.0, q
         m = np.ones_like(q)

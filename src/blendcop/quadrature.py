@@ -86,8 +86,9 @@ def corner_refined(n_per_panel: int, a: float = 0.0, b: float = 1.0):
     return _readonly(a + (b - a) * x, (b - a) * w)
 
 
-#: The largest double below 1.
+#: The largest double below 1, and the smallest normal double.
 BELOW_ONE = np.nextafter(1.0, 0.0)
+NORMAL_MIN = np.finfo(float).tiny
 
 
 def toward_one(d, n_per_panel: int):

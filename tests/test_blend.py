@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from blendcop import blend
 from blendcop.blend import _BUILD_ORDER, BlendedModel, _component_grid, _Margin
-from blendcop.dependence import R_MAX, chi_eta
+from blendcop.dependence import DEFAULT_R_GRID, R_MAX, chi_eta
 from blendcop.errors import EvaluationError, InputError
 from blendcop.families import Copula, Frank, Galambos, Gumbel, HuslerReiss, make_copula
 from blendcop.quadrature import UNIT_BREAKS, corner_refined, gauss_legendre
@@ -41,6 +41,12 @@ TABLE4_CASES = [
     ("gaussian(0.5) tail / gumbel(1.2) body", "gaussian", [0.5], "gumbel", [1.2]),
     ("husler_reiss(2) tail / gumbel(2) body", "husler_reiss", [2.0], "gumbel", [2.0]),
 ]
+
+
+def end_mass(model, axis, d, top):
+    """The exact marginal mass within d of 1 (``top``) or of 0."""
+    log_mass, _ = model._end_mass(axis, np.log(d), top)
+    return np.exp(log_mass)
 
 
 def build(tail, tparams, body, bparams, wtag="power", theta=1.5):
@@ -204,17 +210,89 @@ def test_deep_quantile_of_a_student_t_blend(axis):
         assert abs((1.0 - x) - ratio * (1.0 - q)) <= 2.3e-16, d
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ("gumbel", [2.0], "clayton", [1.0], "power", 0.8),
+        ("student_t", [0.5, 4.0], "clayton", [1.0], "power", 1.0),
+    ],
+    ids=["gumbel-clayton", "student_t-clayton"],
+)
+def test_subnormal_lower_levels(triple, axis):
+    # the density is flat near 0, so x keeps its ratio to q at 1e-300 into
+    # the subnormal range; the root's nodes below the smallest normal
+    # double are raised to it, where a component's h is finite
+    tt, tp, bt, bp, wtag, theta = triple
+    m = build(tt, tp, bt, bp, wtag, theta)
+    ratio = m.marginal_quantile(axis, 1e-300) / 1e-300
+    for q in (1e-310, 1e-320, 5e-324):
+        x = m.marginal_quantile(axis, q)
+        assert x > 0.0
+        assert abs(x - ratio * q) <= max(1e-9 * ratio * q, 1e-322), q
+
+
+# each root's grids (``_pi_expectations`` calls) at the three deepest
+# chi/eta levels; one root per level, as both axes share one margin
+_ROOT_TRIPLES = [
+    ("gumbel", [2.0], "gaussian", [0.5], "power", 1.5),
+    ("gumbel", [2.0], "clayton", [1.0], "power", 0.8),
+    ("husler_reiss", [2.0], "frank", [1.0], "exp_complement", 1.0),
+    ("student_t", [0.5, 4.0], "clayton", [1.0], "power", 1.0),
+    ("gumbel", [2.0], "gumbel", [2.0], "power", 1.0),
+]
+
+
+def test_outer_panel_roots_take_few_grids(monkeypatch):
+    models = [build(*triple) for triple in _ROOT_TRIPLES]
+    grids = []
+    solve = BlendedModel._pi_expectations
+    monkeypatch.setattr(
+        BlendedModel, "_pi_expectations", lambda m, *a, **k: grids.append(1) or solve(m, *a, **k)
+    )
+    counts = []
+    for m in models:
+        for r in DEFAULT_R_GRID[-3:]:
+            grids.clear()
+            chi_eta(m, r)
+            counts.append(len(grids))
+    # one grid per Newton step; brentq took 4 to 7 a root, 81 in all
+    assert all(1 <= n <= 4 for n in counts), counts
+    assert sum(counts) <= 40, counts
+
+
+def test_end_mass_density_is_its_slope(power_model):
+    # the density at the inner end, from the same grid, is dM/dd
+    for top in (True, False):
+        for d in (1e-9, 1e-7, 1e-6):
+            _, f = power_model._end_mass(0, np.log(d), top)
+            above, below = (end_mass(power_model, 0, d * (1.0 + s), top) for s in (1e-4, -1e-4))
+            assert_allclose(f, (above - below) / (2e-4 * d), rtol=1e-6)
+
+
+def test_outer_panel_root_failures_name_the_level(power_model, monkeypatch):
+    # a NaN mass, or no convergence within the step budget, names q and the axis
+    with monkeypatch.context() as patch:
+        patch.setattr(blend, "_ROOT_STEPS", 1)
+        with pytest.raises(EvaluationError, match=r"marginal quantile of 1e-09 on axis 1: no root"):
+            power_model._quantile_exact(1, 1e-9)
+    monkeypatch.setattr(BlendedModel, "_end_mass", lambda m, axis, logd, top: (np.nan, 1.0))
+    named = r"marginal quantile of 0.999999999 on axis 0: NaN mass"
+    with pytest.raises(EvaluationError, match=named):
+        power_model._quantile_exact(0, 1.0 - 1e-9)
+
+
 def test_marginal_quantile_out_of_grid_fallback(power_model):
     # levels whose quantile lies in an outermost panel are exact roots
     lo, hi = power_model._axes[0].inner
     q = 0.5 * (hi + 1.0)
     x = power_model.marginal_quantile(0, q)
     assert UNIT_BREAKS[-2] <= x < 1.0
-    assert_allclose(power_model._end_mass(0, 1.0 - x, True), 1.0 - q, rtol=1e-8)
+    assert_allclose(end_mass(power_model, 0, 1.0 - x, True), 1.0 - q, rtol=1e-8)
     q = 0.5 * lo
     x = power_model.marginal_quantile(0, q)
     assert 0.0 < x <= UNIT_BREAKS[1]
-    assert_allclose(power_model._end_mass(0, x, False), q, rtol=1e-8)
+    assert_allclose(end_mass(power_model, 0, x, False), q, rtol=1e-8)
 
 
 def test_marginal_cdf_resolves_corner_mass():
@@ -223,7 +301,7 @@ def test_marginal_cdf_resolves_corner_mass():
     m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
     for axis in (0, 1):
         for x in (1e-4, 0.05, 0.5, 0.95):
-            assert abs(m.marginal_cdf(axis, x) - m._end_mass(axis, x, False)) <= 3e-6
+            assert abs(m.marginal_cdf(axis, x) - end_mass(m, axis, x, False)) <= 3e-6
         # the table spans [0, 1], so the mass next to either end is counted
         ax = m._axes[axis]
         assert ax.x[0] == 0.0 and ax.cdf[0] == 0.0 and ax.cdf[1] > 0.0
@@ -244,10 +322,10 @@ def test_deep_tail_quantile_against_oracle(case):
 def test_exact_integrals_match_cache(power_model):
     for x in (0.2, 0.5, 0.9):
         assert_allclose(
-            power_model._end_mass(0, x, False), power_model.marginal_cdf(0, x), atol=1e-4
+            end_mass(power_model, 0, x, False), power_model.marginal_cdf(0, x), atol=1e-4
         )
         assert_allclose(
-            power_model._end_mass(0, 1.0 - x, True),
+            end_mass(power_model, 0, 1.0 - x, True),
             1.0 - power_model.marginal_cdf(0, x),
             atol=1e-4,
         )

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, ks_2samp, kstest
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 from scipy.stats import t as tdist
 
+from blendcop.blend import BlendedModel
 from blendcop.dependence import DEFAULT_R_GRID
 from blendcop.errors import InputError, ParameterError
 from blendcop.families import CLAMP, FAMILIES, NONZERO, make_copula, parse_copula
+from blendcop.quadrature import BELOW_ONE
 from blendcop.weighting import WEIGHTINGS, make_weighting
 from oracles import bvn_orthant_tail, bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
 
@@ -183,6 +185,65 @@ def test_student_t_sampler_against_quadrature_cdf(rng):
         c = cop.cdf(q, q)
         se = np.sqrt(c * (1 - c) / 100_000)
         assert abs(emp - c) < 3.5 * se
+
+
+def _student_t_by_scipy_stats(cop, u, v):
+    """(log c, h, hbar, hinv(u, v)) of student_t through scipy.stats.t."""
+    rho, nu = cop.params
+    x, y = tdist.ppf(u, nu), tdist.ppf(v, nu)
+    om = (1.0 - rho) * (1.0 + rho)
+    lognum = (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
+    logden = (nu + 2.0) / 2.0 * np.log1p((x * x + y * y - 2.0 * rho * x * y) / (nu * om))
+    const = (
+        gammaln((nu + 2.0) / 2.0) + gammaln(nu / 2.0) - 2.0 * gammaln((nu + 1.0) / 2.0)
+        - 0.5 * np.log(om)
+    )
+    scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
+    z = (y - rho * x) / scale
+    hinv = tdist.cdf(rho * x + scale * tdist.ppf(v, nu + 1.0), nu)
+    return const + lognum - logden, tdist.cdf(z, nu + 1.0), tdist.cdf(-z, nu + 1.0), hinv
+
+
+@pytest.mark.parametrize("params", [(0.5, 4.0), (-0.7, 30.0)])
+def test_student_t_kernels_equal_scipy_stats_t(params):
+    # scipy.special's stdtr/stdtrit are the kernels under scipy.stats.t,
+    # so the values agree bit for bit, down to 1e-300 and up to BELOW_ONE
+    # (at nu = 4 and 30 both give a finite quantile at 1e-300)
+    cop = make_copula("student_t", list(params))
+    pts = np.array([1e-300, 1e-10, 0.5, 1.0 - 1e-10, BELOW_ONE])
+    u, v = pts[:, None], pts[None, :]
+    logc, h, hbar, hinv = _student_t_by_scipy_stats(cop, u, v)
+    assert np.array_equal(cop._logpdf(u, v), logc)
+    assert np.array_equal(cop._h(u, v), h)
+    assert np.array_equal(cop._hbar(u, v), hbar)
+    assert np.array_equal(cop._hinv(u, v), hinv)
+
+
+def test_student_t_level_zero_is_the_lower_end():
+    # stdtrit(nu, 0) is +inf; the family's quantile takes -inf there, so
+    # h(u, 0) = 0 as under scipy.stats.t. A power weighting of small theta
+    # has v-nodes that underflow to 0, and with h(u, 0) = 1 this blend's
+    # K read 0.53 instead of 1 - 1.6e-7.
+    cop = make_copula("student_t", [0.5, 4.0])
+    u = np.array([1e-10, 0.5, BELOW_ONE])
+    assert np.array_equal(cop._h(u, 0.0), [0.0, 0.0, 0.0])
+    assert np.array_equal(cop._hbar(u, 0.0), [1.0, 1.0, 1.0])
+    weighting = make_weighting("power", 1e-3)
+    assert np.any(weighting.v_nodes == 0.0)
+    model = BlendedModel(cop, make_copula("clayton", [1.0]), weighting)
+    assert abs(model.norm_constants[0] - 1.0) < 1e-6
+
+
+def test_student_t_draws_at_a_seed_are_fixed():
+    # the sampler's t CDF is stdtr, which scipy.stats.t.cdf calls
+    rho, nu = 0.5, 4.0
+    draws = make_copula("student_t", [rho, nu]).sample(500, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((500, 2))
+    y = rho * z[:, 0] + np.sqrt(1.0 - rho**2) * z[:, 1]
+    s = np.sqrt(rng.chisquare(nu, 500) / nu)
+    expected = np.column_stack([tdist.cdf(z[:, 0] / s, nu), tdist.cdf(y / s, nu)])
+    assert np.array_equal(draws, expected)
 
 
 def test_student_t_survival_against_orthant_oracle():

@@ -94,7 +94,9 @@ def test_panel_calculus_exact_on_polynomials(n):
 
 def test_no_module_of_the_package_imports_scipy_integrate():
     # every integral of the package is a fixed rule: adaptive quadrature
-    # runs one point at a time and belongs to the test oracles only
+    # runs one point at a time and belongs to the test oracles only. Nor
+    # does a module but fitting (its kendalltau) import scipy.stats: the
+    # families call the scipy.special kernels under its distributions
     offenders = []
     for path in sorted(Path(blendcop.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -104,7 +106,8 @@ def test_no_module_of_the_package_imports_scipy_integrate():
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
+            forbidden = ("scipy.integrate",) + (() if path.name == "fitting.py" else ("scipy.stats",))
             offenders += [
-                f"{path.name}:{node.lineno}" for name in names if name.startswith("scipy.integrate")
+                f"{path.name}:{node.lineno}" for name in names if name.startswith(forbidden)
             ]
-    assert not offenders, f"scipy.integrate imported at {offenders}"
+    assert not offenders, f"scipy.integrate or scipy.stats imported at {offenders}"
