@@ -530,11 +530,10 @@ class BlendedModel:
         return ModelParams(self.weighting.theta, self.tail.params, self.body.params)
 
     def spec_strings(self):
-        fmt = lambda ps: ",".join(format(p, ".17g") for p in ps)
+        parts = (self.tail, self.body, self.weighting)
         return {
-            "tail": f"{self.tail.tag}({fmt(self.tail.params)})",
-            "body": f"{self.body.tag}({fmt(self.body.params)})",
-            "weighting": f"{self.weighting.tag}({format(self.weighting.theta, '.17g')})",
+            key: f"{part.tag}({','.join(format(p, '.17g') for p in part.params)})"
+            for key, part in zip(_MODEL_KEYS, parts)
         }
 
     def save(self, path):

@@ -19,11 +19,14 @@ every level down to 1 - r = 1.49e-8, S stays within 4.8e-8 relative for
 the Gaussian (rho from -0.9 to 0.95, on and off the diagonal) and
 within 1.1e-9 for student_t(+-0.5, 4).
 
-Each family lists its parameters once, as (name, ``Domain``) pairs in
-``param_domains``. The four domains (``CORRELATION``, ``POSITIVE``,
+Each family, and each weighting of ``weighting``, lists its parameters
+once, as (name, ``Domain``) pairs in ``param_domains`` of its
+``Parametric`` base. The four domains (``CORRELATION``, ``POSITIVE``,
 ``ABOVE_ONE``, ``NONZERO``) are the one place that states a parameter's
 range, checked on construction (NaN and inf fail), and the map the fit
-searches it through.
+searches it through. ``Parametric`` also gives both kinds their repr,
+equality and hash, and ``lookup`` and ``parse_spec`` their registry
+lookup and their ``tag(p1[,p2])`` spec parser.
 
 Public entry points clamp their arguments to [CLAMP, 1 - CLAMP]; the
 underscore methods assume arguments strictly inside (0, 1) and are used
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, gammaln, ndtr, ndtri, stdtr, stdtrit
+from scipy.special import betainc, betaincinv, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 from . import special
 from .errors import EvaluationError, InputError, ParameterError, SamplingError
@@ -94,17 +97,14 @@ ABOVE_ONE = Domain(
 NONZERO = Domain("must be nonzero", lambda p: p != 0.0, lambda p: p, lambda z: z)
 
 
-class Copula:
-    """Base class; subclasses define the closed forms of one family."""
+class Parametric:
+    """A tagged object with a fixed list of parameters, each in its
+    ``Domain``: a copula family or a weighting. Its tag and parameters
+    make its repr, which ``parse_spec`` reads back, and its identity."""
 
     tag: str = ""
     #: (name, domain) of each parameter, in order.
     param_domains: tuple = ()
-    #: C(u, v) = C(v, u), true of every family but coles_tawn with
-    #: alpha != beta. A blend of two exchangeable families builds one
-    #: margin for both axes.
-    exchangeable: bool = True
-    source = "single-copula"  # of its dependence curves
 
     def __init__(self, *params):
         if len(params) != len(self.param_domains):
@@ -116,6 +116,56 @@ class Copula:
         for (name, domain), p in zip(self.param_domains, self.params):
             if p not in domain:
                 raise ParameterError(f"{self.tag} {name} {domain.text}, got {p}")
+
+    @property
+    def n_params(self):
+        return len(self.params)
+
+    def __repr__(self):
+        inner = ",".join(format(p, ".12g") for p in self.params)
+        return f"{self.tag}({inner})"
+
+    def __eq__(self, other):
+        return isinstance(other, Parametric) and self.tag == other.tag and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.tag, self.params))
+
+
+def lookup(registry, kind, tag):
+    """The class registered under ``tag`` in ``registry``, a dict of
+    ``kind`` ("copula family" or "weighting"); an unknown tag raises
+    ``ParameterError`` listing the valid ones."""
+    if tag not in registry:
+        raise ParameterError(f"unknown {kind} {tag!r}; valid tags: {', '.join(sorted(registry))}")
+    return registry[tag]
+
+
+def parse_spec(registry, kind, text):
+    """Build the ``kind`` that a spec like ``gumbel(2)``,
+    ``student_t(0.5,4)`` or ``power(1.5)`` names in ``registry``."""
+    text = text.strip()
+    if not text.endswith(")") or "(" not in text:
+        raise ParameterError(
+            f"cannot parse {kind} spec {text!r}; expected tag(p1[,p2]) with tag in "
+            f"{', '.join(sorted(registry))}"
+        )
+    tag, argstr = text[:-1].split("(", 1)
+    try:
+        params = [float(s) for s in argstr.split(",")] if argstr.strip() else []
+    except ValueError as exc:
+        raise ParameterError(f"bad numeric parameter in {text!r}") from exc
+    return lookup(registry, kind, tag.strip())(*params)
+
+
+class Copula(Parametric):
+    """Base class; subclasses define the closed forms of one family."""
+
+    #: C(u, v) = C(v, u), true of every family but coles_tawn with
+    #: alpha != beta. A blend of two exchangeable families builds one
+    #: margin for both axes.
+    exchangeable: bool = True
+    source = "single-copula"  # of its dependence curves
 
     # -- public API (clamped) -------------------------------------------
     def cdf(self, u, v):
@@ -162,8 +212,7 @@ class Copula:
         """n draws by conditional inversion; a family with a cheaper
         latent representation overrides it."""
         u = rng.random(n)
-        w = rng.random(n)
-        v = self._hinv(clamp_unit(u), np.clip(w, 1e-14, 1 - 1e-14))
+        v = self.cond_quantile(u, rng.random(n))
         return np.column_stack([u, v])
 
     def _cdf(self, u, v):
@@ -216,21 +265,6 @@ class Copula:
             cond_sf = self._hbar(s, v.ravel()[:, None])
         return (d * (cond_sf @ w)).reshape(shape)[()]
 
-    # -- plumbing ----------------------------------------------------------
-    def __repr__(self):
-        inner = ",".join(format(p, ".12g") for p in self.params)
-        return f"{self.tag}({inner})"
-
-    def __eq__(self, other):
-        return isinstance(other, Copula) and self.tag == other.tag and self.params == other.params
-
-    def __hash__(self):
-        return hash((self.tag, self.params))
-
-    @property
-    def n_params(self):
-        return len(self.params)
-
 
 # ---------------------------------------------------------------------------
 # elliptical families
@@ -277,7 +311,7 @@ class StudentT(Copula):
 
     # The t CDF and quantile are scipy.special's stdtr and stdtrit, the
     # kernels under scipy.stats.t, with the same values strictly inside
-    # (0, 1). scipy.stats.t's argument handling costs more than the
+    # (0, 1) down to ``_T_LOWER_TAIL``. scipy.stats.t's argument handling costs more than the
     # kernels on the small grids that a blend's outer-panel root
     # evaluates: on a 2-core VM, t.ppf at 32 nodes took about 107 us and
     # stdtrit 3 us.
@@ -327,11 +361,31 @@ class StudentT(Copula):
         return np.column_stack([stdtr(nu, z[:, 0] / s), stdtr(nu, y / s)])
 
 
+#: Below this level the t quantile comes from the lower tail's
+#: incomplete-beta form, not ``stdtrit``, which stops near -1e53 from
+#: about 1e-136 at nu = 2.5 and turns +inf below 1.2e-270 at nu = 5.
+#: Against 40-digit mpmath, for nu from 2 to 100, T(x) / p - 1 stays
+#: within 3.4e-13 for ``stdtrit`` above it and within 1.5e-14 for the
+#: beta form below it, down to the smallest normal double.
+_T_LOWER_TAIL = 1e-100
+
+
 def _t_quantile(nu, p):
     """Quantile of Student's t with nu degrees of freedom at levels p in
-    [0, 1]. ``stdtrit(nu, 0)`` is +inf, so p = 0 is given the quantile's
-    -inf: a power weighting of small theta has v-nodes that underflow to 0."""
-    return np.where(p == 0.0, -np.inf, stdtrit(nu, p))
+    [0, 1]. Below ``_T_LOWER_TAIL``, x solves 2 p = I_z(nu / 2, 1 / 2)
+    with z = nu / (nu + x^2). That also gives p = 0 the quantile's -inf,
+    where ``stdtrit`` gives +inf: a power weighting of small theta has
+    v-nodes that underflow to 0."""
+    p = np.asarray(p, dtype=float)
+    x = np.asarray(stdtrit(nu, p))
+    tiny = p < _T_LOWER_TAIL
+    if tiny.any():
+        # z is 0 at p = 0, and underflows where the quantile is beyond
+        # the doubles: x = -inf
+        with np.errstate(divide="ignore", over="ignore"):
+            z = betaincinv(0.5 * nu, 0.5, 2.0 * p[tiny])
+            x[tiny] = -np.sqrt(nu * (1.0 / z - 1.0))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +500,8 @@ class _ExtremeValue(Copula):
     """Shared survival arithmetic for exponent-function copulas."""
 
     def _ell(self, x, y):
-        raise NotImplementedError
+        """ell(x, y); a family with a cheaper form overrides it."""
+        return self._ell_slope(x, y, 0)[0]
 
     def _ell_slope(self, x, y, given):
         """(ell, d ell / d xy[given]) at (x, y), where xy = (x, y): the two
@@ -561,9 +616,6 @@ class HuslerReiss(_ExtremeValue):
         a = self.params[0]
         return 1.0 / a + 0.5 * a * np.log(x / y)
 
-    def _ell(self, x, y):
-        return self._ell_slope(x, y, 0)[0]
-
     def _ell_slope(self, x, y, given):
         # ell = x Phi(z(x, y)) + y Phi(z(y, x)), whose slopes are the Phi
         slopes = ndtr(self._z(x, y)), ndtr(self._z(y, x))
@@ -629,9 +681,6 @@ class ColesTawn(_ExtremeValue):
         den = a * y + b * x
         return a * y / den, b * x / den
 
-    def _ell(self, x, y):
-        return self._ell_slope(x, y, 0)[0]
-
     def _ell_slope(self, x, y, given):
         # ell = x W1 + y W2, whose slopes are W1 and W2
         a, b = self.params
@@ -678,13 +727,7 @@ FAMILIES = {
 
 
 def family_class(tag: str) -> type[Copula]:
-    """The family registered under ``tag``; an unknown tag raises
-    ``ParameterError`` listing the valid ones."""
-    if tag not in FAMILIES:
-        raise ParameterError(
-            f"unknown copula family {tag!r}; valid tags: {', '.join(sorted(FAMILIES))}"
-        )
-    return FAMILIES[tag]
+    return lookup(FAMILIES, "copula family", tag)
 
 
 def make_copula(tag: str, params) -> Copula:
@@ -692,16 +735,4 @@ def make_copula(tag: str, params) -> Copula:
 
 
 def parse_copula(text: str) -> Copula:
-    """Parse interface strings like ``gumbel(2)`` or ``student_t(0.5,4)``."""
-    text = text.strip()
-    if not text.endswith(")") or "(" not in text:
-        raise ParameterError(
-            f"cannot parse copula spec {text!r}; expected tag(p1[,p2]) with tag in "
-            f"{', '.join(sorted(FAMILIES))}"
-        )
-    tag, argstr = text[:-1].split("(", 1)
-    try:
-        params = [float(s) for s in argstr.split(",")] if argstr.strip() else []
-    except ValueError as exc:
-        raise ParameterError(f"bad numeric parameter in {text!r}") from exc
-    return make_copula(tag.strip(), params)
+    return parse_spec(FAMILIES, "copula family", text)

@@ -377,7 +377,7 @@ def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
             tail(*params[1 : 1 + n_tail]), body(*params[1 + n_tail :]), weighting(params[0])
         )
 
-    domains = (weighting.domain,) + _domains(tail) + _domains(body)
+    domains = _domains(weighting) + _domains(tail) + _domains(body)
     label = f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}"
     return _fit(label, domains, init.flatten(), make, data, spec.restarts)
 

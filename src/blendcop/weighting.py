@@ -14,15 +14,16 @@ conditional CDF, and ``expectation``, which reduces a grid of its values.
 A blend's build keeps the grids of its components, so a new theta that
 leaves ``v_nodes`` alone reuses them.
 
-Theta's range and the map the fit searches it through are stated once,
-by the ``families.Domain`` in ``WeightingFunction.domain``.
+A weighting is a ``families.Parametric`` of one parameter, theta: its
+range and the map the fit searches it through are stated once, in
+``param_domains``, and its repr, equality, registry lookup and spec
+parsing are those of a copula family.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
-from .families import POSITIVE
+from .families import POSITIVE, Parametric, lookup, parse_spec
 from .quadrature import skewed_refined
 
 # Given a coordinate t, a conditional CDF steps up within about 1 - t of
@@ -34,19 +35,15 @@ from .quadrature import skewed_refined
 _GLW_X, _GLW_W = skewed_refined(6)
 
 
-class WeightingFunction:
-    tag: str = ""
-    #: Domain of theta.
-    domain = POSITIVE
+class WeightingFunction(Parametric):
+    param_domains = (("theta", POSITIVE),)
     #: The v at which the caller evaluates the conditional CDF;
     #: ``expectation`` reduces the values there.
     v_nodes = _GLW_X
 
-    def __init__(self, theta: float):
-        theta = float(theta)
-        if theta not in self.domain:
-            raise ParameterError(f"weighting theta {self.domain.text}, got {theta}")
-        self.theta = theta
+    @property
+    def theta(self):
+        return self.params[0]
 
     def __call__(self, u, v):
         raise NotImplementedError
@@ -72,19 +69,6 @@ class WeightingFunction:
         top = np.ravel(self(t, 1.0))
         return [top - (dv * grid) @ _GLW_W for grid in grids]
 
-    def __repr__(self):
-        return f"{self.tag}({format(self.theta, '.12g')})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightingFunction)
-            and self.tag == other.tag
-            and self.theta == other.theta
-        )
-
-    def __hash__(self):
-        return hash((self.tag, self.theta))
-
 
 class PowerProduct(WeightingFunction):
     """pi(u, v) = (u v)^theta."""
@@ -101,8 +85,8 @@ class PowerProduct(WeightingFunction):
     # substitute w = v^theta so the theta < 1 endpoint singularity of
     # dpi/dv disappears: int th t^th v^(th-1) H(v) dv = t^th int H(w^(1/th)) dw,
     # with H evaluated at v = w^(1/th)
-    def __init__(self, theta: float):
-        super().__init__(theta)
+    def __init__(self, *params):
+        super().__init__(*params)
         self.v_nodes = _GLW_X ** (1.0 / self.theta)
         self.v_nodes.flags.writeable = False
 
@@ -128,13 +112,7 @@ WEIGHTINGS = {cls.tag: cls for cls in (PowerProduct, ExpComplement)}
 
 
 def weighting_class(tag: str) -> type[WeightingFunction]:
-    """The weighting registered under ``tag``; an unknown tag raises
-    ``ParameterError`` listing the valid ones."""
-    if tag not in WEIGHTINGS:
-        raise ParameterError(
-            f"unknown weighting {tag!r}; valid tags: {', '.join(sorted(WEIGHTINGS))}"
-        )
-    return WEIGHTINGS[tag]
+    return lookup(WEIGHTINGS, "weighting", tag)
 
 
 def make_weighting(tag: str, theta: float) -> WeightingFunction:
@@ -142,16 +120,4 @@ def make_weighting(tag: str, theta: float) -> WeightingFunction:
 
 
 def parse_weighting(text: str) -> WeightingFunction:
-    """Parse interface strings like ``power(1.5)`` or ``exp_complement(2)``."""
-    text = text.strip()
-    if not text.endswith(")") or "(" not in text:
-        raise ParameterError(
-            f"cannot parse weighting spec {text!r}; expected tag(theta) with tag in "
-            f"{', '.join(sorted(WEIGHTINGS))}"
-        )
-    tag, argstr = text[:-1].split("(", 1)
-    try:
-        theta = float(argstr)
-    except ValueError as exc:
-        raise ParameterError(f"bad numeric theta in {text!r}") from exc
-    return make_weighting(tag.strip(), theta)
+    return parse_spec(WEIGHTINGS, "weighting", text)

@@ -216,13 +216,15 @@ def test_deep_quantile_of_a_student_t_blend(axis):
     [
         ("gumbel", [2.0], "clayton", [1.0], "power", 0.8),
         ("student_t", [0.5, 4.0], "clayton", [1.0], "power", 1.0),
+        ("student_t", [0.5, 5.0], "clayton", [1.0], "power", 1.0),
     ],
-    ids=["gumbel-clayton", "student_t-clayton"],
+    ids=["gumbel-clayton", "student_t-clayton", "student_t5-clayton"],
 )
 def test_subnormal_lower_levels(triple, axis):
     # the density is flat near 0, so x keeps its ratio to q at 1e-300 into
     # the subnormal range; the root's nodes below the smallest normal
-    # double are raised to it, where a component's h is finite
+    # double are raised to it, where a component's h is finite (at nu = 5,
+    # only through the t quantile's lower-tail form below 1.2e-270)
     tt, tp, bt, bp, wtag, theta = triple
     m = build(tt, tp, bt, bp, wtag, theta)
     ratio = m.marginal_quantile(axis, 1e-300) / 1e-300
@@ -387,7 +389,11 @@ def test_save_load_round_trip(tmp_path, power_model):
     assert again.tail == power_model.tail
     assert again.body == power_model.body
     assert again.weighting == power_model.weighting
-    assert "nodes" not in path.read_text()
+    # every part's parameters at 17 digits, so a load gives the same doubles
+    assert path.read_text() == (
+        "# blendcop model\ntail = gumbel(2)\nbody = gaussian(0.59999999999999998)\n"
+        "weighting = power(1.5)\n"
+    )
     pts = (np.array([0.3, 0.7]), np.array([0.6, 0.8]))
     assert_allclose(again.pdf(*pts), power_model.pdf(*pts), rtol=1e-12)
 

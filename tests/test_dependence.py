@@ -281,6 +281,48 @@ def test_no_module_of_the_package_branches_on_the_blend_type():
     assert not offenders, f"isinstance(..., BlendedModel) at {offenders}"
 
 
+def test_only_families_holds_the_parametric_plumbing():
+    # a copula family and a weighting share one base for repr, equality,
+    # hash, registry lookup and spec parsing, so no other module has its own
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(blendcop.__file__).parent.glob("*.py"))
+    }
+    bases = {
+        node.name: _names(ast.Tuple(elts=node.bases))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    derived = {"Parametric"}
+    while True:
+        grown = derived | {name for name, names in bases.items() if names & derived}
+        if grown == derived:
+            break
+        derived = grown
+    assert {"Copula", "WeightingFunction", "PowerProduct", "ColesTawn"} <= derived
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        if name != "families.py"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in derived
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in {"__eq__", "__hash__", "__repr__"}
+    ] + [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        if name != "families.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and "valid tags" in c.value
+            for c in ast.walk(node)
+        )
+    ]
+    assert not offenders, f"parametric plumbing outside families.py at {offenders}"
+
+
 def test_dependence_imports_neither_blend_nor_sampling():
     tree = ast.parse(Path(blendcop.__file__).with_name("dependence.py").read_text(encoding="utf-8"))
     imported = set()

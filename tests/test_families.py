@@ -1,17 +1,19 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chisquare, ks_2samp, kstest
 from scipy.special import gammaln, ndtri
+from scipy.stats import beta as beta_dist
 from scipy.stats import t as tdist
 
 from blendcop.blend import BlendedModel
 from blendcop.dependence import DEFAULT_R_GRID
 from blendcop.errors import InputError, ParameterError
-from blendcop.families import CLAMP, FAMILIES, NONZERO, make_copula, parse_copula
-from blendcop.quadrature import BELOW_ONE
+from blendcop.families import CLAMP, FAMILIES, NONZERO, _t_quantile, make_copula, parse_copula
+from blendcop.quadrature import BELOW_ONE, NORMAL_MIN
 from blendcop.weighting import WEIGHTINGS, make_weighting
 from oracles import bvn_orthant_tail, bvt_cdf, bvt_orthant_tail, gl_2d, fd_du, mixed_fd
 
@@ -187,10 +189,20 @@ def test_student_t_sampler_against_quadrature_cdf(rng):
         assert abs(emp - c) < 3.5 * se
 
 
+def _t_ppf(p, nu):
+    """scipy.stats.t.ppf down to 1e-100, where it is accurate; below, where
+    it fails (+inf below 1.2e-270 at nu = 5), the lower tail's
+    incomplete-beta form, 2 p = I_z(nu / 2, 1 / 2) with z = nu / (nu + x^2),
+    through scipy.stats.beta."""
+    tiny = p < 1e-100
+    z = beta_dist.ppf(2.0 * np.where(tiny, p, 0.25), 0.5 * nu, 0.5)
+    return np.where(tiny, -np.sqrt(nu * (1.0 / z - 1.0)), tdist.ppf(p, nu))
+
+
 def _student_t_by_scipy_stats(cop, u, v):
-    """(log c, h, hbar, hinv(u, v)) of student_t through scipy.stats.t."""
+    """(log c, h, hbar, hinv(u, v)) of student_t through scipy.stats."""
     rho, nu = cop.params
-    x, y = tdist.ppf(u, nu), tdist.ppf(v, nu)
+    x, y = _t_ppf(u, nu), _t_ppf(v, nu)
     om = (1.0 - rho) * (1.0 + rho)
     lognum = (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
     logden = (nu + 2.0) / 2.0 * np.log1p((x * x + y * y - 2.0 * rho * x * y) / (nu * om))
@@ -200,7 +212,7 @@ def _student_t_by_scipy_stats(cop, u, v):
     )
     scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
     z = (y - rho * x) / scale
-    hinv = tdist.cdf(rho * x + scale * tdist.ppf(v, nu + 1.0), nu)
+    hinv = tdist.cdf(rho * x + scale * _t_ppf(v, nu + 1.0), nu)
     return const + lognum - logden, tdist.cdf(z, nu + 1.0), tdist.cdf(-z, nu + 1.0), hinv
 
 
@@ -208,7 +220,7 @@ def _student_t_by_scipy_stats(cop, u, v):
 def test_student_t_kernels_equal_scipy_stats_t(params):
     # scipy.special's stdtr/stdtrit are the kernels under scipy.stats.t,
     # so the values agree bit for bit, down to 1e-300 and up to BELOW_ONE
-    # (at nu = 4 and 30 both give a finite quantile at 1e-300)
+    # (at 1e-300 both take the t quantile from the lower tail's beta form)
     cop = make_copula("student_t", list(params))
     pts = np.array([1e-300, 1e-10, 0.5, 1.0 - 1e-10, BELOW_ONE])
     u, v = pts[:, None], pts[None, :]
@@ -217,6 +229,26 @@ def test_student_t_kernels_equal_scipy_stats_t(params):
     assert np.array_equal(cop._h(u, v), h)
     assert np.array_equal(cop._hbar(u, v), hbar)
     assert np.array_equal(cop._hinv(u, v), hinv)
+
+
+def _t_lower_tail(nu, x):
+    """P[T <= x] of Student's t for x < 0, at 40 digits."""
+    with mpmath.workdps(40):
+        z = nu / (nu + mpmath.mpf(x) ** 2)
+        return float(mpmath.betainc(nu / 2.0, 0.5, 0, z, regularized=True) / 2)
+
+
+@pytest.mark.parametrize("nu", [2.5, 4.0, 5.0, 6.0, 10.0, 30.0])
+def test_student_t_quantile_at_tiny_levels(nu):
+    # stdtrit stops near -1e53 at nu = 2.5 from about 1e-136 and turns
+    # +inf below 1.2e-270 at nu = 5; the family's quantile keeps its
+    # relative accuracy down to the smallest normal double, so a student_t
+    # blend has lower quantiles
+    levels = np.array([1e-200, 1e-250, 1e-280, 1e-300, 1e-307, NORMAL_MIN])
+    x = _t_quantile(nu, levels)
+    assert np.all(x < 0.0)
+    for xi, p in zip(x, levels):
+        assert abs(_t_lower_tail(nu, xi) / p - 1.0) < 1e-13, p
 
 
 def test_student_t_level_zero_is_the_lower_end():
@@ -359,16 +391,24 @@ def test_domain_error_names_family_parameter_and_value():
 Z_GRID = np.linspace(-10.0, 10.0, 21)
 
 
-@pytest.mark.parametrize("tag", sorted(FAMILIES))
+#: Every class the fit searches, copula family or weighting, by tag.
+PARAMETRIC = {**FAMILIES, **WEIGHTINGS}
+WEIGHTING_REPRESENTATIVE = [
+    make_weighting(tag, theta) for tag in sorted(WEIGHTINGS) for theta in (0.4, 1.5, 3.0)
+]
+
+
+@pytest.mark.parametrize("tag", sorted(PARAMETRIC))
 def test_family_domains_map_the_real_line_into_the_domain(tag):
-    # the fit searches z and builds the family at backward(z): backward
-    # must invert forward at the representative parameters, and every z
-    # must give a valid copula
-    domains = [domain for _, domain in FAMILIES[tag].param_domains]
-    cops = [c for c in REPRESENTATIVE if c.tag == tag]
-    assert cops, f"no representative parameters for {tag}"
-    for cop in cops:
-        for domain, p in zip(domains, cop.params):
+    # the fit searches z and builds the family or weighting at
+    # backward(z): backward must invert forward at the representative
+    # parameters, and every z must give a valid object
+    cls = PARAMETRIC[tag]
+    domains = [domain for _, domain in cls.param_domains]
+    objs = [c for c in REPRESENTATIVE + WEIGHTING_REPRESENTATIVE if c.tag == tag]
+    assert objs, f"no representative parameters for {tag}"
+    for obj in objs:
+        for domain, p in zip(domains, obj.params):
             assert_allclose(domain.backward(domain.forward(p)), p, rtol=1e-12)
     for zs in itertools.product(Z_GRID, repeat=len(domains)):
         params = [domain.backward(z) for domain, z in zip(domains, zs)]
@@ -376,18 +416,9 @@ def test_family_domains_map_the_real_line_into_the_domain(tag):
             # the identity map of a nonzero parameter sends z = 0 to 0,
             # outside the domain; the objective scores that point -inf
             with pytest.raises(ParameterError):
-                make_copula(tag, params)
+                cls(*params)
             continue
-        assert make_copula(tag, params).params == tuple(params)
-
-
-@pytest.mark.parametrize("tag", sorted(WEIGHTINGS))
-def test_weighting_domain_maps_the_real_line_into_the_domain(tag):
-    domain = WEIGHTINGS[tag].domain
-    for theta in (0.4, 1.5, 3.0):
-        assert_allclose(domain.backward(domain.forward(theta)), theta, rtol=1e-12)
-    for z in Z_GRID:
-        assert make_weighting(tag, domain.backward(z)).theta == domain.backward(z)
+        assert cls(*params).params == tuple(params)
 
 
 def test_parse_and_repr_round_trip():

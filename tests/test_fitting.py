@@ -411,7 +411,7 @@ def test_unknown_tag_fails_before_the_first_evaluation(fit, monkeypatch):
     [
         (ModelParams(1.0, (2.0, 3.0), (1.0,)), "gumbel takes 1 parameter"),
         (ModelParams(1.0, (0.5,), (1.0,)), "gumbel alpha must exceed 1, got 0.5"),
-        (ModelParams(0.0, (2.0,), (1.0,)), "weighting theta must be positive, got 0.0"),
+        (ModelParams(0.0, (2.0,), (1.0,)), "power theta must be positive, got 0.0"),
     ],
     ids=["tail-length", "tail-domain", "theta-domain"],
 )

@@ -89,8 +89,11 @@ def test_parse_and_registry():
     w = parse_weighting("power(1.5)")
     assert w == PowerProduct(1.5)
     assert parse_weighting("exp_complement(2)") == ExpComplement(2.0)
-    with pytest.raises(ParameterError):
-        parse_weighting("power")
+    for w in (PowerProduct(0.8), ExpComplement(2.5)):
+        assert parse_weighting(repr(w)) == w
+    for text in ("power", "power(1,2)", "power()"):
+        with pytest.raises(ParameterError):
+            parse_weighting(text)
     with pytest.raises(ParameterError):
         parse_weighting("nope(1)")
     with pytest.raises(ParameterError):
