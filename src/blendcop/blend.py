@@ -33,8 +33,8 @@ finite. At the build rule's nodes, ``build`` reads the grids through
 read-only, so a fit's next evaluation reads back those its step did not
 change: a gradient probe of one component reuses the other's grid, and a
 probe of theta reuses both under ``exp_complement``, whose v-nodes do
-not depend on theta. The values are the same whether computed or read
-back.
+not depend on theta (and whose dpi/dv grid ``weighting`` keeps per
+theta). The values are the same whether computed or read back.
 
 On each panel the node values of f fix a polynomial interpolant, whose
 exact integrals give the CDF (summed up from 0) and the survival function
@@ -63,6 +63,14 @@ CDFs by parts in the same way (see ``joint_upper_survival``). At the
 marginal quantiles it is the induced copula's ``survival``, which chi and
 eta read and which gives its CDF u + v - 1 + survival(u, v). A model
 answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
+
+``logpdf`` looks its levels up in sorted order. Axes that share one
+margin are looked up together, in one sorted pass over u and v, and
+``_sorted_order`` keeps the order of the last level arrays it sorted,
+found again by their content, so the evaluations of a fit sort their
+data once. The values, and the order in which a log-likelihood sums
+them, are those of the points taken one at a time. A margin makes its
+CDF's interpolant on first use, since a likelihood never reads it.
 """
 from __future__ import annotations
 
@@ -103,6 +111,10 @@ _RECT_BATCH = 16
 #: the last four builds of a blend of exchangeable components.
 _GRID_CACHE = 8
 _grids: OrderedDict = OrderedDict()
+#: Level arrays whose sort order ``_sorted_order`` keeps: the two axes'
+#: data of a blend whose axes have their own margins.
+_ORDER_CACHE = 2
+_orders: list = []
 
 
 @dataclass(frozen=True)
@@ -160,10 +172,11 @@ class _Margin:
     density) at the inner end of the panel next to 0 and of the one next
     to 1. ``pdf_at``, ``cdf_at`` and ``quantile_at`` interpolate between
     neighbouring entries; interval i of ``level`` is interval i of ``x``.
+    ``cdf_at`` is made on first use.
     """
 
     __slots__ = (
-        "x", "pdf", "cdf", "sf", "level", "inner", "outer", "pdf_at", "cdf_at", "quantile_at"
+        "x", "pdf", "cdf", "sf", "level", "inner", "outer", "pdf_at", "_cdf_at", "quantile_at"
     )
 
     def __init__(self, pdf):
@@ -193,8 +206,16 @@ class _Margin:
         self.inner = (cdf_ends[1], 1.0 - sf_ends[-2])
         self.outer = ((cdf_ends[1], at_ends[0, 1]), (sf_ends[-2], at_ends[0, -2]))
         self.pdf_at = _Cubic(self.x, self.pdf, slope)
-        self.cdf_at = _Cubic(self.x, self.cdf, self.pdf)
+        self._cdf_at = None
         self.quantile_at = _Cubic(self.level, self.x, 1.0 / self.pdf)
+
+    @property
+    def cdf_at(self):
+        """The CDF's interpolant; a likelihood reads only ``pdf_at`` and
+        ``quantile_at``."""
+        if self._cdf_at is None:
+            self._cdf_at = _Cubic(self.x, self.cdf, self.pdf)
+        return self._cdf_at
 
 
 def _checked_margin(axis, x, pdf):
@@ -240,6 +261,22 @@ def _component_grid(name, copula, axis, t, v):
     if len(_grids) > _GRID_CACHE:
         _grids.popitem(last=False)
     return grid
+
+
+def _sorted_order(q):
+    """``np.argsort(q)``, read-only, kept for the last ``_ORDER_CACHE``
+    arrays and found again by their content, so an edit or a permutation
+    of the levels sorts them anew."""
+    for k, (levels, order) in enumerate(_orders):
+        if np.array_equal(levels, q):
+            _orders.append(_orders.pop(k))
+            return order
+    order = np.argsort(q)
+    order.flags.writeable = False
+    _orders.append((q.copy(), order))
+    if len(_orders) > _ORDER_CACHE:
+        del _orders[0]
+    return order
 
 
 def _joined(at_ends):
@@ -313,8 +350,8 @@ class BlendedModel:
             ct = np.exp(self.tail._logpdf(u, v))
             cb = np.exp(self.body._logpdf(u, v))
         for name, fam, c in (("tail", self.tail, ct), ("body", self.body, cb)):
-            bad = ~np.isfinite(c)
-            if np.any(bad):
+            if not np.isfinite(c).all():
+                bad = ~np.isfinite(c)
                 i = np.argmax(bad.ravel())
                 uu, vv = (np.broadcast_to(a, bad.shape).flat[i] for a in (u, v))
                 raise EvaluationError(
@@ -369,19 +406,28 @@ class BlendedModel:
     def logpdf(self, u, v):
         """Log-density of the copula induced by cstar."""
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
-        x, log_fx = self._quantile_log_pdf(0, u.ravel())
-        y, log_fy = self._quantile_log_pdf(1, v.ravel())
+        shape = u.shape
+        u, v = u.ravel(), v.ravel()
+        if self._axes[0] is self._axes[1]:
+            # one margin: u and v are looked up together
+            x, log_f = self._quantile_log_pdf(0, np.concatenate([u, v]))
+            x, y, log_fx, log_fy = x[: u.size], x[u.size :], log_f[: u.size], log_f[u.size :]
+        else:
+            x, log_fx = self._quantile_log_pdf(0, u)
+            y, log_fy = self._quantile_log_pdf(1, v)
         with np.errstate(divide="ignore"):
             out = np.log(self._unnorm_density(x, y)) - np.log(self.K) - log_fx - log_fy
-        return out.reshape(u.shape)[()]
+        return out.reshape(shape)[()]
 
     def _quantile_log_pdf(self, axis, q):
-        """(x, log f(x)) at x = F^-1(q) for a flat array q. The table is
-        searched once, in sorted order, several times faster than in
-        random order: f(x) takes the interval that the level's search
-        found, except at an exact root. x keeps the order of q."""
+        """(x, log f(x)) at x = F^-1(q) for a flat array q, which holds
+        both axes' levels when they share a margin. The table is searched
+        once, in sorted order, several times faster than in random order;
+        the order comes from ``_sorted_order``, so the evaluations of a fit
+        sort their data once. f(x) takes the interval that the level's
+        search found, except at an exact root. x keeps the order of q."""
         pdf_at = self._axes[axis].pdf_at
-        order = np.argsort(q)
+        order = _sorted_order(q)
         xs, i, outer = self._quantile(axis, q[order])
         fs = pdf_at(xs, i)
         if outer is not None:

@@ -220,22 +220,23 @@ class _Objective:
     """Negative log-likelihood over the unconstrained parameter vector,
     with a shared evaluation counter, trace and best point.
 
-    A parameter vector the model cannot evaluate (a package error or a
-    floating-point failure) scores -inf log-likelihood and is counted in
-    ``failures`` under its exception type's name, with the first message;
-    any other exception is a fault and propagates. An evaluation past
-    ``budget`` raises ``_BudgetSpent``.
+    ``evaluate(params)`` returns (log-likelihood, model); the model of the
+    best point is kept, and only that one. A parameter vector the model
+    cannot evaluate (a package error or a floating-point failure) scores
+    -inf log-likelihood and is counted in ``failures`` under its exception
+    type's name, with the first message; any other exception is a fault
+    and propagates. An evaluation past ``budget`` raises ``_BudgetSpent``.
     """
 
-    def __init__(self, build_and_loglik, domains, budget=np.inf):
-        self._eval = build_and_loglik
+    def __init__(self, evaluate, domains, budget=np.inf):
+        self._eval = evaluate
         self.domains = domains
         self.budget = budget
         #: (params, log-likelihood) of every evaluation
         self.trace = []
         self.failures = {}
-        #: (value, z) of the lowest value seen; the first of equals
-        self.best = (np.inf, None)
+        #: (value, z, model) of the lowest value seen; the first of equals
+        self.best = (np.inf, None, None)
 
     @property
     def evaluations(self) -> int:
@@ -246,7 +247,7 @@ class _Objective:
             raise _BudgetSpent
         params = _from_unconstrained(self.domains, z)
         try:
-            ll = self._eval(params)
+            ll, model = self._eval(params)
             failure = None if np.isfinite(ll) else ("non-finite", f"log-likelihood {ll!r}")
         except (BlendcopError, ArithmeticError) as exc:
             failure = (type(exc).__name__, str(exc))
@@ -255,7 +256,7 @@ class _Objective:
             self.failures.setdefault(failure[0], [0, failure[1]])[0] += 1
         self.trace.append((params, ll))
         if -ll < self.best[0]:
-            self.best = (-ll, np.array(z, dtype=float))
+            self.best = (-ll, np.array(z, dtype=float), model)
         return -ll
 
 
@@ -301,16 +302,21 @@ def _fit(label, domains, init, make, data, restarts):
     """Maximise the log-likelihood of ``make(params)`` over the
     unconstrained parameters by BFGS, from ``init`` and ``restarts - 1``
     jittered copies of it, then estimate the covariance at the best point
-    evaluated and refit that point through ``log_likelihood_detail``. A
-    spent evaluation budget ends the search early, not converged."""
+    evaluated. The result's model is the one that point's evaluation
+    made, not a second one; ``log_likelihood_detail`` of it gives the
+    log-likelihood and the floor count. A spent evaluation budget ends the
+    search early, not converged."""
     if restarts < 1:
         raise InputError(f"a fit needs at least one start, got restarts = {restarts!r}")
     t0 = time.perf_counter()
-    # looks the module-level ``log_likelihood`` up at each evaluation, so a
-    # replacement of that name sees every evaluation
-    objective = _Objective(
-        lambda params: log_likelihood(make(params), data), domains, _MAX_EVALUATIONS
-    )
+
+    def evaluate(params):
+        # looks the module-level ``log_likelihood`` up at each evaluation,
+        # so a replacement of that name sees every evaluation
+        model = make(params)
+        return log_likelihood(model, data), model
+
+    objective = _Objective(evaluate, domains, _MAX_EVALUATIONS)
     z0 = _to_unconstrained(domains, init)
     rng = np.random.default_rng(_SEED)
     starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
@@ -325,7 +331,7 @@ def _fit(label, domains, init, make, data, restarts):
         converged = bool(min(runs, key=lambda res: res.fun).success)
     except _BudgetSpent:
         converged = False
-    fun, z = objective.best
+    fun, z, model = objective.best
     if not np.isfinite(fun):
         raise FitError("no restart produced a finite log-likelihood")
     cov, trouble = _covariance(objective, z, fun)
@@ -335,8 +341,6 @@ def _fit(label, domains, init, make, data, restarts):
     ]
     if trouble:
         warnings.append(f"no standard errors: {trouble}")
-    params = _from_unconstrained(domains, z)
-    model = make(params)
     ll, clamped = log_likelihood_detail(model, data)
     if clamped > 0.01 * data.n:
         warnings.append(

@@ -105,6 +105,35 @@ def test_norm_constants_against_oracle(power_model, exp_model):
     assert_allclose(exp_model.norm_constants[0], K_EXP_ORACLE, atol=1e-4)
 
 
+@pytest.mark.parametrize(
+    "triple",
+    [("gumbel", [2.0], "clayton", [1.0], 0.8), ("coles_tawn", [0.5, 0.8], "gaussian", [0.5], 1.5)],
+    ids=["shared-margin", "coles_tawn"],
+)
+def test_a_reused_data_order_cannot_go_stale(triple):
+    # logpdf reuses the sort order of levels it has seen; nothing it
+    # reuses may outlive the data: the same arrays, edited in place and
+    # then permuted, give the values of their points taken one at a time.
+    # Two levels lie in the outermost panels, where the quantile is a
+    # root. The point-by-point calls come last, so they evict nothing.
+    tail, tp, body, bp, theta = triple
+    m = build(tail, tp, body, bp, "power", theta)
+    assert (m._axes[0] is m._axes[1]) == (tail == "gumbel")
+    rng = np.random.default_rng(3)
+    u, v = rng.random(150), rng.random(150)
+    u[0], v[1] = 1e-7, 1.0 - 1e-7
+    seen = [(u.copy(), v.copy(), m.logpdf(u, v), m.logpdf(u, v))]
+    u[5], v[9] = 0.999, 0.002
+    seen.append((u.copy(), v.copy(), m.logpdf(u, v)))
+    order = rng.permutation(u.size)
+    u[:], v[:] = u[order], v[order]
+    seen.append((u.copy(), v.copy(), m.logpdf(u, v)))
+    assert np.array_equal(seen[0][2], seen[0][3])
+    assert np.array_equal(seen[2][2], seen[1][2][order])
+    for uu, vv, got, *_ in seen:
+        assert np.array_equal(got, [m.logpdf(a, b) for a, b in zip(uu, vv)])
+
+
 def test_K_additivity(power_model):
     K, Kt, Kb = power_model.norm_constants
     assert abs(K - (Kt + Kb)) <= 1e-10 * K

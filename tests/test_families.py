@@ -154,6 +154,53 @@ def test_steep_gumbel_against_mpmath(alpha):
         assert np.isfinite(cop._logpdf(np.array([u]), np.array([v]))[0])
 
 
+@pytest.mark.parametrize("cop", ["gumbel(2)", "husler_reiss(2)", "galambos(1.5)", "coles_tawn(0.5,0.8)"])
+def test_extreme_value_conditionals_are_exact_at_the_ends(cop):
+    # h(u, v) = P[V <= v | U = u] is 0 at u = 1 and 1 at v = 1, and
+    # h2(u, v) = P[U <= u | V = v] is 0 at v = 1 and 1 at u = 1; where both
+    # are 1 the second rule holds. Scalar, 1-d and broadcast-grid inputs.
+    cop = parse_copula(cop)
+    inner = np.array([1e-9, 0.3, 0.9])
+    for h, flip in ((cop._h, False), (cop._h2, True)):
+        def at(given, other):
+            return h(other, given) if flip else h(given, other)
+
+        assert at(1.0, 0.3) == 0.0 and isinstance(at(1.0, 0.3), float)
+        assert at(0.3, 1.0) == 1.0 and at(1.0, 1.0) == 1.0
+        assert np.array_equal(at(np.ones(3), inner), np.zeros(3))
+        assert np.array_equal(at(inner, np.ones(3)), np.ones(3))
+        assert np.array_equal(at(np.array([1.0, 0.3]), np.array([0.3, 1.0])), [0.0, 1.0])
+        ends = np.append(inner, 1.0)
+        grid = at(ends[:, None], ends[None, :])
+        assert np.array_equal(grid[-1, :-1], np.zeros(3))
+        assert np.array_equal(grid[:, -1], np.ones(4))
+        interior = at(inner[:, None], inner[None, :])
+        assert np.array_equal(grid[:-1, :-1], interior)
+        assert np.all((interior > 0.0) & (interior < 1.0))
+
+
+def test_a_steep_gumbel_grid_takes_the_scaled_branch():
+    # at alpha 60, x^a + y^a underflows near (1, 1) and overflows far from
+    # it; the bounds on the sums must leave those entries to the scan, whose
+    # values are the full scan's, written out here as the reference
+    a = 60.0
+    cop = make_copula("gumbel", [a])
+    coords = -np.log(np.array([1e-100, 0.3, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]))
+    x, y = coords[:, None], coords[None, :]
+    m, q = cop._power_sum(x, y)
+    with np.errstate(over="ignore"):
+        plain = x**a + y**a
+    odd = ~((plain >= NORMAL_MIN) & (plain < np.inf))
+    assert odd.any() and not odd.all()
+    big = np.maximum(x, y)
+    assert np.array_equal(m, np.where(odd, big, 1.0))
+    assert np.array_equal(q, np.where(odd, 1.0 + (np.minimum(x, y) / big) ** a, plain))
+    # a grid with no odd entry, which the bounds decide: m is 1 and q the sum
+    tame = -np.log(np.array([0.3, 0.9, 0.99]))
+    m, q = cop._power_sum(tame[:, None], tame[None, :])
+    assert m == 1.0 and np.array_equal(q, tame[:, None] ** a + tame[None, :] ** a)
+
+
 def test_gumbel_sampler_against_cdf(rng):
     uv = make_copula("gumbel", [2.0]).sample(100_000, rng)
     emp = np.mean((uv[:, 0] <= 0.5) & (uv[:, 1] <= 0.5))
@@ -238,17 +285,44 @@ def _t_lower_tail(nu, x):
         return float(mpmath.betainc(nu / 2.0, 0.5, 0, z, regularized=True) / 2)
 
 
-@pytest.mark.parametrize("nu", [2.5, 4.0, 5.0, 6.0, 10.0, 30.0])
+@pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 1.5, 2.5, 4.0, 5.0, 6.0, 10.0, 30.0])
 def test_student_t_quantile_at_tiny_levels(nu):
     # stdtrit stops near -1e53 at nu = 2.5 from about 1e-136 and turns
-    # +inf below 1.2e-270 at nu = 5; the family's quantile keeps its
-    # relative accuracy down to the smallest normal double, so a student_t
-    # blend has lower quantiles
+    # +inf below 1.2e-270 at nu = 5; below nu = 2 it stops near -1e153
+    # (nu = 0.5 from 1e-80) or turns -inf (nu = 1 from 1e-200). The
+    # family's quantile keeps its relative accuracy down to the smallest
+    # normal double, so a student_t blend has lower quantiles; where the
+    # quantile is beyond the doubles it is -inf
     levels = np.array([1e-200, 1e-250, 1e-280, 1e-300, 1e-307, NORMAL_MIN])
+    rtol = 1e-13
+    if nu < 2.0:
+        levels = np.concatenate([[1e-20, 1e-40, 1e-60, 1e-80, 1e-100, 1e-150], levels])
+        rtol = 1e-12
     x = _t_quantile(nu, levels)
-    assert np.all(x < 0.0)
-    for xi, p in zip(x, levels):
-        assert abs(_t_lower_tail(nu, xi) / p - 1.0) < 1e-13, p
+    beyond = _t_lower_tail(nu, -np.finfo(float).max) > levels
+    assert np.all(x[beyond] == -np.inf)
+    assert np.all(x[~beyond] < 0.0) and np.all(np.isfinite(x[~beyond]))
+    for xi, p in zip(x[~beyond], levels[~beyond]):
+        assert abs(_t_lower_tail(nu, xi) / p - 1.0) < rtol, p
+
+
+def test_student_t_conditional_beyond_a_squarable_quantile():
+    # at nu = 0.5 the quantile of 1e-100 is -1.03e199, whose square
+    # overflows; h given that u still matches 40-digit mpmath. At the
+    # smallest normal double the quantile is -inf, and h takes its limit
+    rho, nu = 0.5, 0.5
+    cop = make_copula("student_t", [rho, nu])
+    u, v = 1e-100, np.array([1e-100, 1e-3, 0.5, 0.999])
+    x, y = _t_quantile(nu, u), _t_quantile(nu, v)
+    assert np.abs(x) > 1e154
+    with mpmath.workdps(40):
+        mx = mpmath.mpf(float(x))
+        scale = mpmath.sqrt((nu + mx**2) / (nu + 1) * (1 - rho) * (1 + rho))
+        z = [float((mpmath.mpf(float(yi)) - rho * mx) / scale) for yi in y]
+    assert_allclose(cop._h(u, v), tdist.cdf(z, nu + 1.0), rtol=1e-13)
+    limit = tdist.cdf(rho * np.sqrt((nu + 1.0) / ((1.0 - rho) * (1.0 + rho))), nu + 1.0)
+    assert _t_quantile(nu, NORMAL_MIN) == -np.inf
+    assert_allclose(cop._h(np.array([[NORMAL_MIN], [u]]), v), [[limit] * 4, cop._h(u, v)], rtol=1e-15)
 
 
 def test_student_t_level_zero_is_the_lower_end():

@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel, ModelParams
 from blendcop.errors import EvaluationError, InputError, ParameterError
-from blendcop.families import CORRELATION, NONZERO, POSITIVE, make_copula
+from blendcop.families import CORRELATION, NONZERO, POSITIVE, Gumbel, make_copula
 from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
@@ -84,13 +84,14 @@ def test_objective_scores_package_errors_and_propagates_faults():
             raise ZeroDivisionError
         if params[0] < 0.5:
             raise KeyError("a fault in the evaluation")
-        return -params[0]
+        return -params[0], f"model at {params[0]}"
 
     obj = _Objective(evaluate, (POSITIVE,))
     assert obj(np.log([2.0])) == np.inf
     assert obj(np.log([3.0])) == np.inf
     assert obj(np.log([0.95])) == np.inf
     assert obj(np.log([0.7])) == pytest.approx(0.7)
+    assert obj.best[2] == "model at 0.7"
     with pytest.raises(KeyError):
         obj(np.log([0.1]))
     assert obj.failures == {
@@ -111,7 +112,7 @@ def test_nonfinite_density_at_a_data_point_scores_minus_inf(monkeypatch, role, b
     monkeypatch.setattr(fam, "_logpdf", lambda u, v: np.where(u > 0.8, bad, logpdf(u, v)))
     with pytest.raises(EvaluationError, match=f"non-finite {role} density"):
         m.logpdf(data.u, data.v)
-    obj = _Objective(lambda params: log_likelihood(m, data), (POSITIVE,))
+    obj = _Objective(lambda params: (log_likelihood(m, data), m), (POSITIVE,))
     assert obj(np.zeros(1)) == np.inf
     assert obj.trace[-1][1] == -np.inf
 
@@ -233,7 +234,7 @@ def test_hessian_reuses_its_axis_probes(k):
     # exact up to rounding, in k^2 + k evaluations (not 2k^2)
     hess = np.array([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.0]])[:k, :k]
     z = np.array([0.1, -0.2, 0.3])[:k]
-    objective = _Objective(lambda p: -0.5 * np.asarray(p) @ hess @ p, (NONZERO,) * k)
+    objective = _Objective(lambda p: (-0.5 * np.asarray(p) @ hess @ p, None), (NONZERO,) * k)
     cov, trouble = fitting._covariance(objective, z, 0.5 * z @ hess @ z)
     assert trouble is None and objective.evaluations == k * k + k
     assert_allclose(cov, np.linalg.inv(hess), rtol=1e-6)
@@ -369,7 +370,7 @@ def test_fit_mle_blend_recovery_smoke(monkeypatch):
 def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
     # the benchmark times fit_mle split at each return of the module-level
     # log_likelihood, so the objective must look it up at call time, once
-    # per evaluation, and the final refit must not call it
+    # per evaluation, and the result's own log-likelihood must not call it
     uv = sample_blended_copula(
         build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 60, rng
     )
@@ -385,6 +386,41 @@ def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
     res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
     assert 0 < res.evaluations <= 30
     assert len(calls) == res.evaluations
+
+
+@pytest.mark.parametrize("fit", ["fit_mle", "fit_single_copula"])
+def test_a_fit_makes_one_model_per_evaluation(fit, rng, monkeypatch):
+    # the result's model is the one the best evaluation made, not a second
+    # build; every evaluation still scores its model through the
+    # module-level log_likelihood, where the benchmark splits a fit's time
+    uv = sample_blended_copula(
+        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 100, rng
+    )
+    data = Dataset.from_array(uv)
+    made, scored = [], []
+
+    class Counted(BlendedModel if fit == "fit_mle" else Gumbel):
+        def __init__(self, *params):
+            made.append(self)
+            super().__init__(*params)
+
+    inner = fitting.log_likelihood
+
+    def counted(model, data):
+        scored.append(model)
+        return inner(model, data)
+
+    monkeypatch.setattr(fitting, "log_likelihood", counted)
+    if fit == "fit_mle":
+        monkeypatch.setattr(fitting, "BlendedModel", Counted)
+        res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), data)
+    else:
+        monkeypatch.setattr(fitting, "family_class", lambda tag: Counted)
+        res = fit_single_copula("gumbel", data)
+    assert res.converged and len(made) == res.evaluations
+    assert len(scored) == len(made) and all(s is m for s, m in zip(scored, made))
+    assert res.model is made[int(np.argmax([ll for _, ll in res.trace]))]
+    assert res.loglik == max(ll for _, ll in res.trace)
 
 
 @pytest.mark.parametrize(
