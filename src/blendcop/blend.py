@@ -27,14 +27,16 @@ otherwise a second pass evaluates Pi_tail and Pi_body on axis 1.
 
 Each Pi_c reduces a grid of the component's conditional CDF at points t
 and the weighting's ``v_nodes``; ``_pi_expectations`` computes both, on
-grids from ``_h_grid``, which names the component of a grid that is not
-finite. At the build rule's nodes, ``build`` reads the grids through
-``_component_grid``, which keeps the last ``_GRID_CACHE`` of them,
+grids from ``_component_grid``, which names the component of a grid that
+is not finite. Every grid, the build's and each step of the root below,
+is kept in one ``quadrature.Kept`` store of the last ``_GRID_CACHE``,
 read-only, so a fit's next evaluation reads back those its step did not
 change: a gradient probe of one component reuses the other's grid, and a
 probe of theta reuses both under ``exp_complement``, whose v-nodes do
 not depend on theta (and whose dpi/dv grid ``weighting`` keeps per
-theta). The values are the same whether computed or read back.
+theta). A root step shares its grid between components that are equal,
+and a level that comes back reads its steps back. The values are the
+same whether computed or read back.
 
 On each panel the node values of f fix a polynomial interpolant, whose
 exact integrals give the CDF (summed up from 0) and the survival function
@@ -51,7 +53,7 @@ end, the mass's derivative. Only this root uses them, solved once per
 distinct level by Newton's method in log d: it starts from the power law
 through the table's mass and density at the outermost panel's inner end,
 bisects a known bracket where a step would leave it, and costs one
-uncached grid per step, two to four at the chi/eta levels. Its points are
+grid per step, two to four at the chi/eta levels. Its points are
 capped below 1, as ``toward_one``'s are, and raised to the smallest
 normal double near 0, so subnormal levels have quantiles too.
 The build evaluates no density; a component density that is not finite
@@ -65,27 +67,28 @@ eta read and which gives its CDF u + v - 1 + survival(u, v). A model
 answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
 
 ``logpdf`` looks its levels up in sorted order. Axes that share one
-margin are looked up together, in one sorted pass over u and v, and
-``_sorted_order`` keeps the order of the last level arrays it sorted,
-found again by their content, so the evaluations of a fit sort their
-data once. The values, and the order in which a log-likelihood sums
-them, are those of the points taken one at a time. A margin makes its
-CDF's interpolant on first use, since a likelihood never reads it.
+margin are looked up together, in one sorted pass over u and v, and the
+``Kept`` store ``_orders`` keeps the order of the last ``_ORDER_CACHE``
+level arrays sorted, found again by their bytes, so the evaluations of a
+fit sort their data once. The values, and the order in which a
+log-likelihood sums them, are those of the points taken one at a time. A
+margin makes its CDF's interpolant on first use, since a likelihood
+never reads it.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import EvaluationError, InputError
-from .families import Copula, clamp_unit, parse_copula
+from .families import Copula, clamp_unit, parse_copula, unit_points
 from .quadrature import (
     BELOW_ONE,
     NORMAL_MIN,
     UNIT_BREAKS,
+    Kept,
     corner_refined,
     gauss_legendre,
     panel_calculus,
@@ -106,15 +109,25 @@ _BUILD_ORDER = 16
 #: and its points per batch: a (batch, 84, 84) temporary takes about 1 MB.
 _RECT_ORDER = 6
 _RECT_BATCH = 16
-#: Component grids kept by ``_component_grid``. A grid holds 224 x 66
-#: doubles, about 118 KB, so the cache holds under 1 MB; eight grids are
-#: the last four builds of a blend of exchangeable components.
+#: Component grids kept by ``_component_grid``. A build's grid holds
+#: 224 x 66 doubles, about 118 KB, so the store holds under 1 MB; eight
+#: grids are the last four builds of a blend of exchangeable components.
 _GRID_CACHE = 8
-_grids: OrderedDict = OrderedDict()
-#: Level arrays whose sort order ``_sorted_order`` keeps: the two axes'
-#: data of a blend whose axes have their own margins.
+_grids = Kept(_GRID_CACHE)
+#: Level arrays whose sort order ``logpdf`` keeps: the two axes' data of
+#: a blend whose axes have their own margins.
 _ORDER_CACHE = 2
-_orders: list = []
+_orders = Kept(_ORDER_CACHE)
+
+
+class _Levels(bytes):
+    """The bytes of a level array, as a key of ``_orders`` that hashes its
+    length and its first and last 64 bytes: a fit's levels take 32 KB,
+    whose full hash costs 14-20 us and a comparison 1 us. Equal keys are
+    still equal byte for byte."""
+
+    def __hash__(self):
+        return hash((len(self), self[:64], self[-64:]))
 
 
 @dataclass(frozen=True)
@@ -232,51 +245,27 @@ def _checked_margin(axis, x, pdf):
     return margin
 
 
-def _h_grid(name, copula, axis, t, v):
-    """h of ``copula`` on ``axis`` (its ``_h``, or ``_h2`` with the
-    arguments swapped) at a column t and a row v. A value that is not
-    finite raises ``EvaluationError`` naming the component (``name``)."""
-    # h at a node that underflows to 0 or 1 takes its limit value
-    with np.errstate(divide="ignore", over="ignore"):
-        grid = copula._h(t, v) if axis == 0 else copula._h2(v, t)
-    bad = ~np.isfinite(grid)
-    if np.any(bad):
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise EvaluationError(
-            f"non-finite conditional CDF of the {name} {copula!r} on axis {axis} "
-            f"at (t={t[i, 0]:.6g}, v={v[0, j]:.6g})"
-        )
-    return grid
-
-
 def _component_grid(name, copula, axis, t, v):
-    """``_h_grid``, read-only, kept among the last ``_GRID_CACHE`` grids
-    under the family, its parameters, the axis, t and v."""
-    key = (type(copula), np.array(copula.params).tobytes(), axis, t.tobytes(), v.tobytes())
-    grid = _grids.pop(key, None)
-    if grid is None:
-        grid = _h_grid(name, copula, axis, t, v)
-        grid.flags.writeable = False
-    _grids[key] = grid
-    if len(_grids) > _GRID_CACHE:
-        _grids.popitem(last=False)
-    return grid
+    """h of ``copula`` on ``axis`` (its ``_h``, or ``_h2`` with the
+    arguments swapped) at a column t and a row v, read-only, kept in
+    ``_grids`` under the family, its parameters, the axis, t and v. A
+    value that is not finite raises ``EvaluationError`` naming the
+    component (``name``)."""
 
+    def make():
+        # h at a node that underflows to 0 or 1 takes its limit value
+        with np.errstate(divide="ignore", over="ignore"):
+            grid = copula._h(t, v) if axis == 0 else copula._h2(v, t)
+        bad = ~np.isfinite(grid)
+        if np.any(bad):
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            raise EvaluationError(
+                f"non-finite conditional CDF of the {name} {copula!r} on axis {axis} "
+                f"at (t={t[i, 0]:.6g}, v={v[0, j]:.6g})"
+            )
+        return grid
 
-def _sorted_order(q):
-    """``np.argsort(q)``, read-only, kept for the last ``_ORDER_CACHE``
-    arrays and found again by their content, so an edit or a permutation
-    of the levels sorts them anew."""
-    for k, (levels, order) in enumerate(_orders):
-        if np.array_equal(levels, q):
-            _orders.append(_orders.pop(k))
-            return order
-    order = np.argsort(q)
-    order.flags.writeable = False
-    _orders.append((q.copy(), order))
-    if len(_orders) > _ORDER_CACHE:
-        del _orders[0]
-    return order
+    return _grids.get((type(copula), copula.params, axis, t.tobytes(), v.tobytes()), make)
 
 
 def _joined(at_ends):
@@ -329,7 +318,7 @@ class BlendedModel:
         """Compute K, ``norm_constants`` = (K, K_tail, K_body) and the
         margins of the current parameters; construction calls it."""
         x, w = corner_refined(_BUILD_ORDER)
-        e_t, e_b = self._pi_expectations(0, x, _component_grid)
+        e_t, e_b = self._pi_expectations(0, x)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
         self.K = K = k_t + k_b
         self.norm_constants = (K, k_t, k_b)
@@ -338,7 +327,7 @@ class BlendedModel:
             # cstar(u, v) = cstar(v, u), the weighting being symmetric too
             self._axes = (margin, margin)
         else:
-            e_t, e_b = self._pi_expectations(1, x, _component_grid)
+            e_t, e_b = self._pi_expectations(1, x)
             self._axes = (margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K))
         return self
 
@@ -367,11 +356,10 @@ class BlendedModel:
         return self._unnorm_density(clamp_unit(u), clamp_unit(v)) / self.K
 
     def marginal_pdf(self, axis, x):
-        return self._axes[axis].pdf_at(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+        return self._axes[axis].pdf_at(unit_points(x))
 
     def marginal_cdf(self, axis, x):
-        xx = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        out = np.clip(self._axes[axis].cdf_at(xx), 0.0, 1.0)
+        out = np.clip(self._axes[axis].cdf_at(unit_points(x)), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def marginal_quantile(self, axis, q):
@@ -423,11 +411,13 @@ class BlendedModel:
         """(x, log f(x)) at x = F^-1(q) for a flat array q, which holds
         both axes' levels when they share a margin. The table is searched
         once, in sorted order, several times faster than in random order;
-        the order comes from ``_sorted_order``, so the evaluations of a fit
-        sort their data once. f(x) takes the interval that the level's
-        search found, except at an exact root. x keeps the order of q."""
+        the order is kept in ``_orders`` under the bytes of q, so the
+        evaluations of a fit sort their data once, and an edit or a
+        permutation of the levels sorts them anew. f(x) takes the interval
+        that the level's search found, except at an exact root. x keeps
+        the order of q."""
         pdf_at = self._axes[axis].pdf_at
-        order = _sorted_order(q)
+        order = _orders.get(_Levels(q.tobytes()), lambda: np.argsort(q))
         xs, i, outer = self._quantile(axis, q[order])
         fs = pdf_at(xs, i)
         if outer is not None:
@@ -461,9 +451,9 @@ class BlendedModel:
     # ------------------------------------------------------------------
     # the exact marginal mass near an end, and the joint tail
     # ------------------------------------------------------------------
-    def _pi_expectations(self, axis, t, grid=_h_grid):
+    def _pi_expectations(self, axis, t):
         """(Pi_tail(t), Pi_body(t)) where Pi_c(t) = E[pi | coord = t] under c,
-        from the grids of ``grid`` (``_h_grid`` or ``_component_grid``).
+        from the components' grids of ``_component_grid``.
 
         Integrating the unnormalised density over the other coordinate
         gives 1 + Pi_tail(t) - Pi_body(t), the marginal pdf times K.
@@ -472,7 +462,7 @@ class BlendedModel:
         t = np.asarray(t, dtype=float)[:, None]
         v = w.v_nodes[None, :]
         parts = (("tail", self.tail), ("body", self.body))
-        return w.expectation(t, [grid(name, c, axis, t, v) for name, c in parts])
+        return w.expectation(t, [_component_grid(name, c, axis, t, v) for name, c in parts])
 
     def _end_mass(self, axis, logd, top):
         """(log M, f): M is the marginal mass within d = exp(logd) of 1
@@ -550,7 +540,7 @@ class BlendedModel:
         Each family's ``_hbar`` keeps hbar's relative accuracy where 1 - h
         would round to 0.
         """
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        x, y = np.broadcast_arrays(unit_points(x), unit_points(y))
         dx, dy, yy = 1.0 - x.ravel(), 1.0 - y.ravel(), y.ravel()
         out = np.empty(dx.size)
         # h at a node that underflows to 0 or 1 takes its limit value

@@ -28,10 +28,11 @@ searches it through. ``Parametric`` also gives both kinds their repr,
 equality and hash, and ``lookup`` and ``parse_spec`` their registry
 lookup and their ``tag(p1[,p2])`` spec parser.
 
-Public entry points clamp their arguments to [CLAMP, 1 - CLAMP]; the
-underscore methods assume arguments strictly inside (0, 1) and are used
-by internal machinery that must reach closer to the corner than the
-public clamp allows.
+Public entry points reject a point argument that is NaN or lies outside
+[0, 1] with ``InputError`` (``unit_points``), and clamp the others to
+[CLAMP, 1 - CLAMP]; the underscore methods assume arguments strictly
+inside (0, 1) and are used by internal machinery that must reach closer
+to the corner than the public clamp allows.
 """
 from __future__ import annotations
 
@@ -53,9 +54,24 @@ CLAMP = 1e-10
 _SURV_ORDER = 12
 
 
+def unit_points(x, name="point"):
+    """x as a float array; NaN or a value outside [0, 1] raises
+    ``InputError`` naming ``name``, how many there are and the first."""
+    x = np.asarray(x, dtype=float)
+    # NaN passes through min and max, and fails both tests
+    if not (0.0 <= x.min(initial=0.0) and x.max(initial=1.0) <= 1.0):
+        bad = ~((x >= 0.0) & (x <= 1.0))
+        raise InputError(
+            f"{name} must lie in [0, 1]: {np.count_nonzero(bad)} value(s) NaN or "
+            f"outside, the first {float(x[bad].flat[0])!r}"
+        )
+    return x
+
+
 def clamp_unit(x):
-    """Pull values into the open unit interval used for all evaluations."""
-    return np.clip(np.asarray(x, dtype=float), CLAMP, 1.0 - CLAMP)
+    """``unit_points``, pulled into the open unit interval used for all
+    evaluations."""
+    return np.clip(unit_points(x), CLAMP, 1.0 - CLAMP)
 
 
 def _bisect_conditional(hfun, u, w):
@@ -194,7 +210,7 @@ class Copula(Parametric):
     def cond_quantile(self, u, w):
         """Inverse of ``cond_cdf`` in its second argument."""
         u = clamp_unit(u)
-        w = np.clip(np.asarray(w, dtype=float), 1e-14, 1.0 - 1e-14)
+        w = np.clip(unit_points(w, "conditional level"), 1e-14, 1.0 - 1e-14)
         return self._hinv(u, w)
 
     def survival(self, u, v):
@@ -321,34 +337,58 @@ class StudentT(Copula):
         x = _t_quantile(nu, u)
         y = _t_quantile(nu, v)
         om = (1.0 - rho) * (1.0 + rho)
-        lognum = (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
-        logden = (nu + 2.0) / 2.0 * np.log1p((x * x + y * y - 2.0 * rho * x * y) / (nu * om))
         const = (
             gammaln((nu + 2.0) / 2.0)
             + gammaln(nu / 2.0)
             - 2.0 * gammaln((nu + 1.0) / 2.0)
             - 0.5 * np.log(om)
         )
-        return const + lognum - logden
+        # beyond |c| = _T_SQUARE_MAX a square would overflow: there
+        # log1p(c^2 / nu) is 2 log |c| - log nu, and the joint term divides
+        # x and y by s = max(|x|, |y|). A quantile beyond the doubles gives NaN
+        s = np.maximum(np.abs(x), np.abs(y))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lx, ly = (
+                np.where(
+                    np.abs(c) > _T_SQUARE_MAX,
+                    2.0 * np.log(np.abs(c)) - np.log(nu),
+                    np.log1p(c * c / nu),
+                )
+                for c in (x, y)
+            )
+            a, b = x / s, y / s
+            far = (nu + 2.0) * np.log(s) + (nu + 2.0) / 2.0 * np.log(
+                (a * a + b * b - 2.0 * rho * a * b) / (nu * om)
+            )
+            logden = (nu + 2.0) / 2.0 * np.log1p((x * x + y * y - 2.0 * rho * x * y) / (nu * om))
+        return const + (nu + 1.0) / 2.0 * (lx + ly) - np.where(s > _T_SQUARE_MAX, far, logden)
+
+    def _cond_frame(self, x):
+        """(m, s, r) such that, given U's t quantile x, V's t quantile is
+        r (m + s z) with z a t variate of nu + 1 degrees of freedom.
+        Beyond |x| = ``_T_SQUARE_MAX`` x * x would overflow, and nu is
+        negligible beside it, so r = |x| is factored out there; elsewhere
+        r = 1. Where x is -inf (nu < 2 at the smallest levels), m and s
+        keep their limits."""
+        rho, nu = self.params
+        big = np.abs(x) > _T_SQUARE_MAX
+        near = np.where(big, 0.0, x)
+        return (
+            np.where(big, rho * np.sign(x), rho * near),
+            np.where(
+                big,
+                np.sqrt((1.0 - rho) * (1.0 + rho) / (nu + 1.0)),
+                np.sqrt((nu + near * near) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho)),
+            ),
+            np.where(big, np.abs(x), 1.0),
+        )
 
     def _cond_z(self, u, v):
         """Standardised v given U = u, a t variate with nu + 1 degrees
         of freedom: h(u, v) = T(z), hbar = T(-z)."""
-        rho, nu = self.params
-        x = _t_quantile(nu, u)
-        y = _t_quantile(nu, v)
-        big = np.abs(x) > _T_SQUARE_MAX
-        if not np.any(big):
-            scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
-            return (y - rho * x) / scale
-        # x * x would overflow there, and nu is negligible beside it. |x| is
-        # divided out first, so where x is -inf (nu < 2 at the smallest
-        # levels) z takes its limit rho sqrt((nu + 1) / (1 - rho^2))
+        m, s, r = self._cond_frame(_t_quantile(self.params[1], u))
         with np.errstate(divide="ignore", invalid="ignore"):
-            far = (y / np.abs(x) - rho * np.sign(x)) / np.sqrt((1.0 - rho) * (1.0 + rho) / (nu + 1.0))
-        x = np.where(big, 0.0, x)
-        near = (y - rho * x) / np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
-        return np.where(big, far, near)
+            return (_t_quantile(self.params[1], v) / r - m) / s
 
     def _h(self, u, v):
         return stdtr(self.params[1] + 1.0, self._cond_z(u, v))
@@ -357,11 +397,10 @@ class StudentT(Copula):
         return stdtr(self.params[1] + 1.0, -self._cond_z(u, v))
 
     def _hinv(self, u, w):
-        rho, nu = self.params
-        x = _t_quantile(nu, u)
-        scale = np.sqrt((nu + x * x) / (nu + 1.0) * (1.0 - rho) * (1.0 + rho))
-        y = rho * x + scale * _t_quantile(nu + 1.0, w)
-        return stdtr(nu, y)
+        nu = self.params[1]
+        m, s, r = self._cond_frame(_t_quantile(nu, u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _t_cdf(nu, r * (m + s * _t_quantile(nu + 1.0, w)))
 
     def _sample(self, n, rng):
         rho, nu = self.params
@@ -388,7 +427,8 @@ _T_LOWER_TAIL = 1e-100
 #: the smallest normal double, and within 6.7e-16 for ``stdtrit`` short
 #: of it.
 _T_FAR = 1e100
-#: Beyond this |x| the t quantile is not squared (``StudentT._cond_z``).
+#: Beyond this |x| the t quantile is not squared (``StudentT._logpdf`` and
+#: ``StudentT._cond_frame``).
 _T_SQUARE_MAX = 1e150
 
 
@@ -420,6 +460,17 @@ def _t_quantile(nu, p):
             z = betaincinv(0.5 * nu, 0.5, 2.0 * p[tiny])
             x[tiny] = -np.sqrt(nu * (1.0 / z - 1.0))
     return x
+
+
+def _t_cdf(nu, x):
+    """CDF of Student's t with nu degrees of freedom: ``stdtr``, which is 0
+    beyond x = -1.34e154, where x^2 overflows. Beyond -``_T_SQUARE_MAX``
+    it comes from log z, z = nu / (nu + x^2), as in ``_t_quantile``:
+    p = z^(nu/2) / (nu B(nu/2, 1/2)) to within z < 1e-299 relative."""
+    a = 0.5 * nu
+    with np.errstate(divide="ignore", over="ignore"):
+        far = np.exp(a * (np.log(nu) - 2.0 * np.log(np.abs(x))) - np.log(nu) - betaln(a, 0.5))
+    return np.where(x < -_T_SQUARE_MAX, far, stdtr(nu, x))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from scipy.stats import kendalltau
 
 from .blend import BlendedModel, ModelParams
 from .errors import BlendcopError, FitError, InputError
-from .families import CLAMP, Copula, family_class
+from .families import CLAMP, Copula, family_class, unit_points
 from .weighting import weighting_class
 
 #: Floor of every log-density in the likelihood, blend or single copula.
@@ -69,18 +69,8 @@ class Dataset:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        for name, arr in (("u", u), ("v", v)):
-            bad = ~((arr >= 0.0) & (arr <= 1.0))
-            if np.any(bad):
-                raise InputError(
-                    f"pseudo-observations must lie in [0, 1]: {name} has "
-                    f"{np.count_nonzero(bad)} values that are NaN or outside, "
-                    f"the first {float(arr[bad].flat[0])!r}"
-                )
-        self.u = np.clip(u, CLAMP, 1.0 - CLAMP)
-        self.v = np.clip(v, CLAMP, 1.0 - CLAMP)
+        self.u = np.clip(unit_points(self.u, "pseudo-observations u"), CLAMP, 1.0 - CLAMP)
+        self.v = np.clip(unit_points(self.v, "pseudo-observations v"), CLAMP, 1.0 - CLAMP)
         if self.u.shape != self.v.shape or self.u.ndim != 1:
             raise InputError("dataset needs two equal-length 1-d coordinate arrays")
         if self.n < 2:

@@ -7,6 +7,9 @@ integration rules used for normalising constants and margins are
 composite: panels refined geometrically toward both endpoints, with a
 Gauss-Legendre rule inside each panel. A plain single-panel rule is kept
 for smooth integrands.
+
+``Kept`` is the one store of arrays that calls share: a blend's grids and
+the sort order of a fit's data.
 """
 from __future__ import annotations
 
@@ -47,6 +50,32 @@ def _readonly(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+class Kept:
+    """Arrays kept across calls: the values of ``make()`` for the last
+    ``size`` keys, found by key equality and read-only. A read makes its
+    entry the last to be evicted; a ``make`` that raises stores nothing."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries = {}
+
+    def get(self, key, make):
+        value = self._entries.pop(key, None)
+        if value is None:
+            (value,) = _readonly(make())
+        self._entries[key] = value
+        if len(self._entries) > self.size:
+            del self._entries[next(iter(self._entries))]
+        return value
+
+    def values(self):
+        """The kept arrays, the next to be evicted first."""
+        return list(self._entries.values())
+
+    def clear(self):
+        self._entries.clear()
 
 
 def _composite(n_per_panel, breaks):

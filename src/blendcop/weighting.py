@@ -21,12 +21,10 @@ parsing are those of a copula family.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from .families import POSITIVE, Parametric, lookup, parse_spec
-from .quadrature import skewed_refined
+from .quadrature import Kept, skewed_refined
 
 # Given a coordinate t, a conditional CDF steps up within about 1 - t of
 # v = 1 (upper tail dependence) or within about t of v = 0 (lower tail
@@ -35,11 +33,12 @@ from .quadrature import skewed_refined
 # deep upper quantiles need, and to 1.3e-3 toward 0, beyond which a step
 # moves the expectation by less than 4e-6 relative.
 _GLW_X, _GLW_W = skewed_refined(6)
-#: dpi/dv grids kept by ``_dv_grid``: at the build rule's 224 nodes a grid
-#: holds 224 x 66 doubles, about 118 KB, and a fit's steps move among two
-#: or three values of theta (a fourth grid is not read back).
+#: dpi/dv grids that ``expectation`` keeps under the form, theta and t: at
+#: the build rule's 224 nodes a grid holds 224 x 66 doubles, about 118 KB,
+#: and a fit's steps move among two or three values of theta (a fourth
+#: grid is not read back).
 _DV_CACHE = 3
-_dv_grids: OrderedDict = OrderedDict()
+_dv_grids = Kept(_DV_CACHE)
 
 
 class WeightingFunction(Parametric):
@@ -72,24 +71,11 @@ class WeightingFunction(Parametric):
         coordinate's E[pi(U, t) | V = t] only because the weighting must
         satisfy pi(u, v) = pi(v, u).
         """
-        dv = _dv_grid(self, t)
+        dv = _dv_grids.get(
+            (type(self), self.theta, t.tobytes()), lambda: self.dv(t, self.v_nodes[None, :])
+        )
         top = np.ravel(self(t, 1.0))
         return [top - (dv * grid) @ _GLW_W for grid in grids]
-
-
-def _dv_grid(weighting, t):
-    """dpi/dv of ``weighting`` at a column t and its ``v_nodes``,
-    read-only, kept among the last ``_DV_CACHE`` grids under the form,
-    theta and t: a fit's steps that leave theta alone reuse it."""
-    key = (type(weighting), weighting.theta, t.tobytes())
-    grid = _dv_grids.pop(key, None)
-    if grid is None:
-        grid = weighting.dv(t, weighting.v_nodes[None, :])
-        grid.flags.writeable = False
-    _dv_grids[key] = grid
-    if len(_dv_grids) > _DV_CACHE:
-        _dv_grids.popitem(last=False)
-    return grid
 
 
 class PowerProduct(WeightingFunction):

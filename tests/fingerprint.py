@@ -19,6 +19,10 @@ numbers (``repr`` of Python floats, the bytes of arrays):
 * ``chi_eta``: chi and eta at ``DEFAULT_R_GRID`` of those blends and of
   seven single copulas;
 * ``copula_cdf``: each blend's ``copula_cdf`` on a 10 x 10 lattice;
+* ``quantiles``: both axes' ``marginal_quantile`` of those blends and of
+  coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5), whose axes have their own
+  margins, at levels within 2e-6 of either end, where the quantile is
+  the outer-panel root;
 * ``draws``: 500 draws of each family and 2000 draws of each blend at a
   seed.
 
@@ -58,6 +62,11 @@ SINGLES = (
 FAMILY_SPECS = (
     "gaussian(0.6)", "student_t(0.5,4)", "frank(2)", "clayton(1)", "joe(2)", "gumbel(2)",
     "inverted_gumbel(2)", "husler_reiss(2)", "galambos(1.5)", "coles_tawn(0.5,0.8)",
+)
+QUANTILE_BLENDS = BLENDS + ("coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5)",)
+QUANTILE_LEVELS = np.array(
+    [5e-324, 1e-300, 1e-100, 1e-20, 1e-9, 1e-7]
+    + [1.0 - d for d in (1e-7, 1e-9, 1e-13, 2.2e-16)]
 )
 LATTICE = np.array([0.005, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 0.995])
 DRAW_SEED = 7
@@ -110,6 +119,13 @@ def copula_cdf():
         yield blend(key).copula_cdf(u, v).tobytes().hex()
 
 
+def quantiles():
+    for key in QUANTILE_BLENDS:
+        model = blend(key)
+        for axis in (0, 1):
+            yield model.marginal_quantile(axis, QUANTILE_LEVELS).tobytes().hex()
+
+
 def draws():
     for text in FAMILY_SPECS:
         yield parse_copula(text).sample(500, np.random.default_rng(DRAW_SEED)).tobytes().hex()
@@ -131,7 +147,7 @@ def digest(group):
 def main():
     if sorted(parse_copula(text).tag for text in FAMILY_SPECS) != sorted(FAMILIES):
         raise SystemExit("FAMILY_SPECS must name every family once")
-    for group in (fits, margins, chi_eta, copula_cdf, draws):
+    for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles):
         print(f"{group.__name__:<11} {digest(group)}", flush=True)
 
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
-from blendcop import blend
+from blendcop import blend, weighting
 from blendcop.blend import _BUILD_ORDER, BlendedModel, _component_grid, _Margin
 from blendcop.dependence import DEFAULT_R_GRID, R_MAX, chi_eta
 from blendcop.errors import EvaluationError, InputError
@@ -116,18 +116,29 @@ def test_a_reused_data_order_cannot_go_stale(triple):
     # then permuted, give the values of their points taken one at a time.
     # Two levels lie in the outermost panels, where the quantile is a
     # root. The point-by-point calls come last, so they evict nothing.
+    # The order kept last is that of the levels just evaluated; under
+    # coles_tawn the edit of v[9] changes none of the bytes that the key
+    # of v's levels hashes.
     tail, tp, body, bp, theta = triple
     m = build(tail, tp, body, bp, "power", theta)
-    assert (m._axes[0] is m._axes[1]) == (tail == "gumbel")
+    shared = m._axes[0] is m._axes[1]
+    assert shared == (tail == "gumbel")
+
+    def logpdf(u, v):
+        out = m.logpdf(u, v)
+        levels = np.concatenate([u, v]) if shared else v
+        assert np.array_equal(blend._orders.values()[-1], np.argsort(levels))
+        return out
+
     rng = np.random.default_rng(3)
     u, v = rng.random(150), rng.random(150)
     u[0], v[1] = 1e-7, 1.0 - 1e-7
-    seen = [(u.copy(), v.copy(), m.logpdf(u, v), m.logpdf(u, v))]
+    seen = [(u.copy(), v.copy(), logpdf(u, v), logpdf(u, v))]
     u[5], v[9] = 0.999, 0.002
-    seen.append((u.copy(), v.copy(), m.logpdf(u, v)))
+    seen.append((u.copy(), v.copy(), logpdf(u, v)))
     order = rng.permutation(u.size)
     u[:], v[:] = u[order], v[order]
-    seen.append((u.copy(), v.copy(), m.logpdf(u, v)))
+    seen.append((u.copy(), v.copy(), logpdf(u, v)))
     assert np.array_equal(seen[0][2], seen[0][3])
     assert np.array_equal(seen[2][2], seen[1][2][order])
     for uu, vv, got, *_ in seen:
@@ -219,10 +230,32 @@ def test_marginal_quantile_against_oracle(power_model):
         power_model.marginal_quantile(0, 1.5)
     with pytest.raises(InputError, match="strictly inside"):
         power_model.marginal_quantile(0, np.nan)
-    # a NaN level reaches the quantile through the copula interface too
+    # a NaN point is rejected before it reaches the quantile
     for method in (power_model.logpdf, power_model.survival):
-        with pytest.raises(InputError, match="strictly inside"):
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\].*the first nan"):
             method(np.nan, 0.5)
+
+
+def test_public_methods_reject_points_outside_the_unit_interval(power_model):
+    # NaN and values outside [0, 1] are not clipped; 0 and 1 still clamp
+    m = power_model
+    two = ("cstar_pdf", "pdf", "logpdf", "survival", "copula_cdf", "joint_upper_survival")
+    methods = [(name, getattr(m, name)) for name in two] + [
+        (f"{name}[{axis}]", lambda x, f=getattr(m, name), a=axis: f(a, x))
+        for name in ("marginal_pdf", "marginal_cdf")
+        for axis in (0, 1)
+    ]
+    ends = (np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+    for name, method in methods:
+        for bad in (np.nan, -0.1, 1.1):
+            cases = ((bad, 0.5), (0.5, bad), ([0.5, bad], [0.5, 0.5]))
+            for args in cases if name in two else ((bad,), ([0.5, bad],)):
+                with pytest.raises(InputError, match=rf"must lie in \[0, 1\].* the first {bad!r}"):
+                    method(*args)
+        assert not np.any(np.isnan(method(*ends[: 2 if name in two else 1]))), name
+    for bad in (np.nan, -0.1, 1.1, 0.0, 1.0):
+        with pytest.raises(InputError, match="strictly inside"):
+            m.marginal_quantile(0, bad)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -575,7 +608,8 @@ def test_a_cached_build_matches_a_cold_build_byte_for_byte():
     assert repr(cold.norm_constants) == repr(warm.norm_constants)
     x, _ = corner_refined(_BUILD_ORDER)
     for axis in (0, 1):
-        # the uncached path gives the same node values
+        # grids made anew, from an empty store, give the same node values
+        blend._grids.clear()
         e_t, e_b = cold._pi_expectations(axis, x)
         plain = _Margin((1.0 + e_t - e_b) / cold.K)
         for name in ("x", "pdf", "cdf", "sf", "level"):
@@ -629,6 +663,48 @@ def test_a_nonfinite_grid_names_its_component():
     named = r"conditional CDF of the body nan_near_one\(\) on axis 0 at \(t=0\.9999"
     with pytest.raises(EvaluationError, match=named):
         BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", 1.0))
+
+
+def test_a_grid_that_fails_is_not_kept(monkeypatch):
+    # the failed grid is made again, and only the finite grid is kept
+    calls = _count_h(monkeypatch, _NaNNearOne)
+    blend._grids.clear()
+    named = r"conditional CDF of the body nan_near_one\(\)"
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match=named):
+            BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", 1.0))
+    assert calls == ["nan_near_one"] * 2
+    kept = blend._grids.values()
+    assert len(kept) == 1 and np.all(np.isfinite(kept[0]))
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ("husler_reiss", [2.0], "frank", [1.0], "exp_complement", 1.0),
+        ("gumbel", [2.0], "gumbel", [2.0], "power", 1.0),
+        ("coles_tawn", [0.5, 0.8], "gaussian", [0.5], "power", 1.5),
+    ],
+    ids=["shared-margin", "equal-components", "coles_tawn"],
+)
+def test_a_deep_root_reads_back_the_grids_it_would_make(triple):
+    # each level is solved from an empty store, again with its steps'
+    # grids kept, and after the other levels' roots
+    m = build(*triple)
+    levels = (1e-300, 1e-9, 1.0 - 1e-9, 1.0 - 1e-13)
+    for axis in (0, 1):
+        for q in levels:
+            blend._grids.clear()
+            weighting._dv_grids.clear()
+            cold = m.marginal_quantile(axis, q)
+            kept = [id(a) for a in blend._grids.values()]
+            warm = m.marginal_quantile(axis, q)
+            # the second root made no grid
+            assert [id(a) for a in blend._grids.values()] == kept
+            assert repr(warm) == repr(cold), (axis, q)
+        # one call solves the levels in turn, each after the others' roots
+        apart = [m.marginal_quantile(axis, q) for q in levels]
+        assert repr(m.marginal_quantile(axis, np.array(levels)).tolist()) == repr(apart)
 
 
 def test_a_nonfinite_grid_in_the_outermost_panel_names_its_component():

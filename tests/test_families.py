@@ -122,6 +122,19 @@ def test_negative_sample_size_raises_input_error(cop, rng):
         cop.sample(-1, rng)
 
 
+@pytest.mark.parametrize("cop", REPRESENTATIVE, ids=IDS)
+def test_public_methods_reject_points_outside_the_unit_interval(cop):
+    # NaN and values outside [0, 1] are not clipped; 0 and 1 still clamp
+    ends = (np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+    for name in ("cdf", "pdf", "logpdf", "cond_cdf", "cond_quantile", "survival"):
+        method = getattr(cop, name)
+        for bad in (np.nan, -0.1, 1.1):
+            for args in ((bad, 0.5), (0.5, bad), ([0.5, bad], [0.5, 0.5])):
+                with pytest.raises(InputError, match=rf"must lie in \[0, 1\].* the first {bad!r}"):
+                    method(*args)
+        assert not np.any(np.isnan(method(*ends))), name
+
+
 def test_sampler_uniform_margins(rng):
     uv = make_copula("galambos", [1.5]).sample(50_000, rng)
     assert kstest(uv[:, 0], "uniform").pvalue > 1e-3
@@ -323,6 +336,50 @@ def test_student_t_conditional_beyond_a_squarable_quantile():
     limit = tdist.cdf(rho * np.sqrt((nu + 1.0) / ((1.0 - rho) * (1.0 + rho))), nu + 1.0)
     assert _t_quantile(nu, NORMAL_MIN) == -np.inf
     assert_allclose(cop._h(np.array([[NORMAL_MIN], [u]]), v), [[limit] * 4, cop._h(u, v)], rtol=1e-15)
+
+
+# a level, per nu, whose t quantile is beyond 1e154, where its square
+# overflows: about -1.1e160, -1.0e199, -3.2e199 and -2.2e166
+_UNSQUARABLE = {0.06: 1e-10, 0.5: 1e-100, 1.0: 1e-200, 1.5: 1e-250}
+
+
+def _mp_t_copula_logpdf(rho, nu, x, y):
+    """log c of the t copula at t quantiles (x, y), in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        rho, nu, x, y = (mpmath.mpf(float(a)) for a in (rho, nu, x, y))
+        om = 1 - rho**2
+        log_f2 = (
+            mpmath.loggamma((nu + 2) / 2) - mpmath.loggamma(nu / 2) - mpmath.log(nu * mpmath.pi)
+            - mpmath.log(om) / 2
+            - (nu + 2) / 2 * mpmath.log(1 + (x * x + y * y - 2 * rho * x * y) / (nu * om))
+        )
+
+        def log_f1(t):
+            return (
+                mpmath.loggamma((nu + 1) / 2) - mpmath.loggamma(nu / 2)
+                - mpmath.log(nu * mpmath.pi) / 2 - (nu + 1) / 2 * mpmath.log(1 + t * t / nu)
+            )
+
+        return float(log_f2 - log_f1(x) - log_f1(y))
+
+
+@pytest.mark.parametrize("nu", sorted(_UNSQUARABLE))
+def test_student_t_density_and_inverse_beyond_a_squarable_quantile(nu):
+    rho, u = 0.5, _UNSQUARABLE[nu]
+    cop = make_copula("student_t", [rho, nu])
+    us = np.array([u, u, u, u, 0.3, 1e-3 * u])
+    vs = np.array([0.5, 1e-3, 0.999, u, u, u])
+    x, y = _t_quantile(nu, us), _t_quantile(nu, vs)
+    assert np.abs(x[0]) > 1e154 and np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    want = [_mp_t_copula_logpdf(rho, nu, a, b) for a, b in zip(x, y)]
+    assert_allclose(cop._logpdf(us, vs), want, rtol=1e-13)
+    # the public density at the clamp's level: nu = 0.06 raised there
+    assert np.all(np.isfinite(cop.logpdf([1e-10, 0.3], [0.5, 0.5])))
+    # the conditional quantile inverts h; these w keep v near 0
+    w = np.array([0.05, 0.3, 0.6])
+    v = cop._hinv(u, w)
+    assert np.all((v > 0.0) & (v < 1e-9))
+    assert_allclose(cop._h(u, v), w, rtol=1e-12)
 
 
 def test_student_t_level_zero_is_the_lower_end():

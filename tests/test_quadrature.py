@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import blendcop
 from blendcop.quadrature import (
     UNIT_BREAKS,
+    Kept,
     corner_refined,
     gauss_legendre,
     panel_calculus,
@@ -111,3 +112,83 @@ def test_no_module_of_the_package_imports_scipy_integrate():
                 f"{path.name}:{node.lineno}" for name in names if name.startswith(forbidden)
             ]
     assert not offenders, f"scipy.integrate or scipy.stats imported at {offenders}"
+
+
+def test_kept_evicts_the_least_recently_read_and_keeps_what_it_made_read_only():
+    made = []
+
+    def make(key):
+        def value():
+            made.append(key)
+            return np.full(3, float(key))
+
+        return value
+
+    kept = Kept(2)
+    one = kept.get(1, make(1))
+    kept.get(2, make(2))
+    # a read makes 1 the last to be evicted, so 3 evicts 2
+    assert kept.get(1, make(1)) is one
+    kept.get(3, make(3))
+    assert made == [1, 2, 3]
+    assert [a[0] for a in kept.values()] == [1.0, 3.0]
+    assert kept.get(1, make(1)) is one and made == [1, 2, 3]
+    kept.get(2, make(2))
+    assert made == [1, 2, 3, 2]
+    assert [a[0] for a in kept.values()] == [1.0, 2.0]
+    for a in kept.values():
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+    def fails():
+        made.append("failed")
+        raise RuntimeError("no value")
+
+    # a make that raises stores nothing, so the next read makes it again
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="no value"):
+            kept.get(4, fails)
+    assert made[-2:] == ["failed", "failed"]
+    assert [a[0] for a in kept.values()] == [1.0, 2.0]
+    kept.clear()
+    assert kept.values() == []
+
+
+def test_only_the_store_keeps_arrays_across_calls():
+    # every array kept from one call to the next lives in a ``Kept``: no
+    # other module imports OrderedDict or binds a module-level name to an
+    # empty list or dict, the makings of a hand-written cache
+    empty_calls = {"dict", "list", "OrderedDict", "defaultdict", "deque"}
+
+    def empty(node):
+        if isinstance(node, ast.List):
+            return not node.elts
+        if isinstance(node, ast.Dict):
+            return not node.keys
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            return name in empty_calls and not node.args and not node.keywords
+        return False
+
+    offenders = []
+    for path in sorted(Path(blendcop.__file__).parent.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            f"{path.name}:{node.lineno} imports OrderedDict"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name.endswith("OrderedDict") for alias in node.names)
+        ]
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and empty(node.value):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None and empty(node.value):
+                targets = [node.target]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {ast.unparse(t)}" for t in targets]
+    assert not offenders, f"arrays kept outside quadrature.Kept: {offenders}"
