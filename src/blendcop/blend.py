@@ -66,13 +66,17 @@ marginal quantiles it is the induced copula's ``survival``, which chi and
 eta read and which gives its CDF u + v - 1 + survival(u, v). A model
 answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
 
-``logpdf`` looks its levels up in sorted order. Axes that share one
-margin are looked up together, in one sorted pass over u and v, and the
-``Kept`` store ``_orders`` keeps the order of the last ``_ORDER_CACHE``
-level arrays sorted, found again by their bytes, so the evaluations of a
-fit sort their data once. The values, and the order in which a
-log-likelihood sums them, are those of the points taken one at a time. A
-margin makes its CDF's interpolant on first use, since a likelihood
+One routine, ``_lookup``, maps levels to points: x = F^-1(q) and
+log f(x), from the table's quantile step or, inside the outermost
+panels, the root. It looks levels up in sorted order, and the ``Kept``
+store ``_orders`` keeps the order of the last ``_ORDER_CACHE`` level
+arrays sorted, found again by their bytes, so the evaluations of a fit
+sort their data once. ``marginal_quantile`` reads its x. ``logpdf`` and
+``survival`` read both axes through ``_pair``, which looks u and v up
+together, in one sorted pass, where the axes share one margin, so a
+level on both solves its root once. The values, and the order in which
+a log-likelihood sums them, are those of the points taken one at a time.
+A margin makes its CDF's interpolant on first use, since a likelihood
 never reads it.
 """
 from __future__ import annotations
@@ -114,7 +118,7 @@ _RECT_BATCH = 16
 #: grids are the last four builds of a blend of exchangeable components.
 _GRID_CACHE = 8
 _grids = Kept(_GRID_CACHE)
-#: Level arrays whose sort order ``logpdf`` keeps: the two axes' data of
+#: Level arrays whose sort order ``_lookup`` keeps: the two axes' data of
 #: a blend whose axes have their own margins.
 _ORDER_CACHE = 2
 _orders = Kept(_ORDER_CACHE)
@@ -363,30 +367,53 @@ class BlendedModel:
         return out if np.ndim(x) else float(out)
 
     def marginal_quantile(self, axis, q):
-        """Inverse marginal CDF: a Hermite step on the tabulated levels
-        (slope 1 / pdf), the exact root inside the outermost panels,
-        solved once per distinct level."""
-        scalar = np.ndim(q) == 0
-        out, _, _ = self._quantile(axis, np.atleast_1d(np.asarray(q, dtype=float)))
-        return float(out[0]) if scalar else out
+        """Inverse marginal CDF at levels q of any shape, by ``_lookup``:
+        a Hermite step on the tabulated levels (slope 1 / pdf), the exact
+        root inside the outermost panels, solved once per distinct level."""
+        q = np.asarray(q, dtype=float)
+        x, _ = self._lookup(axis, q.ravel())
+        return x.reshape(q.shape) if q.ndim else float(x[0])
 
-    def _quantile(self, axis, q):
-        """(x, i, outer) for a flat array q: x = F^-1(q), i the table
-        interval of each level, and ``outer`` marks the levels whose x is
-        an exact root instead (None if there are none)."""
+    def _lookup(self, axis, q):
+        """(x, log f(x)) at x = F^-1(q) for a flat array q, in the order
+        of q: the one place that maps levels to points. The table is
+        searched once, in sorted order, several times faster than in
+        random order; the order is kept in ``_orders`` under the bytes of
+        q, so the evaluations of a fit sort their data once, and an edit
+        or a permutation of the levels sorts them anew. Levels in the
+        outermost panels take the exact root, solved once per distinct
+        level, and f there is looked up anew; elsewhere f takes the
+        interval that the level's search found."""
         m = self._axes[axis]
         # 1/2 joins the range so that an empty q passes
         lo, hi = q.min(initial=0.5), q.max(initial=0.5)
         if not (0.0 < lo and hi < 1.0):
             raise InputError("quantile level must lie strictly inside (0, 1)")
-        i = m.quantile_at._interval(q)
-        out = m.quantile_at(q, i)
-        outer = None
+        order = _orders.get(_Levels(q.tobytes()), lambda: np.argsort(q))
+        qs = q[order]
+        i = m.quantile_at._interval(qs)
+        xs = m.quantile_at(qs, i)
+        fs = m.pdf_at(xs, i)
         if lo < m.inner[0] or hi > m.inner[1]:
-            outer = (q < m.inner[0]) | (q > m.inner[1])
-            levels, index = np.unique(q[outer], return_inverse=True)
-            out[outer] = np.array([self._quantile_exact(axis, float(p)) for p in levels])[index]
-        return out, i, outer
+            outer = (qs < m.inner[0]) | (qs > m.inner[1])
+            levels, index = np.unique(qs[outer], return_inverse=True)
+            xs[outer] = np.array([self._quantile_exact(axis, float(p)) for p in levels])[index]
+            fs[outer] = m.pdf_at(xs[outer])
+        x, log_f = np.empty_like(q), np.empty_like(q)
+        x[order] = xs
+        with np.errstate(divide="ignore"):
+            log_f[order] = np.log(fs)
+        return x, log_f
+
+    def _pair(self, u, v):
+        """(x, y, log f(x), log g(y)) at x = F^-1(u), y = G^-1(v) for flat
+        u and v. Axes that share one margin look u and v up together, so a
+        level on both solves its root once."""
+        if self._axes[0] is self._axes[1]:
+            x, log_f = self._lookup(0, np.concatenate([u, v]))
+            return x[: u.size], x[u.size :], log_f[: u.size], log_f[u.size :]
+        (x, log_fx), (y, log_fy) = self._lookup(0, u), self._lookup(1, v)
+        return x, y, log_fx, log_fy
 
     def pdf(self, u, v):
         return np.exp(self.logpdf(u, v))
@@ -394,51 +421,17 @@ class BlendedModel:
     def logpdf(self, u, v):
         """Log-density of the copula induced by cstar."""
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
-        shape = u.shape
-        u, v = u.ravel(), v.ravel()
-        if self._axes[0] is self._axes[1]:
-            # one margin: u and v are looked up together
-            x, log_f = self._quantile_log_pdf(0, np.concatenate([u, v]))
-            x, y, log_fx, log_fy = x[: u.size], x[u.size :], log_f[: u.size], log_f[u.size :]
-        else:
-            x, log_fx = self._quantile_log_pdf(0, u)
-            y, log_fy = self._quantile_log_pdf(1, v)
+        x, y, log_fx, log_fy = self._pair(u.ravel(), v.ravel())
         with np.errstate(divide="ignore"):
             out = np.log(self._unnorm_density(x, y)) - np.log(self.K) - log_fx - log_fy
-        return out.reshape(shape)[()]
-
-    def _quantile_log_pdf(self, axis, q):
-        """(x, log f(x)) at x = F^-1(q) for a flat array q, which holds
-        both axes' levels when they share a margin. The table is searched
-        once, in sorted order, several times faster than in random order;
-        the order is kept in ``_orders`` under the bytes of q, so the
-        evaluations of a fit sort their data once, and an edit or a
-        permutation of the levels sorts them anew. f(x) takes the interval
-        that the level's search found, except at an exact root. x keeps
-        the order of q."""
-        pdf_at = self._axes[axis].pdf_at
-        order = _orders.get(_Levels(q.tobytes()), lambda: np.argsort(q))
-        xs, i, outer = self._quantile(axis, q[order])
-        fs = pdf_at(xs, i)
-        if outer is not None:
-            fs[outer] = pdf_at(xs[outer])
-        x = np.empty_like(q)
-        log_f = np.empty_like(q)
-        x[order] = xs
-        with np.errstate(divide="ignore"):
-            log_f[order] = np.log(fs)
-        return x, log_f
+        return out.reshape(u.shape)[()]
 
     def survival(self, u, v):
         """P[U > u, V > v] under the induced copula: the joint upper
-        survival of cstar at x = F^-1(u), y = G^-1(v). Axes that share
-        one margin look u and v up together."""
-        u, v = clamp_unit(u), clamp_unit(v)
-        if self._axes[0] is self._axes[1]:
-            x, y = self.marginal_quantile(0, np.stack(np.broadcast_arrays(u, v)))
-        else:
-            x, y = self.marginal_quantile(0, u), self.marginal_quantile(1, v)
-        return self.joint_upper_survival(x, y)
+        survival of cstar at x = F^-1(u), y = G^-1(v)."""
+        u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
+        x, y, _, _ = self._pair(u.ravel(), v.ravel())
+        return self.joint_upper_survival(x.reshape(u.shape), y.reshape(u.shape))
 
     def copula_cdf(self, u, v):
         """CDF of the induced copula, C(u, v) = u + v - 1 + S(u, v) with S

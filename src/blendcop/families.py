@@ -345,19 +345,24 @@ class StudentT(Copula):
         )
         # beyond |c| = _T_SQUARE_MAX a square would overflow: there
         # log1p(c^2 / nu) is 2 log |c| - log nu, and the joint term divides
-        # x and y by s = max(|x|, |y|). A quantile beyond the doubles gives NaN
+        # x and y by s = max(|x|, |y|). A quantile beyond the doubles
+        # (nu < 2) takes log |c| from ``_t_log_far`` and its ratio to s
+        # from logs
         s = np.maximum(np.abs(x), np.abs(y))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            lx, ly = (
-                np.where(
-                    np.abs(c) > _T_SQUARE_MAX,
-                    2.0 * np.log(np.abs(c)) - np.log(nu),
-                    np.log1p(c * c / nu),
-                )
-                for c in (x, y)
+            log_x, log_y = (
+                np.where(np.isinf(c), _t_log_far(nu, p), np.log(np.abs(c))) for c, p in ((x, u), (y, v))
             )
-            a, b = x / s, y / s
-            far = (nu + 2.0) * np.log(s) + (nu + 2.0) / 2.0 * np.log(
+            lx, ly = (
+                np.where(np.abs(c) > _T_SQUARE_MAX, 2.0 * log_c - np.log(nu), np.log1p(c * c / nu))
+                for c, log_c in ((x, log_x), (y, log_y))
+            )
+            log_s = np.maximum(log_x, log_y)
+            a, b = (
+                np.where(np.isinf(s), np.sign(c) * np.exp(log_c - log_s), c / s)
+                for c, log_c in ((x, log_x), (y, log_y))
+            )
+            far = (nu + 2.0) * log_s + (nu + 2.0) / 2.0 * np.log(
                 (a * a + b * b - 2.0 * rho * a * b) / (nu * om)
             )
             logden = (nu + 2.0) / 2.0 * np.log1p((x * x + y * y - 2.0 * rho * x * y) / (nu * om))
@@ -436,21 +441,19 @@ def _t_quantile(nu, p):
     """Quantile of Student's t with nu degrees of freedom at levels p in
     [0, 1]. Below ``_T_LOWER_TAIL``, x solves 2 p = I_z(nu / 2, 1 / 2)
     with z = nu / (nu + x^2); for nu < 2, x beyond -``_T_FAR`` comes from
-    that equation's leading term in logs. Either also gives p = 0 the
+    that equation's leading term in logs, and beyond ``_T_FAR`` from the
+    same at 1 - p, where ``stdtrit`` stops too (6.7e152 for nu = 0.01 at
+    p = 0.999, against 3.96e268). Either also gives p = 0 the
     quantile's -inf, where ``stdtrit`` gives +inf: a power weighting of
     small theta has v-nodes that underflow to 0."""
     p = np.asarray(p, dtype=float)
     x = np.asarray(stdtrit(nu, p))
     if nu < 2.0:
-        a = 0.5 * nu
-        # log |x| = (log nu - log z) / 2, with 1 - z rounding to 1
-        with np.errstate(divide="ignore"):
-            log_z = (np.log(2.0 * p) + np.log(a) + betaln(a, 0.5)) / a
-        log_x = 0.5 * (np.log(nu) - log_z)
+        log_x = _t_log_far(nu, p)
         far = log_x > np.log(_T_FAR)
-        # beyond the doubles x = -inf
+        # beyond the doubles x = -inf, or +inf
         with np.errstate(over="ignore"):
-            x[far] = -np.exp(log_x[far])
+            x[far] = np.copysign(np.exp(log_x[far]), p[far] - 0.5)
         return x
     tiny = p < _T_LOWER_TAIL
     if tiny.any():
@@ -460,6 +463,18 @@ def _t_quantile(nu, p):
             z = betaincinv(0.5 * nu, 0.5, 2.0 * p[tiny])
             x[tiny] = -np.sqrt(nu * (1.0 / z - 1.0))
     return x
+
+
+def _t_log_far(nu, p):
+    """log |x| of the t quantile x at levels p from the leading term of
+    2 q = I_z(nu / 2, 1 / 2), q = min(p, 1 - p) and z = nu / (nu + x^2),
+    in logs: (log nu - log z) / 2 with 1 - z rounding to 1. Finite where
+    x is beyond the doubles, and +inf at p = 0 and 1; 1 - p is exact
+    where it is the smaller."""
+    a = 0.5 * nu
+    with np.errstate(divide="ignore"):
+        log_z = (np.log(2.0 * np.minimum(p, 1.0 - p)) + np.log(a) + betaln(a, 0.5)) / a
+    return 0.5 * (np.log(nu) - log_z)
 
 
 def _t_cdf(nu, x):

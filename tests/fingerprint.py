@@ -24,7 +24,12 @@ numbers (``repr`` of Python floats, the bytes of arrays):
   margins, at levels within 2e-6 of either end, where the quantile is
   the outer-panel root;
 * ``draws``: 500 draws of each family and 2000 draws of each blend at a
-  seed.
+  seed;
+* ``points``: ``logpdf``, ``survival`` and ``copula_cdf`` of
+  gumbel(2)/clayton(1)/power(0.8), whose axes share one margin, and of
+  coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5), whose axes have their
+  own, on a 6 x 6 lattice whose outer levels lie within 2e-6 of either
+  end, where the quantile is the outer-panel root.
 
 A group whose computation raises hashes the exception's type and text
 instead, so a failure changes the hash too. Nothing is imported from the
@@ -68,6 +73,8 @@ QUANTILE_LEVELS = np.array(
     [5e-324, 1e-300, 1e-100, 1e-20, 1e-9, 1e-7]
     + [1.0 - d for d in (1e-7, 1e-9, 1e-13, 2.2e-16)]
 )
+POINT_BLENDS = ("gumbel(2)/clayton(1)/power(0.8)", "coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5)")
+POINT_LEVELS = np.array([1e-9, 1e-7, 0.3, 0.7, 1.0 - 1e-7, 1.0 - 1e-9])
 LATTICE = np.array([0.005, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 0.995])
 DRAW_SEED = 7
 
@@ -133,6 +140,14 @@ def draws():
         yield sample_blended_copula(blend(key), 2000, np.random.default_rng(DRAW_SEED)).tobytes().hex()
 
 
+def points():
+    u, v = np.meshgrid(POINT_LEVELS, POINT_LEVELS, indexing="ij")
+    for key in POINT_BLENDS:
+        model = blend(key)
+        for answer in (model.logpdf, model.survival, model.copula_cdf):
+            yield answer(u, v).tobytes().hex()
+
+
 def digest(group):
     h = hashlib.sha256()
     try:
@@ -147,7 +162,7 @@ def digest(group):
 def main():
     if sorted(parse_copula(text).tag for text in FAMILY_SPECS) != sorted(FAMILIES):
         raise SystemExit("FAMILY_SPECS must name every family once")
-    for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles):
+    for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles, points):
         print(f"{group.__name__:<11} {digest(group)}", flush=True)
 
 

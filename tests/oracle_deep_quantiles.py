@@ -1,5 +1,5 @@
-"""Generate DEEP_QUANTILE_ORACLE and DEEP_LOWER_QUANTILE_ORACLE for
-tests/test_blend.py.
+"""Generate DEEP_QUANTILE_ORACLE, DEEP_LOWER_QUANTILE_ORACLE and
+DEEP_CHI_ETA_ORACLE for tests/test_blend.py.
 
 Two blends, each with a Gumbel(2) tail and the power weight
 pi(u, v) = (u v)^theta,
@@ -29,10 +29,22 @@ imported from the package under test:
   mass within t of 0 by ``quad`` of K f over (0, t);
 * each root by Newton steps on that mass.
 
+The chi/eta values are at r = 1 - d as a double, whose distance to 1 is
+d' = 1 - (1 - d), as ``dependence.chi_eta`` sees it:
+
+    chi = S / d',   eta = log d' / log S,   S = P[U* > x, V* > x],
+
+with x = F^-1(r) the script's own root at d'. S is K^-1 times the
+integral of the blended density over the square (x, 1)^2, in distances
+p = 1 - u and q = 1 - v to 1: cstar is symmetric, so twice the integral
+over 0 < q < p < 1 - x, each coordinate over its log and the inner one
+with break points around log p, where the tail's density concentrates.
+These quads are relative (``epsabs = 0``), since S is as small as 1e-8.
+
 Everything is computed twice, at a loose and a tight quad tolerance; the
 difference bounds the error of the printed values.
 
-Run: ``python tests/oracle_deep_quantiles.py`` (about a minute).
+Run: ``python tests/oracle_deep_quantiles.py`` (about two minutes).
 """
 import math
 import warnings
@@ -123,6 +135,30 @@ class Margin:
         val, _ = quad(lambda r: self.end_pdf(r, top), 0.0, t, **self.tol)
         return val
 
+    def corner_mass(self, t):
+        """K P[U* > 1 - t, V* > 1 - t]: twice the integral of the blended
+        density over 0 < q < p < t in distances to 1, over log q and log
+        p; below exp(-40) times the upper end lies a negligible share."""
+        rel = dict(self.tol, epsabs=0.0)
+
+        def inner(p):
+            lp = math.log(p)
+
+            def integrand(s):
+                q = math.exp(s)
+                return q * self.blended(1.0 - p, 1.0 - q, p, q)
+
+            val, _ = quad(integrand, lp - 40.0, lp, points=(lp - 6.0, lp - 3.0, lp - 1.0), **rel)
+            return val
+
+        def outer(r):
+            p = math.exp(r)
+            return p * inner(p)
+
+        lt = math.log(t)
+        val, _ = quad(outer, lt - 40.0, lt, **rel)
+        return 2.0 * val
+
     def norm_constant(self):
         return self.end_mass(0.5, False) + self.end_mass(0.5, True)
 
@@ -148,24 +184,46 @@ def distances(key, epsabs, epsrel):
     }
 
 
+def chi_eta(key, epsabs, epsrel):
+    """[(chi, eta)] at r = 1 - d for d in LEVELS, r a double."""
+    marg = Margin(*MODELS[key], epsabs, epsrel)
+    K = marg.norm_constant()
+    out = []
+    for d in LEVELS:
+        d = 1.0 - (1.0 - d)
+        sf = marg.corner_mass(marg.end_distance(d, K, True)) / K
+        out.append((sf / d, math.log(d) / math.log(sf)))
+    return out
+
+
 def main():
-    tables = {"upper": {}, "lower": {}}
+    tables = {"upper": {}, "lower": {}, "chi_eta": {}}
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         for key in MODELS:
             K_loose, loose = distances(key, LOOSE, LOOSE)
             K, tight = distances(key, TIGHT, TIGHT)
             print(f"{key}: K = {K:.12f}   (|tight - loose| = {abs(K - K_loose):.1e})")
-            for end, table in tables.items():
-                table[key] = tight[end]
+            for end in ("upper", "lower"):
+                tables[end][key] = tight[end]
                 for d, a, b in zip(LEVELS, loose[end], tight[end]):
                     print(f"  {end} d = {d:.3g}: distance = {b:.10e}"
                           f"   (relative |tight - loose| = {abs(b / a - 1):.1e})")
+            loose, tight = chi_eta(key, LOOSE, LOOSE), chi_eta(key, TIGHT, TIGHT)
+            tables["chi_eta"][key] = tight
+            for d, a, b in zip(LEVELS, loose, tight):
+                print(f"  1 - r = {d:.3g}: chi = {b[0]:.10e}, eta = {b[1]:.10e}"
+                      f"   (relative |tight - loose| = {abs(b[0] / a[0] - 1):.1e},"
+                      f" {abs(b[1] / a[1] - 1):.1e})")
     for name, end in (("DEEP_QUANTILE_ORACLE", "upper"), ("DEEP_LOWER_QUANTILE_ORACLE", "lower")):
         print(f"{name} = {{")
         for key, tight in tables[end].items():
             print(f'    "{key}": ({", ".join(f"{t:.9e}" for t in tight)}),')
         print("}")
+    print("DEEP_CHI_ETA_ORACLE = {")
+    for key, tight in tables["chi_eta"].items():
+        print(f'    "{key}": ({", ".join(f"({c:.9e}, {e:.9e})" for c, e in tight)}),')
+    print("}")
 
 
 if __name__ == "__main__":

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -33,6 +36,22 @@ DEEP_QUANTILE_ORACLE = {
 DEEP_LOWER_QUANTILE_ORACLE = {
     ("gumbel", 2.0, "gaussian", 0.5, 1.5): (1.734320624e-04, 4.182773302e-06, 1.520081029e-08),
     ("gumbel", 2.0, "clayton", 1.0, 0.8): (1.721604767e-04, 4.152370006e-06, 1.509035992e-08),
+}
+# chi and eta at r = 1 - d (a double) for d in DEEP_LEVELS, printed by the
+# same script: the joint survival at its own quantiles by nested quad of
+# the closed-form blended density in distances to 1 (about 18 s; its
+# loose-vs-tight differences are at most 8.7e-7 relative).
+DEEP_CHI_ETA_ORACLE = {
+    ("gumbel", 2.0, "gaussian", 0.5, 1.5): (
+        (5.314669856e-01, 9.321170545e-01),
+        (5.548649194e-01, 9.546674778e-01),
+        (5.728337253e-01, 9.700114185e-01),
+    ),
+    ("gumbel", 2.0, "clayton", 1.0, 0.8): (
+        (4.557750736e-01, 9.169871101e-01),
+        (4.556173163e-01, 9.404044916e-01),
+        (4.556117036e-01, 9.582032345e-01),
+    ),
 }
 
 TABLE4_CASES = [
@@ -98,6 +117,37 @@ def test_outer_panel_root_solved_once_per_distinct_level(power_model, monkeypatc
     lo, hi = solve(power_model, 0, 1e-9), solve(power_model, 0, 1.0 - 1e-9)
     assert np.all(x == [lo, power_model.marginal_quantile(0, 0.5), hi])
     assert power_model.survival(1e-9, 1.0 - 1e-9) == power_model.joint_upper_survival(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [("gumbel", [2.0], "clayton", [1.0], 0.8), ("coles_tawn", [0.5, 0.8], "gaussian", [0.5], 1.5)],
+    ids=["shared-margin", "coles_tawn"],
+)
+def test_outer_panel_root_solved_once_per_axis_and_level(triple, monkeypatch):
+    # logpdf and survival look their levels up through one pair routine:
+    # a level solves its root once per axis, or once for both where the
+    # axes share one margin, and the values are those of the points one
+    # at a time
+    tail, tp, body, bp, theta = triple
+    m = build(tail, tp, body, bp, "power", theta)
+    shared = m._axes[0] is m._axes[1]
+    solved = []
+    solve = BlendedModel._quantile_exact
+    monkeypatch.setattr(
+        BlendedModel, "_quantile_exact",
+        lambda m, axis, q: solved.append((axis, q)) or solve(m, axis, q),
+    )
+    deep = (1e-9, 1.0 - 1e-9)
+    u = np.tile([1e-9, 0.5, 1.0 - 1e-9], 20)
+    v = np.roll(u, 1)
+    want = sorted((axis, q) for axis in ((0,) if shared else (0, 1)) for q in deep)
+    for answer in (m.logpdf, m.survival):
+        solved.clear()
+        got = answer(u, v)
+        assert sorted(solved) == want, answer.__name__
+        apart = [answer(a, b) for a, b in zip(u, v)]
+        assert repr(got.tolist()) == repr([float(a) for a in apart]), answer.__name__
 
 
 def test_norm_constants_against_oracle(power_model, exp_model):
@@ -381,6 +431,14 @@ def test_deep_tail_quantile_against_oracle(case):
         assert_allclose(got, DEEP_QUANTILE_ORACLE[case], rtol=1e-5)
         got = [m.marginal_quantile(axis, d) for d in DEEP_LEVELS]
         assert_allclose(got, DEEP_LOWER_QUANTILE_ORACLE[case], rtol=1e-5)
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_CHI_ETA_ORACLE))
+def test_deep_tail_chi_eta_against_oracle(case):
+    tt, tp, bt, bp, theta = case
+    m = build(tt, [tp], bt, [bp], "power", theta)
+    got = [chi_eta(m, 1.0 - d) for d in DEEP_LEVELS]
+    assert_allclose(got, DEEP_CHI_ETA_ORACLE[case], rtol=1e-5)
 
 
 def test_exact_integrals_match_cache(power_model):
@@ -724,3 +782,31 @@ def test_a_steep_gumbel_tail_builds(alpha):
     assert np.isfinite(m.K)
     gentle = BlendedModel(Gumbel(39.0), Gumbel(1.5), make_weighting("power", 1.0))
     assert abs(m.K - gentle.K) < 1e-3
+
+
+def test_only_the_lookup_maps_levels_to_points():
+    # one routine maps levels to points (the table's quantile step and the
+    # outer-panel root), and one looks both axes up together where they
+    # share a margin
+    tree = ast.parse(Path(blend.__file__).read_text(encoding="utf-8"))
+    (model,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "BlendedModel")
+    offenders = set()
+    for method in model.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for node in ast.walk(method):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in {"quantile_at", "_quantile_exact"}
+                and method.name != "_lookup"
+            ):
+                offenders.add(f"{method.name} reads .{node.attr}")
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.ops[0], ast.Is)
+                and {ast.unparse(node.left), ast.unparse(node.comparators[0])}
+                == {"self._axes[0]", "self._axes[1]"}
+                and method.name != "_pair"
+            ):
+                offenders.add(f"{method.name} compares the axes' margins")
+    assert not offenders, sorted(offenders)

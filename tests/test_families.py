@@ -344,9 +344,10 @@ _UNSQUARABLE = {0.06: 1e-10, 0.5: 1e-100, 1.0: 1e-200, 1.5: 1e-250}
 
 
 def _mp_t_copula_logpdf(rho, nu, x, y):
-    """log c of the t copula at t quantiles (x, y), in 40-digit mpmath."""
+    """log c of the t copula at t quantiles (x, y), floats or mpmath
+    numbers, in 40-digit mpmath."""
     with mpmath.workdps(40):
-        rho, nu, x, y = (mpmath.mpf(float(a)) for a in (rho, nu, x, y))
+        rho, nu, x, y = (mpmath.mpf(a) for a in (rho, nu, x, y))
         om = 1 - rho**2
         log_f2 = (
             mpmath.loggamma((nu + 2) / 2) - mpmath.loggamma(nu / 2) - mpmath.log(nu * mpmath.pi)
@@ -380,6 +381,39 @@ def test_student_t_density_and_inverse_beyond_a_squarable_quantile(nu):
     v = cop._hinv(u, w)
     assert np.all((v > 0.0) & (v < 1e-9))
     assert_allclose(cop._h(u, v), w, rtol=1e-12)
+
+
+def _mp_t_quantile(nu, p):
+    """The t quantile at level p in 40-digit mpmath, solved from p itself
+    (the double may be -inf): 2 min(p, 1 - p) = I_z(nu / 2, 1 / 2) for
+    log z, z = nu / (nu + x^2), from the leading term's root."""
+    with mpmath.workdps(40):
+        nu, p = mpmath.mpf(nu), mpmath.mpf(p)
+        tail, a = min(p, 1 - p), nu / 2
+        if tail == mpmath.mpf(0.5):
+            return mpmath.mpf(0)
+        log_z = mpmath.findroot(
+            lambda t: mpmath.log(mpmath.betainc(a, 0.5, 0, mpmath.exp(t), regularized=True) / 2)
+            - mpmath.log(tail),
+            (mpmath.log(2 * tail) + mpmath.log(a) + mpmath.log(mpmath.beta(a, 0.5))) / a,
+        )
+        x = mpmath.sqrt(nu * (1 / mpmath.exp(log_z) - 1))
+        return -x if p < 0.5 else x
+
+
+def test_student_t_density_where_a_quantile_is_beyond_the_doubles():
+    # at nu = 0.01 the t quantile of the public clamp's level 1e-10 is
+    # about -1e968, a double -inf; the density is finite, and its far form
+    # takes log |x| from the level. It raised "produced NaN" before.
+    rho, nu, u = 0.5, 0.01, 1e-10
+    cop = make_copula("student_t", [rho, nu])
+    vs = np.array([0.5, 1e-3, 0.999, 1e-10])
+    assert _t_quantile(nu, u) == -np.inf
+    with mpmath.workdps(40):
+        x = _mp_t_quantile(nu, u)
+        want = [_mp_t_copula_logpdf(rho, nu, x, _mp_t_quantile(nu, v)) for v in vs]
+    assert_allclose(cop.logpdf(u, vs), want, rtol=1e-13)
+    assert_allclose(cop.logpdf(vs, u), want, rtol=1e-13)
 
 
 def test_student_t_level_zero_is_the_lower_end():
