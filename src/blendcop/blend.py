@@ -81,7 +81,6 @@ never reads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,18 +131,6 @@ class _Levels(bytes):
 
     def __hash__(self):
         return hash((len(self), self[:64], self[-64:]))
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Flat view of the free parameters (weight, tail vector, body vector)."""
-
-    theta: float
-    tail: tuple
-    body: tuple
-
-    def flatten(self):
-        return np.concatenate([[self.theta], self.tail, self.body])
 
 
 class _Cubic:
@@ -555,8 +542,9 @@ class BlendedModel:
     # parameters and serialisation
     # ------------------------------------------------------------------
     @property
-    def params(self) -> ModelParams:
-        return ModelParams(self.weighting.theta, self.tail.params, self.body.params)
+    def params(self) -> tuple:
+        """(theta, *tail.params, *body.params): ``fitting.fit``'s start order."""
+        return (self.weighting.theta, *self.tail.params, *self.body.params)
 
     def spec_strings(self):
         parts = (self.tail, self.body, self.weighting)

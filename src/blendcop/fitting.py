@@ -15,22 +15,25 @@ log-likelihood in the unconstrained coordinates at the optimum, in k^2 + k
 evaluations for k parameters, mapped to the parameters by the delta
 method.
 
-``fit_mle`` and ``fit_single_copula`` share one core, ``_fit``, and one
-likelihood, ``log_likelihood``: each log-density is floored at
-log(1e-300) whether the model is a blend or a single copula, so the AICs
-of blended and single-copula fits to the same data are comparable.
+``fit`` fits every model, blend or single copula, from one flat vector
+through one core, ``_fit``, and one likelihood, ``log_likelihood``: each
+log-density is floored at log(1e-300) either way, so the AICs of blended
+and single-copula fits to the same data are comparable.
 """
 from __future__ import annotations
 
+import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import kendalltau
 
-from .blend import BlendedModel, ModelParams
-from .errors import BlendcopError, FitError, InputError
+from .blend import BlendedModel
+from .errors import BlendcopError, FitError, InputError, ParameterError
 from .families import CLAMP, Copula, family_class, unit_points
 from .weighting import weighting_class
 
@@ -93,13 +96,8 @@ class Dataset:
         return float(kendalltau(self.u, self.v).statistic)
 
 
-@dataclass
-class FitSpec:
-    tail_tag: str
-    body_tag: str
-    weighting_tag: str
-    initial: ModelParams | None = None
-    restarts: int = 3
+#: A blend spec, ``tail+body:weighting``, or a copula family's tag.
+_SPEC = re.compile(r"([^+:]+)\+([^+:]+):([^+:]+)|[^+:]+")
 
 
 @dataclass
@@ -115,8 +113,8 @@ class FitResult:
     trace: list
     warnings: list
     seconds: float
-    #: (k, k) covariance of the parameters in ``params.flatten()`` order
-    #: (a copula's ``params`` order); NaN when it could not be estimated.
+    #: (k, k) covariance of the parameters in ``params`` order; NaN when it
+    #: could not be estimated.
     cov: np.ndarray
 
     @property
@@ -162,16 +160,8 @@ def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
 
 
-def _to_unconstrained(domains, params):
-    return np.asarray([d.forward(p) for d, p in zip(domains, params)], dtype=float)
-
-
 def _from_unconstrained(domains, z):
     return tuple(float(d.backward(zi)) for d, zi in zip(domains, z))
-
-
-def _domains(family):
-    return tuple(domain for _, domain in family.param_domains)
 
 
 def _rho_from_tau(tau_hat: float) -> float:
@@ -191,9 +181,7 @@ def _default_family_params(tag: str, tau_hat: float):
         # the real line onto the nonzero reals reaches both signs, and a
         # search that crosses 0 lands on it only by hitting it exactly.
         return (9.0 * tau_hat if abs(tau_hat) > 0.06 else (0.5 if tau_hat >= 0 else -0.5),)
-    if tag in ("joe", "gumbel", "inverted_gumbel"):
-        return (1.5,)
-    if tag == "clayton":
+    if tag in ("joe", "gumbel", "inverted_gumbel", "clayton"):
         return (1.5,)
     if tag in ("husler_reiss", "galambos"):
         return (1.0,)
@@ -296,8 +284,8 @@ def _fit(label, domains, init, make, data, restarts):
     made, not a second one; ``log_likelihood_detail`` of it gives the
     log-likelihood and the floor count. A spent evaluation budget ends the
     search early, not converged."""
-    if restarts < 1:
-        raise InputError(f"a fit needs at least one start, got restarts = {restarts!r}")
+    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise InputError(f"a fit needs at least one start, a whole number, got restarts = {restarts!r}")
     t0 = time.perf_counter()
 
     def evaluate(params):
@@ -307,7 +295,7 @@ def _fit(label, domains, init, make, data, restarts):
         return log_likelihood(model, data), model
 
     objective = _Objective(evaluate, domains, _MAX_EVALUATIONS)
-    z0 = _to_unconstrained(domains, init)
+    z0 = np.array([d.forward(p) for d, p in zip(domains, init)], dtype=float)
     rng = np.random.default_rng(_SEED)
     starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
     try:
@@ -348,36 +336,58 @@ def _fit(label, domains, init, make, data, restarts):
     )
 
 
-def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
-    """Maximum-likelihood fit of a blended model."""
-    tail = family_class(spec.tail_tag)
-    body = family_class(spec.body_tag)
-    weighting = weighting_class(spec.weighting_tag)
-    init = spec.initial
-    if init is None:
-        tau_hat = data.kendall_tau()
-        init = ModelParams(
-            1.0,
-            _default_family_params(spec.tail_tag, tau_hat),
-            _default_family_params(spec.body_tag, tau_hat),
-        )
-    # a start point of the wrong length or outside a domain fails here,
-    # not as NaN in the unconstrained start
-    tail(*init.tail), body(*init.body), weighting(init.theta)
-    n_tail = len(init.tail)
+def fit(spec: str, data: Dataset, start=None, restarts: int = 3) -> FitResult:
+    """Maximum-likelihood fit of a copula family named by its tag
+    (``"gumbel"``) or of a blend named ``tail+body:weighting``
+    (``"gumbel+clayton:power"``), from ``start`` in ``params`` order (a
+    blend's theta, then its tail's parameters, then its body's), or else
+    from theta = 1 and each family's start for the data's Kendall's tau.
+    A bad spec, tag or start raises ``ParameterError`` before the first
+    evaluation."""
+    match = _SPEC.fullmatch(spec) if isinstance(spec, str) else None
+    if match is None:
+        raise ParameterError(f"cannot parse model spec {spec!r}; expected tag or tail+body:weighting")
+    tail_tag, body_tag, weighting_tag = match.groups()
+    if weighting_tag is None:
+        tags, classes, theta0 = (spec,), (family_class(spec),), ()
+    else:
+        tags, theta0 = (tail_tag, body_tag), (1.0,)
+        classes = (weighting_class(weighting_tag), family_class(tail_tag), family_class(body_tag))
+    domains = tuple(domain for cls in classes for _, domain in cls.param_domains)
+    ends = list(accumulate(len(cls.param_domains) for cls in classes))
+    runs = [slice(i, j) for i, j in zip([0, *ends], ends)]
+
+    def parts(params):
+        return [cls(*params[run]) for cls, run in zip(classes, runs)]
 
     def make(params):
-        return BlendedModel(
-            tail(*params[1 : 1 + n_tail]), body(*params[1 + n_tail :]), weighting(params[0])
-        )
+        made = parts(params)
+        return made[0] if len(made) == 1 else BlendedModel(made[1], made[2], made[0])
 
-    domains = _domains(weighting) + _domains(tail) + _domains(body)
-    label = f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}"
-    return _fit(label, domains, init.flatten(), make, data, spec.restarts)
+    if start is None:
+        tau_hat = data.kendall_tau()
+        start = theta0 + tuple(p for tag in tags for p in _default_family_params(tag, tau_hat))
+    else:
+        # a given start of the wrong length or outside a domain fails here,
+        # not as NaN in the unconstrained start; its parts check it without
+        # the build a blend would run. A default start is in its domains.
+        if np.ndim(start) != 1 or len(start) != len(domains):
+            raise ParameterError(f"{spec} takes {len(domains)} parameter(s), got {start!r}")
+        parts(start)
+    return _fit(spec, domains, start, make, data, restarts)
+
+
+#: The spec of ``fit_mle``. It, ``fit_mle`` and ``fit_single_copula`` are
+#: kept only because the benchmark's workloads call them.
+FitSpec = namedtuple("FitSpec", "tail_tag body_tag weighting_tag initial restarts", defaults=(None, 3))
+
+
+def fit_mle(spec: FitSpec, data: Dataset) -> FitResult:
+    """``fit`` of the blend ``spec`` names; kept only for the benchmark,
+    whose layer metrics read the ``fitting.fit_mle`` span."""
+    return fit(f"{spec.tail_tag}+{spec.body_tag}:{spec.weighting_tag}", data, spec.initial, spec.restarts)
 
 
 def fit_single_copula(tag: str, data: Dataset, restarts: int = 3) -> FitResult:
-    """Maximum-likelihood fit of one copula family."""
-    family = family_class(tag)
-    init = _default_family_params(tag, data.kendall_tau())
-    return _fit(tag, _domains(family), init, lambda params: family(*params), data, restarts)
+    """``fit`` of the copula family ``tag``; kept only for the benchmark."""
+    return fit(tag, data, restarts=restarts)

@@ -10,11 +10,11 @@ numbers (``repr`` of Python floats, the bytes of arrays):
 
 * ``fits``: on five n = 2000 datasets per model, drawn at seeds 11 and 41
   from gumbel(2)/clayton(1)/power(0.8) and
-  husler_reiss(2)/frank(1)/exp_complement(1), the ``fit_single_copula``
-  result of each component, and the ``fit_mle`` results from the
-  generating parameters with ``restarts=1`` and from the default start
-  with ``restarts=3``; each ``FitResult`` as its ``repr`` without
-  ``seconds``, with the bytes of ``cov``;
+  husler_reiss(2)/frank(1)/exp_complement(1), the ``fitting.fit`` result
+  of each component, and the blend's from the generating parameters with
+  ``restarts=1`` and from the default start with ``restarts=3``; each
+  ``FitResult`` as its ``repr`` without ``seconds``, with its ``params``
+  and the bytes of ``cov``;
 * ``margins``: K, K_tail, K_body and both margin tables of five blends;
 * ``chi_eta``: chi and eta at ``DEFAULT_R_GRID`` of those blends and of
   seven single copulas;
@@ -85,24 +85,32 @@ def blend(key):
 
 
 def fit_text(res):
-    # the model's repr rounds its parameters; ``params`` holds them exactly
+    # the model's repr rounds its parameters; ``params`` holds them exactly.
+    # A blend's flat params are written as the former
+    # ``ModelParams(theta=..., tail=(...), body=(...))`` repr, so that the
+    # hash compares with the one printed before a blend's params were flat.
     text = repr(dataclasses.replace(res, seconds=0.0, cov=None))
-    return text + repr(res.params) + res.cov.tobytes().hex()
+    p = res.params
+    if isinstance(res.model, BlendedModel):
+        n = 1 + res.model.tail.n_params
+        text += f"ModelParams(theta={p[0]!r}, tail={p[1:n]!r}, body={p[n:]!r})"
+    else:
+        text += repr(p)
+    return text + res.cov.tobytes().hex()
 
 
 def fits():
     for seed in FIT_SEEDS:
         for i, key in enumerate(FIT_MODELS):
             model = blend(key)
-            spec = [model.tail.tag, model.body.tag, model.weighting.tag]
+            spec = f"{model.tail.tag}+{model.body.tag}:{model.weighting.tag}"
             for j in range(FIT_DATASETS):
                 rng = np.random.default_rng([seed, i, j])
                 data = fitting.Dataset.from_array(sample_blended_copula(model, FIT_N, rng))
                 for comp in (model.tail, model.body):
-                    yield fit_text(fitting.fit_single_copula(comp.tag, data))
-                truth = fitting.FitSpec(*spec, initial=model.params, restarts=1)
-                yield fit_text(fitting.fit_mle(truth, data))
-                yield fit_text(fitting.fit_mle(fitting.FitSpec(*spec, restarts=3), data))
+                    yield fit_text(fitting.fit(comp.tag, data))
+                yield fit_text(fitting.fit(spec, data, model.params, restarts=1))
+                yield fit_text(fitting.fit(spec, data, restarts=3))
 
 
 def margins():

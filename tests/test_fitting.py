@@ -1,20 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
-from blendcop.blend import BlendedModel, ModelParams
+from blendcop.blend import BlendedModel
 from blendcop.errors import EvaluationError, InputError, ParameterError
 from blendcop.families import CORRELATION, NONZERO, POSITIVE, Gumbel, make_copula
 from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
     FitResult,
-    FitSpec,
     _Objective,
     aic,
-    fit_mle,
-    fit_single_copula,
+    fit,
     log_likelihood,
     log_likelihood_detail,
 )
@@ -176,7 +177,7 @@ def test_loglik_detail_counts_clamped():
 
 def test_fit_single_gaussian_independent(rng):
     data = Dataset(rng.random(100_000), rng.random(100_000))
-    res = fit_single_copula("gaussian", data, restarts=1)
+    res = fit("gaussian", data, restarts=1)
     assert abs(res.params[0]) < 0.01
     assert res.k == 1
     assert res.converged
@@ -184,20 +185,20 @@ def test_fit_single_gaussian_independent(rng):
 
 def test_fit_single_gumbel_recovers(rng):
     uv = make_copula("gumbel", [2.0]).sample(10_000, rng)
-    res = fit_single_copula("gumbel", Dataset.from_array(uv), restarts=2)
+    res = fit("gumbel", Dataset.from_array(uv), restarts=2)
     assert abs(res.params[0] - 2.0) < 0.1
     assert res.aic == aic(res.loglik, 1)
 
 
 def test_fit_single_frank_magnitude(rng):
     uv = make_copula("frank", [0.92]).sample(827, rng)
-    res = fit_single_copula("frank", Dataset.from_array(uv), restarts=2)
+    res = fit("frank", Dataset.from_array(uv), restarts=2)
     assert abs(res.params[0] - 0.92) < 0.5
 
 
 def test_fit_single_student_t(rng):
     uv = make_copula("student_t", [0.5, 4.0]).sample(4000, rng)
-    res = fit_single_copula("student_t", Dataset.from_array(uv), restarts=1)
+    res = fit("student_t", Dataset.from_array(uv), restarts=1)
     assert abs(res.params[0] - 0.5) < 0.05
     assert 2.0 < res.params[1] < 9.0
 
@@ -205,7 +206,7 @@ def test_fit_single_student_t(rng):
 def test_fit_matches_golden_section(rng):
     uv = make_copula("gaussian", [0.45]).sample(3000, rng)
     data = Dataset.from_array(uv)
-    res = fit_single_copula("gaussian", data, restarts=2)
+    res = fit("gaussian", data, restarts=2)
 
     def neg_ll(rho):
         cop = make_copula("gaussian", [float(np.clip(rho, -0.999, 0.999))])
@@ -221,7 +222,7 @@ def test_fit_stderr_matches_gaussian_fisher_information(rho):
     # SE = (1 - rho^2) / sqrt(n (1 + rho^2))
     n = 2000
     uv = make_copula("gaussian", [rho]).sample(n, np.random.default_rng(7))
-    res = fit_single_copula("gaussian", Dataset.from_array(uv), restarts=1)
+    res = fit("gaussian", Dataset.from_array(uv), restarts=1)
     rho_hat = res.params[0]
     assert res.cov.shape == (1, 1) and not res.warnings
     fisher_se = (1.0 - rho_hat**2) / np.sqrt(n * (1.0 + rho_hat**2))
@@ -254,7 +255,7 @@ def test_blend_fit_hessian_costs_twelve_evaluations(rng, monkeypatch):
     uv = sample_blended_copula(
         build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 200, rng
     )
-    res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
+    res = fit("gumbel+gaussian:power", Dataset.from_array(uv), restarts=1)
     assert spent == [12] and res.cov.shape == (3, 3)
 
 
@@ -263,7 +264,7 @@ def test_unidentified_theta_gives_nan_stderr_and_a_warning():
     # copula: the fit drives the tail and the body towards it, or switches
     # the tail off, and either way theta no longer moves the likelihood
     uv = make_copula("gaussian", [-0.5]).sample(300, np.random.default_rng(0))
-    res = fit_mle(FitSpec("gumbel", "gumbel", "power", restarts=1), Dataset.from_array(uv))
+    res = fit("gumbel+gumbel:power", Dataset.from_array(uv), restarts=1)
     assert np.isfinite(res.loglik)
     assert res.cov.shape == (3, 3)
     assert np.isnan(res.stderr[0])
@@ -280,7 +281,7 @@ def test_fit_frank_to_independent_data(flip):
         uv[:, 1] = 1.0 - uv[:, 1]
     data = Dataset.from_array(uv)
     assert abs(data.kendall_tau()) <= 0.06  # the start is +-0.5
-    res = fit_single_copula("frank", data, restarts=1)
+    res = fit("frank", data, restarts=1)
     assert np.isfinite(res.loglik)
     assert abs(res.params[0]) < 0.5
 
@@ -308,7 +309,7 @@ def test_spent_budget_ends_at_the_best_traced_point(rng, monkeypatch):
         build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 60, rng
     )
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 30)
-    res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
+    res = fit("gumbel+gaussian:power", Dataset.from_array(uv), restarts=1)
     assert res.evaluations == 30 and not res.converged
     assert res.loglik == pytest.approx(max(ll for _, ll in res.trace), abs=1e-9)
     assert np.all(np.isnan(res.stderr))
@@ -321,9 +322,8 @@ def test_fit_mle_reproducible_trace(rng, monkeypatch):
     )
     data = Dataset.from_array(uv)
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 40)
-    spec = FitSpec("gumbel", "gaussian", "power", restarts=2)
-    r1 = fit_mle(spec, data)
-    r2 = fit_mle(spec, data)
+    r1 = fit("gumbel+gaussian:power", data, restarts=2)
+    r2 = fit("gumbel+gaussian:power", data, restarts=2)
     assert r1.evaluations == r2.evaluations
     assert len(r1.trace) == len(r2.trace)
     for (p1, l1), (p2, l2) in zip(r1.trace, r2.trace):
@@ -337,11 +337,8 @@ def test_fit_mle_initial_override_and_result_fields(rng, monkeypatch):
     )
     data = Dataset.from_array(uv)
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 150)
-    spec = FitSpec(
-        "gumbel", "gaussian", "power", initial=ModelParams(0.9, (1.8,), (0.25,)), restarts=1
-    )
-    res = fit_mle(spec, data)
-    assert res.k == 3
+    res = fit("gumbel+gaussian:power", data, (0.9, 1.8, 0.25), restarts=1)
+    assert res.k == 3 and len(res.params) == res.k
     assert res.label == "gumbel+gaussian:power"
     assert res.aic == aic(res.loglik, 3)
     assert res.seconds > 0.0
@@ -359,16 +356,15 @@ def test_fit_mle_blend_recovery_smoke(monkeypatch):
     true = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
     uv = sample_blended_copula(true, 500, np.random.default_rng(123))
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 400)
-    spec = FitSpec("gumbel", "clayton", "power", restarts=1)
-    res = fit_mle(spec, Dataset.from_array(uv))
+    res = fit("gumbel+clayton:power", Dataset.from_array(uv), restarts=1)
     assert res.loglik >= log_likelihood(true, Dataset.from_array(uv)) - 1e-6
-    assert abs(res.params.tail[0] - 2.0) < 0.8
-    assert abs(res.params.body[0] - 1.0) < 0.8
-    assert 0.3 < res.params.theta < 2.5
+    assert abs(res.params[1] - 2.0) < 0.8
+    assert abs(res.params[2] - 1.0) < 0.8
+    assert 0.3 < res.params[0] < 2.5
 
 
 def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
-    # the benchmark times fit_mle split at each return of the module-level
+    # the benchmark times a blend fit split at each return of the module-level
     # log_likelihood, so the objective must look it up at call time, once
     # per evaluation, and the result's own log-likelihood must not call it
     uv = sample_blended_copula(
@@ -383,13 +379,15 @@ def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
 
     monkeypatch.setattr(fitting, "log_likelihood", counted)
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 30)
-    res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), Dataset.from_array(uv))
+    res = fit("gumbel+gaussian:power", Dataset.from_array(uv), restarts=1)
     assert 0 < res.evaluations <= 30
     assert len(calls) == res.evaluations
 
 
-@pytest.mark.parametrize("fit", ["fit_mle", "fit_single_copula"])
-def test_a_fit_makes_one_model_per_evaluation(fit, rng, monkeypatch):
+@pytest.mark.parametrize(
+    "spec", ["gumbel+gaussian:power", "gumbel"], ids=["fit_mle", "fit_single_copula"]
+)
+def test_a_fit_makes_one_model_per_evaluation(spec, rng, monkeypatch):
     # the result's model is the one the best evaluation made, not a second
     # build; every evaluation still scores its model through the
     # module-level log_likelihood, where the benchmark splits a fit's time
@@ -399,7 +397,9 @@ def test_a_fit_makes_one_model_per_evaluation(fit, rng, monkeypatch):
     data = Dataset.from_array(uv)
     made, scored = [], []
 
-    class Counted(BlendedModel if fit == "fit_mle" else Gumbel):
+    blend = spec != "gumbel"
+
+    class Counted(BlendedModel if blend else Gumbel):
         def __init__(self, *params):
             made.append(self)
             super().__init__(*params)
@@ -411,12 +411,12 @@ def test_a_fit_makes_one_model_per_evaluation(fit, rng, monkeypatch):
         return inner(model, data)
 
     monkeypatch.setattr(fitting, "log_likelihood", counted)
-    if fit == "fit_mle":
+    if blend:
         monkeypatch.setattr(fitting, "BlendedModel", Counted)
-        res = fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=1), data)
+        res = fit(spec, data, restarts=1)
     else:
         monkeypatch.setattr(fitting, "family_class", lambda tag: Counted)
-        res = fit_single_copula("gumbel", data)
+        res = fit(spec, data)
     assert res.converged and len(made) == res.evaluations
     assert len(scored) == len(made) and all(s is m for s, m in zip(scored, made))
     assert res.model is made[int(np.argmax([ll for _, ll in res.trace]))]
@@ -424,66 +424,125 @@ def test_a_fit_makes_one_model_per_evaluation(fit, rng, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fit",
+    "call",
     [
-        lambda data: fit_mle(
-            FitSpec("nope", "clayton", "power", initial=ModelParams(1.0, (2.0,), (1.0,))), data
-        ),
-        lambda data: fit_mle(FitSpec("gumbel", "nope", "power"), data),
-        lambda data: fit_mle(FitSpec("gumbel", "clayton", "powr"), data),
-        lambda data: fit_single_copula("nope", data),
+        lambda data: fit("nope+clayton:power", data, (1.0, 2.0, 1.0)),
+        lambda data: fit("gumbel+nope:power", data),
+        lambda data: fit("gumbel+clayton:powr", data),
+        lambda data: fit("nope", data),
     ],
     ids=["tail-with-initial", "body", "weighting", "single"],
 )
-def test_unknown_tag_fails_before_the_first_evaluation(fit, monkeypatch):
+def test_unknown_tag_fails_before_the_first_evaluation(call, monkeypatch):
     monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
     data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
     with pytest.raises(ParameterError, match="valid tags"):
-        fit(data)
+        call(data)
 
 
 @pytest.mark.parametrize(
     "initial,message",
     [
-        (ModelParams(1.0, (2.0, 3.0), (1.0,)), "gumbel takes 1 parameter"),
-        (ModelParams(1.0, (0.5,), (1.0,)), "gumbel alpha must exceed 1, got 0.5"),
-        (ModelParams(0.0, (2.0,), (1.0,)), "power theta must be positive, got 0.0"),
+        ((1.0, 2.0, 3.0, 1.0), r"gumbel\+clayton:power takes 3 parameter\(s\), got \(1.0, 2.0, 3.0"),
+        ((1.0, 0.5, 1.0), "gumbel alpha must exceed 1, got 0.5"),
+        ((0.0, 2.0, 1.0), "power theta must be positive, got 0.0"),
+        ((1.0, 2.0), r"gumbel\+clayton:power takes 3 parameter\(s\), got \(1.0, 2.0\)"),
+        (2.0, r"gumbel\+clayton:power takes 3 parameter\(s\), got 2.0"),
     ],
-    ids=["tail-length", "tail-domain", "theta-domain"],
+    ids=["tail-length", "tail-domain", "theta-domain", "short", "scalar"],
 )
 def test_bad_initial_fails_before_the_first_evaluation(initial, message, monkeypatch):
     monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
     data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
     with pytest.raises(ParameterError, match=message):
-        fit_mle(FitSpec("gumbel", "clayton", "power", initial=initial), data)
+        fit("gumbel+clayton:power", data, initial)
 
 
 @pytest.mark.parametrize(
-    "fit",
+    "call",
     [
-        lambda data: fit_single_copula("gaussian", data),
-        lambda data: fit_mle(FitSpec("gumbel", "gaussian", "power"), data),
+        lambda data: fit("gaussian", data),
+        lambda data: fit("gumbel+gaussian:power", data),
     ],
     ids=["single", "blend"],
 )
-def test_undefined_tau_fails_before_the_first_evaluation(fit, monkeypatch):
+def test_undefined_tau_fails_before_the_first_evaluation(call, monkeypatch):
     # a constant coordinate leaves Kendall's tau, and so the default start, undefined
     monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
     data = Dataset(np.array([0.5, 0.5, 0.5]), np.array([0.3, 0.6, 0.8]))
     with pytest.raises(InputError, match="Kendall's tau of the data is nan"):
-        fit(data)
+        call(data)
 
 
 @pytest.mark.parametrize(
-    "fit",
+    "call",
     [
-        lambda data: fit_single_copula("gaussian", data, restarts=0),
-        lambda data: fit_mle(FitSpec("gumbel", "gaussian", "power", restarts=-1), data),
+        lambda data: fit("gaussian", data, restarts=0),
+        lambda data: fit("gumbel+gaussian:power", data, restarts=-1),
+        lambda data: fit("gaussian", data, restarts=1.5),
+        lambda data: fit("gumbel+gaussian:power", data, restarts=1.5),
     ],
-    ids=["single", "blend"],
+    ids=["single", "blend", "single-1.5", "blend-1.5"],
 )
-def test_fewer_than_one_start_fails_before_the_first_evaluation(fit, monkeypatch):
+def test_fewer_than_one_start_fails_before_the_first_evaluation(call, monkeypatch):
     monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
     data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
     with pytest.raises(InputError, match="at least one start"):
-        fit(data)
+        call(data)
+
+
+@pytest.mark.parametrize(
+    "spec", ["gumbel+clayton", "gumbel:power", "gumbel+clayton+frank:power", "", 2.0]
+)
+def test_a_spec_that_does_not_parse_fails_before_the_first_evaluation(spec, monkeypatch):
+    monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
+    data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
+    with pytest.raises(ParameterError, match="cannot parse model spec"):
+        fit(spec, data, (1.0, 2.0, 1.0))
+
+
+def test_the_adapters_are_fit(rng):
+    # the benchmark calls fit_mle(FitSpec(...)) and fit_single_copula: the
+    # same fits as ``fit``'s, bit for bit
+    model = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
+    data = Dataset.from_array(sample_blended_copula(model, 200, rng))
+    spec = fitting.FitSpec("gumbel", "clayton", "power", initial=model.params, restarts=1)
+    pairs = [
+        (fitting.fit_mle(spec, data), fit("gumbel+clayton:power", data, model.params, 1)),
+        (fitting.fit_single_copula("gumbel", data, 1), fit("gumbel", data, restarts=1)),
+    ]
+    for old, new in pairs:
+        assert old.label == new.label and old.trace == new.trace and old.loglik == new.loglik
+        assert old.cov.tobytes() == new.cov.tobytes() and old.params == new.params
+    assert len(pairs[0][1].params) == pairs[0][1].k == 3
+
+
+def test_fit_is_the_one_door():
+    # every model is fitted through ``fit``: the adapters the benchmark
+    # calls only forward to it, and no module keeps the former
+    # (theta, tail, body) parameter record
+    src = Path(fitting.__file__).parent
+    tree = ast.parse((src / "fitting.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+        if node.name != "fit" and any(ast.unparse(c.func) == "_fit" for c in calls):
+            offenders.append(f"{node.name} calls _fit")
+        if node.name in ("fit_mle", "fit_single_copula"):
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            forwards = (
+                len(body) == 1
+                and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)
+                and ast.unparse(body[0].value.func) == "fit"
+            )
+            if not forwards:
+                offenders.append(f"{node.name} is not one return fit(...)")
+    offenders += [
+        f"ModelParams in {path.name}"
+        for path in sorted(src.glob("*.py"))
+        if "ModelParams" in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders
