@@ -59,25 +59,34 @@ normal double near 0, so subnormal levels have quantiles too.
 The build evaluates no density; a component density that is not finite
 at a point where cstar is evaluated raises ``EvaluationError``.
 
-Rectangle probabilities have one primitive, the joint upper survival
-S(x, y) = P[U* > x, V* > y] of cstar, which integrates the conditional
-CDFs by parts in the same way (see ``joint_upper_survival``). At the
-marginal quantiles it is the induced copula's ``survival``, which chi and
-eta read and which gives its CDF u + v - 1 + survival(u, v). A model
-answers ``logpdf``, ``pdf`` and ``survival`` as a ``Copula`` does.
+Rectangle probabilities rest on the joint upper survival S(x, y) =
+P[U* > x, V* > y] of cstar, which integrates the conditional CDFs by
+parts in the same way: an edge term, and an inner integrand G = dpi/dv
+(h_body - h_tail), each written once (``_edge``, ``_inner``). Two rules
+integrate them. ``joint_upper_survival`` maps an order-6 rule onto
+[x, 1] x [y, 1], so its panels shrink with 1 - x and 1 - y and S keeps
+its relative accuracy down to the corner; at the marginal quantiles it
+is the induced copula's ``survival``, which chi and eta read.
+``copula_cdf`` = u + v - 1 + S needs only absolute accuracy, so it
+integrates on the build's own rule instead, from weights of the integral
+from x or y to 1 (``quadrature.above_rows``) and G on the rule's
+224 x 224 tensor, made on the first call and kept on the model: a query
+costs its lookup, the edge term at the 224 s-nodes for each distinct y,
+and row-wise dot products. A model answers ``logpdf``, ``pdf`` and
+``survival`` as a ``Copula`` does.
 
 One routine, ``_lookup``, maps levels to points: x = F^-1(q) and
 log f(x), from the table's quantile step or, inside the outermost
 panels, the root. It looks levels up in sorted order, and the ``Kept``
 store ``_orders`` keeps the order of the last ``_ORDER_CACHE`` level
 arrays sorted, found again by their bytes, so the evaluations of a fit
-sort their data once. ``marginal_quantile`` reads its x. ``logpdf`` and
-``survival`` read both axes through ``_pair``, which looks u and v up
-together, in one sorted pass, where the axes share one margin, so a
-level on both solves its root once. The values, and the order in which
-a log-likelihood sums them, are those of the points taken one at a time.
-A margin makes its CDF's interpolant on first use, since a likelihood
-never reads it.
+sort their data once. ``marginal_quantile`` reads its x. ``logpdf``,
+``survival`` and ``copula_cdf`` read both axes through ``_pair``, which
+looks u and v up together, in one sorted pass, where the axes share one
+margin, so a level on both solves its root once. The values, and the
+order in which a log-likelihood sums them, are those of the points taken
+one at a time. A margin makes its CDF's interpolant on first use, and a
+model its ``copula_cdf`` tensor, since a likelihood reads neither.
 """
 from __future__ import annotations
 
@@ -92,6 +101,7 @@ from .quadrature import (
     NORMAL_MIN,
     UNIT_BREAKS,
     Kept,
+    above_rows,
     corner_refined,
     gauss_legendre,
     panel_calculus,
@@ -112,6 +122,9 @@ _BUILD_ORDER = 16
 #: and its points per batch: a (batch, 84, 84) temporary takes about 1 MB.
 _RECT_ORDER = 6
 _RECT_BATCH = 16
+#: Points per batch of ``copula_cdf``: a (batch, 224, 16) temporary takes
+#: about 1.8 MB.
+_CDF_BATCH = 64
 #: Component grids kept by ``_component_grid``. A build's grid holds
 #: 224 x 66 doubles, about 118 KB, so the store holds under 1 MB; eight
 #: grids are the last four builds of a blend of exchangeable components.
@@ -320,6 +333,7 @@ class BlendedModel:
         else:
             e_t, e_b = self._pi_expectations(1, x)
             self._axes = (margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K))
+        self._tensor = None
         return self
 
     def _unnorm_density(self, u, v):
@@ -415,18 +429,72 @@ class BlendedModel:
 
     def survival(self, u, v):
         """P[U > u, V > v] under the induced copula: the joint upper
-        survival of cstar at x = F^-1(u), y = G^-1(v)."""
+        survival of cstar at x = F^-1(u), y = G^-1(v), on the mapped rule
+        of ``joint_upper_survival``, which keeps its relative accuracy
+        near (1, 1), where chi and eta read it."""
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
         return self.joint_upper_survival(x.reshape(u.shape), y.reshape(u.shape))
 
     def copula_cdf(self, u, v):
-        """CDF of the induced copula, C(u, v) = u + v - 1 + S(u, v) with S
-        from ``survival``, clipped to the Frechet bounds."""
+        """CDF of the induced copula, C(u, v) = u + v - 1 + S(x, y) at
+        x = F^-1(u), y = G^-1(v), clipped to the Frechet bounds.
+
+        K S is the integral over s in [x, 1] of the integrands of
+        ``joint_upper_survival`` on the build's own rule: at each s-node,
+        the edge term at (s, y), once per distinct y, plus the integral over
+        t in [y, 1] of G = dpi/dv (h_body - h_tail), from the kept tensor
+        ``_cdf_tensor``: the panels above y's, and the part of its own. The
+        integrals from x and from y to 1 take ``above_rows``'s weights. S is
+        within a few 1e-9 of the mapped rule at order 16, which is as much
+        as a CDF needs, but carries no relative accuracy near (1, 1), where
+        ``survival`` keeps the mapped rule. Every sum runs over one point's
+        own values, with no BLAS call, so a point's value does not depend on
+        its batch.
+        """
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
+        x, y, _, _ = self._pair(u.ravel(), v.ravel())
+        by_panel, tails = self._cdf_tensor
+        s, _ = corner_refined(_BUILD_ORDER)
+        k_s = np.empty(x.size)
+        for b in (slice(i, i + _CDF_BATCH) for i in range(0, x.size, _CDF_BATCH)):
+            n = x[b].size
+            rows, panel = above_rows(np.concatenate([x[b], y[b]]), _BUILD_ORDER)
+            rows_x, rows_y, panel_y = rows[:n].reshape(n, -1), rows[n:], panel[n:]
+            # int_y^1 G(s, t) dt at every s-node: the panels above y's, and
+            # the part of its own
+            own = rows_y[np.arange(n), panel_y]
+            inner = tails[panel_y + 1] + np.einsum("kji,kj->ki", by_panel[panel_y], own)
+            levels, j = np.unique(y[b], return_inverse=True)
+            # h at a node that underflows to 0 or 1 takes its limit value
+            with np.errstate(divide="ignore", over="ignore"):
+                edge = self._edge(s[None, :], levels[:, None])
+            k_s[b] = np.sum(rows_x * (edge[j] + inner), axis=1)
         lower = u + v - 1.0
-        out = np.clip(lower + self.survival(u, v), np.maximum(lower, 0.0), np.minimum(u, v))
+        surv = np.maximum(k_s / self.K, 0.0).reshape(u.shape)
+        out = np.clip(lower + surv, np.maximum(lower, 0.0), np.minimum(u, v))
         return out if out.ndim else float(out)
+
+    @property
+    def _cdf_tensor(self):
+        """(``by_panel``, ``tails``) of G = dpi/dv (h_body - h_tail) on the
+        build rule's 224 x 224 tensor of nodes: ``by_panel[q, j, i]`` is G
+        at s-node i and the j-th t-node of panel q, and ``tails[q, i]`` the
+        integral over t of its interpolant from panel q's left end to 1
+        (``tails[-1]`` is 0). Made on the first ``copula_cdf`` call and
+        kept on the model, about 430 KB, as a margin's ``cdf_at`` is: a
+        fit never reads it."""
+        if self._tensor is None:
+            x, w = corner_refined(_BUILD_ORDER)
+            shape = (UNIT_BREAKS.size - 1, _BUILD_ORDER)
+            with np.errstate(divide="ignore", over="ignore"):
+                g = self._inner(x[:, None], x[None, :])
+            by_panel = np.ascontiguousarray(g.T).reshape(*shape, x.size)
+            panel_sums = np.einsum("qji,qj->qi", by_panel, w.reshape(shape))
+            tails = np.cumsum(np.vstack([np.zeros(x.size), panel_sums[::-1]]), axis=0)[::-1]
+            by_panel.flags.writeable = tails.flags.writeable = False
+            self._tensor = (by_panel, tails)
+        return self._tensor
 
     # ------------------------------------------------------------------
     # the exact marginal mass near an end, and the joint tail
@@ -508,6 +576,16 @@ class BlendedModel:
             + ("NaN mass" if np.isnan(gap) else f"no root within {_ROOT_STEPS} steps")
         )
 
+    def _edge(self, s, y):
+        """pi hbar_tail + (1 - pi) hbar_body at (s, y): the edge term of
+        K S (see ``joint_upper_survival``)."""
+        pi = self.weighting(s, y)
+        return pi * self.tail._hbar(s, y) + (1.0 - pi) * self.body._hbar(s, y)
+
+    def _inner(self, s, t):
+        """dpi/dv (h_body - h_tail) at (s, t): the inner integrand of K S."""
+        return self.weighting.dv(s, t) * (self.body._h(s, t) - self.tail._h(s, t))
+
     def joint_upper_survival(self, x, y):
         """P[U* > x, V* > y] under cstar, at broadcast arrays of points.
 
@@ -516,9 +594,13 @@ class BlendedModel:
         bounded, so no density spike is ever sampled:
           K S = int_x^1 [pi hbar_tail + (1 - pi) hbar_body](s, y) ds
                 + int_x^1 int_y^1 dpi/dv (s, t) [h_body - h_tail](s, t) dt ds,
-        on the order-6 corner-refined rule mapped onto [x, 1] and [y, 1].
-        Each family's ``_hbar`` keeps hbar's relative accuracy where 1 - h
-        would round to 0.
+        whose integrands are ``_edge`` and ``_inner``, on the order-6
+        corner-refined rule mapped onto [x, 1] and [y, 1]. Its panels
+        shrink toward 1 with 1 - x and 1 - y, so S keeps its relative
+        accuracy down to the corner, as chi and eta at 1 - r = 1.49e-8
+        need; the build's fixed rule, whose outermost panel is 2e-6 wide,
+        cannot, and serves only ``copula_cdf``. Each family's ``_hbar``
+        keeps hbar's relative accuracy where 1 - h would round to 0.
         """
         x, y = np.broadcast_arrays(unit_points(x), unit_points(y))
         dx, dy, yy = 1.0 - x.ravel(), 1.0 - y.ravel(), y.ravel()
@@ -529,9 +611,8 @@ class BlendedModel:
                 s, aw = toward_one(dx[b], _RECT_ORDER)
                 t, _ = toward_one(dy[b], _RECT_ORDER)
                 s, t, yb = s[:, :, None], t[:, None, :], yy[b, None, None]
-                pi = self.weighting(s, yb)
-                edge = pi * self.tail._hbar(s, yb) + (1.0 - pi) * self.body._hbar(s, yb)
-                inner = self.weighting.dv(s, t) * (self.body._h(s, t) - self.tail._h(s, t))
+                edge = self._edge(s, yb)
+                inner = self._inner(s, t)
                 # sums along rows, so a point's value does not depend on its batch
                 edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)
                 inner_sum = np.sum((inner @ aw) * aw, axis=1)

@@ -128,7 +128,10 @@ class Parametric:
             raise ParameterError(
                 f"{self.tag} takes {len(names)} parameter(s) {names}, got {len(params)}"
             )
-        self.params = tuple(float(p) for p in params)
+        try:
+            self.params = tuple(float(p) for p in params)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{self.tag} parameters must be numbers, got {params!r}") from exc
         for (name, domain), p in zip(self.param_domains, self.params):
             if p not in domain:
                 raise ParameterError(f"{self.tag} {name} {domain.text}, got {p}")

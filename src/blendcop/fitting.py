@@ -371,7 +371,11 @@ def fit(spec: str, data: Dataset, start=None, restarts: int = 3) -> FitResult:
         # a given start of the wrong length or outside a domain fails here,
         # not as NaN in the unconstrained start; its parts check it without
         # the build a blend would run. A default start is in its domains.
-        if np.ndim(start) != 1 or len(start) != len(domains):
+        try:
+            vector = np.ndim(start) == 1 and len(start) == len(domains)
+        except ValueError:  # a ragged sequence
+            vector = False
+        if not vector:
             raise ParameterError(f"{spec} takes {len(domains)} parameter(s), got {start!r}")
         parts(start)
     return _fit(spec, domains, start, make, data, restarts)

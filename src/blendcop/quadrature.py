@@ -6,7 +6,9 @@ square (Clayton at the origin, Gumbel-type families at (1,1)), so the
 integration rules used for normalising constants and margins are
 composite: panels refined geometrically toward both endpoints, with a
 Gauss-Legendre rule inside each panel. A plain single-panel rule is kept
-for smooth integrands.
+for smooth integrands. ``panel_calculus`` integrates and differentiates
+the interpolant through a panel's nodes, and ``above_rows`` gives the
+weights of its integral from any point of the unit interval up to 1.
 
 ``Kept`` is the one store of arrays that calls share: a blend's grids and
 the sort order of a fit's data.
@@ -17,6 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import eval_legendre
 
 #: Innermost distance (relative to interval length) of the geometric panels.
 _PANEL_INNER = 0.1
@@ -144,18 +147,27 @@ class PanelCalculus(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def panel_calculus(n: int) -> PanelCalculus:
-    """Integrals, derivatives and end values of the interpolant through n
-    Gauss-Legendre nodes, from a discrete Legendre transform.
-
-    The n-point rule is exact to degree 2n - 1, so the Legendre
-    coefficients of the interpolant are (k + 1/2) sum_i w_i f_i P_k(x_i);
-    antiderivatives and derivatives are then taken coefficient-wise.
-    """
+def _legendre_maps(n: int):
+    """Node values of f at the n Gauss-Legendre nodes of [-1, 1] -> the
+    Legendre coefficients of their degree n-1 interpolant (n, n), and of
+    its integral from -1 (n + 1, n). The n-point rule is exact to degree
+    2n - 1, so the coefficients are (k + 1/2) sum_i w_i f_i P_k(x_i)."""
     leg = np.polynomial.legendre
     x, w = _leggauss(n)
     coef = (np.arange(n) + 0.5)[:, None] * leg.legvander(x, n - 1).T * w
-    anti = leg.legint(coef, lbnd=-1.0, axis=0)
+    return _readonly(coef, leg.legint(coef, lbnd=-1.0, axis=0))
+
+
+@lru_cache(maxsize=16)
+def panel_calculus(n: int) -> PanelCalculus:
+    """Integrals, derivatives and end values of the interpolant through n
+    Gauss-Legendre nodes, from a discrete Legendre transform
+    (``_legendre_maps``); antiderivatives and derivatives are taken
+    coefficient-wise.
+    """
+    leg = np.polynomial.legendre
+    x, w = _leggauss(n)
+    coef, anti = _legendre_maps(n)
     der = leg.legder(coef, axis=0)
     ends = np.array([-1.0, 1.0])
     below = leg.legvander(x, n) @ anti
@@ -169,3 +181,30 @@ def panel_calculus(n: int) -> PanelCalculus:
             leg.legvander(ends, n - 2) @ der,
         )
     )
+
+
+def above_rows(t, n_per_panel: int):
+    """Weights of the integral from each t in [0, 1] up to 1 on the nodes
+    of ``corner_refined(n_per_panel)``, and the panel that holds each t.
+
+    Row i, shaped (panels, ``n_per_panel``), gives a @ f = int_{t_i}^1 of
+    the panel-by-panel interpolant of f's node values: a panel above t_i
+    takes its rule's weights, t_i's own panel the integral of its
+    interpolant from t_i to the panel's end, from the Legendre
+    antiderivative, and a panel below nothing. Each row is computed from
+    its own t alone, by elementwise kernels that call no BLAS, so a
+    point's row does not depend on the other points.
+    """
+    _, rule_w = _unit_rule(n_per_panel)
+    _, anti = _legendre_maps(n_per_panel)
+    _, w = _leggauss(n_per_panel)
+    n_panels = UNIT_BREAKS.size - 1
+    panel = np.clip(np.searchsorted(UNIT_BREAKS, t, side="right") - 1, 0, n_panels - 1)
+    lo = UNIT_BREAKS[panel]
+    half = 0.5 * (UNIT_BREAKS[panel + 1] - lo)
+    legendre = eval_legendre(np.arange(n_per_panel + 1), ((t - lo) / half - 1.0)[:, None])
+    below = np.einsum("kl,lj->kj", legendre, anti)
+    above = np.arange(n_panels)[:, None] > panel[:, None, None]
+    rows = np.where(above, rule_w.reshape(n_panels, n_per_panel), 0.0)
+    rows[np.arange(t.size), panel] = half[:, None] * (w - below)
+    return rows, panel

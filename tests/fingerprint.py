@@ -25,8 +25,9 @@ numbers (``repr`` of Python floats, the bytes of arrays):
   the outer-panel root;
 * ``draws``: 500 draws of each family and 2000 draws of each blend at a
   seed;
-* ``points``: ``logpdf``, ``survival`` and ``copula_cdf`` of
-  gumbel(2)/clayton(1)/power(0.8), whose axes share one margin, and of
+* ``points.logpdf``, ``points.survival`` and ``points.copula_cdf``: one
+  group per answer, so that a change to one answer moves one hash; each
+  of gumbel(2)/clayton(1)/power(0.8), whose axes share one margin, and of
   coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5), whose axes have their
   own, on a 6 x 6 lattice whose outer levels lie within 2e-6 of either
   end, where the quantile is the outer-panel root.
@@ -148,12 +149,16 @@ def draws():
         yield sample_blended_copula(blend(key), 2000, np.random.default_rng(DRAW_SEED)).tobytes().hex()
 
 
-def points():
-    u, v = np.meshgrid(POINT_LEVELS, POINT_LEVELS, indexing="ij")
-    for key in POINT_BLENDS:
-        model = blend(key)
-        for answer in (model.logpdf, model.survival, model.copula_cdf):
-            yield answer(u, v).tobytes().hex()
+def points(answer):
+    """The group of the method ``answer`` of each of ``POINT_BLENDS``."""
+
+    def group():
+        u, v = np.meshgrid(POINT_LEVELS, POINT_LEVELS, indexing="ij")
+        for key in POINT_BLENDS:
+            yield getattr(blend(key), answer)(u, v).tobytes().hex()
+
+    group.__name__ = f"points.{answer}"
+    return group
 
 
 def digest(group):
@@ -170,8 +175,9 @@ def digest(group):
 def main():
     if sorted(parse_copula(text).tag for text in FAMILY_SPECS) != sorted(FAMILIES):
         raise SystemExit("FAMILY_SPECS must name every family once")
-    for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles, points):
-        print(f"{group.__name__:<11} {digest(group)}", flush=True)
+    answers = [points(answer) for answer in ("logpdf", "survival", "copula_cdf")]
+    for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles, *answers):
+        print(f"{group.__name__:<17} {digest(group)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from blendcop import blend, weighting
 from blendcop.blend import _BUILD_ORDER, BlendedModel, _component_grid, _Margin
 from blendcop.dependence import DEFAULT_R_GRID, R_MAX, chi_eta
 from blendcop.errors import EvaluationError, InputError
-from blendcop.families import Copula, Frank, Galambos, Gumbel, HuslerReiss, make_copula
+from blendcop.families import Clayton, Copula, Frank, Galambos, Gumbel, HuslerReiss, make_copula
 from blendcop.quadrature import UNIT_BREAKS, corner_refined, gauss_legendre
 from blendcop.weighting import make_weighting
 from oracles import gl_2d
@@ -555,6 +555,74 @@ def test_copula_cdf_batch_matches_single_points(power_model):
     assert np.all(np.maximum(u + v - 1.0, 0.0) <= batch) and np.all(batch <= np.minimum(u, v))
     for i in range(u.size):
         assert power_model.copula_cdf(u[i], v[i]) == batch[i]
+
+
+#: Levels of the rectangle tests, down to 1e-9 from either end.
+CDF_LEVELS = np.array([1e-9, 1e-7, 0.005, 0.2, 0.5, 0.8, 0.995, 1.0 - 1e-7, 1.0 - 1e-9])
+
+
+@pytest.mark.parametrize(
+    "tail,tp,body,bp,theta",
+    [
+        ("gumbel", [2.0], "clayton", [1.0], 0.8),
+        ("coles_tawn", [0.5, 0.8], "gaussian", [0.5], 1.5),
+        ("student_t", [0.5, 4.0], "clayton", [1.0], 1.0),
+    ],
+    ids=["gumbel-clayton", "coles_tawn-gaussian", "student_t-clayton"],
+)
+def test_copula_cdf_matches_the_mapped_rule(tail, tp, body, bp, theta, monkeypatch):
+    # copula_cdf on the build rule's tensor against u + v - 1 + survival on
+    # the mapped rule at order 16. Measured: at most 7.0e-10 apart on this
+    # lattice (coles_tawn's axes have their own margins); at the mapped
+    # rule's own order 6, survival is up to 1.2e-6 from both
+    m = build(tail, tp, body, bp, "power", theta)
+    u, v = np.meshgrid(CDF_LEVELS, CDF_LEVELS, indexing="ij")
+    cdf = m.copula_cdf(u, v)
+    monkeypatch.setattr(blend, "_RECT_ORDER", 16)
+    assert_array_equal(m.copula_cdf(u, v), cdf)  # the mapped rule is not read
+    lower = u + v - 1.0
+    mapped = np.clip(lower + m.survival(u, v), np.maximum(lower, 0.0), np.minimum(u, v))
+    assert np.max(np.abs(cdf - mapped)) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [("gumbel", [2.0], "clayton", [1.0], 0.8), ("coles_tawn", [0.5, 0.8], "gaussian", [0.5], 1.5)],
+    ids=["shared-margin", "coles_tawn"],
+)
+def test_copula_cdf_of_a_shuffled_lattice_matches_single_points(triple):
+    # every point of the lattice twice, in random order, over several batches
+    m = build(*triple[:4], "power", triple[4])
+    u, v = (np.tile(a.ravel(), 2) for a in np.meshgrid(CDF_LEVELS, CDF_LEVELS, indexing="ij"))
+    order = np.random.default_rng(5).permutation(u.size)
+    u, v = u[order], v[order]
+    batch = m.copula_cdf(u, v)
+    assert batch.size > 2 * blend._CDF_BATCH
+    assert np.array_equal(batch, [m.copula_cdf(a, b) for a, b in zip(u, v)])
+
+
+def test_the_cdf_tensor_is_made_once_and_only_by_copula_cdf(monkeypatch):
+    shapes = []
+    for cls in (Gumbel, Clayton):
+        def counted(self, u, v, inner=cls._h):
+            shapes.append(np.broadcast_shapes(np.shape(u), np.shape(v)))
+            return inner(self, u, v)
+
+        monkeypatch.setattr(cls, "_h", counted)
+    n = corner_refined(_BUILD_ORDER)[0].size
+    tensors = lambda: shapes.count((n, n))
+    u, v = np.array([1e-9, 0.3, 0.9]), np.array([0.5, 0.8, 1.0 - 1e-9])
+    m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
+    m.build()
+    m.logpdf(u, v)
+    assert shapes and tensors() == 0
+    first = m.copula_cdf(u, v)
+    assert tensors() == 2  # h_tail and h_body, once each
+    assert_array_equal(m.copula_cdf(u, v), first)
+    assert tensors() == 2
+    # kept on the model, not in the stores that a fit's builds share
+    kept = blend._grids.values() + weighting._dv_grids.values()
+    assert all(a.size < n * n for a in kept)
 
 
 @pytest.mark.parametrize(

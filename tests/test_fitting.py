@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel
-from blendcop.errors import EvaluationError, InputError, ParameterError
+from blendcop.errors import BlendcopError, EvaluationError, InputError, ParameterError
 from blendcop.families import CORRELATION, NONZERO, POSITIVE, Gumbel, make_copula
 from blendcop import fitting
 from blendcop.fitting import (
@@ -456,6 +456,28 @@ def test_bad_initial_fails_before_the_first_evaluation(initial, message, monkeyp
     data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
     with pytest.raises(ParameterError, match=message):
         fit("gumbel+clayton:power", data, initial)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda data: make_copula("gumbel", ["a"]), r"gumbel parameters must be numbers, got \('a',\)"),
+        (lambda data: fit("gumbel", data, ("a",)), r"gumbel parameters must be numbers, got \('a',\)"),
+        (
+            lambda data: fit("gumbel+clayton:power", data, [1.0, (2.0,), 1.0]),
+            r"gumbel\+clayton:power takes 3 parameter\(s\), got \[1.0, \(2.0,\), 1.0\]",
+        ),
+    ],
+    ids=["make_copula", "fit", "ragged-start"],
+)
+def test_a_parameter_that_is_not_a_number_is_a_parameter_error(call, message, monkeypatch):
+    # caught as the package's own error, not as a bare ValueError from
+    # float() or from numpy's shape check
+    monkeypatch.setattr(fitting, "log_likelihood", None)  # not to be called
+    data = Dataset(np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8]))
+    with pytest.raises(BlendcopError, match=message) as caught:
+        call(data)
+    assert caught.type is ParameterError
 
 
 @pytest.mark.parametrize(

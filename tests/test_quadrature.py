@@ -9,6 +9,7 @@ import blendcop
 from blendcop.quadrature import (
     UNIT_BREAKS,
     Kept,
+    above_rows,
     corner_refined,
     gauss_legendre,
     panel_calculus,
@@ -91,6 +92,25 @@ def test_panel_calculus_exact_on_polynomials(n):
         slope = k * x ** max(k - 1, 0)
         assert_allclose(pc.slope @ f, slope, atol=1e-10 * max(1, k * k))
         assert_allclose(pc.end_slopes @ f, k * ends ** max(k - 1, 0), atol=1e-10 * max(1, k * k))
+
+
+def test_above_rows_integrate_the_panel_interpolant_from_each_point_to_one():
+    # exact on polynomials of degree n - 1, from a point in any panel, at
+    # the panel ends and at 0 and 1
+    n = 8
+    x, _ = corner_refined(n)
+    t = np.array([0.0, 1e-9, 2e-6, 1e-3, 0.3, 0.5, 0.97, 1.0 - 1e-9, 1.0])
+    rows, panel = above_rows(t, n)
+    assert rows.shape == (t.size, UNIT_BREAKS.size - 1, n)
+    assert np.all(UNIT_BREAKS[panel] <= t) and np.all(t <= UNIT_BREAKS[panel + 1])
+    rows = rows.reshape(t.size, -1)
+    for k in range(n):
+        assert_allclose(rows @ x**k, (1.0 - t ** (k + 1)) / (k + 1), rtol=0, atol=1e-15)
+    # zero below each point's panel; a row does not depend on the others
+    assert all(not np.any(rows[i, : n * p]) for i, p in enumerate(panel))
+    for i in range(t.size):
+        one, _ = above_rows(t[i : i + 1], n)
+        assert np.array_equal(one.reshape(-1), rows[i])
 
 
 def test_no_module_of_the_package_imports_scipy_integrate():
