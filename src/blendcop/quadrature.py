@@ -6,9 +6,13 @@ square (Clayton at the origin, Gumbel-type families at (1,1)), so the
 integration rules used for normalising constants and margins are
 composite: panels refined geometrically toward both endpoints, with a
 Gauss-Legendre rule inside each panel. A plain single-panel rule is kept
-for smooth integrands. ``panel_calculus`` integrates and differentiates
-the interpolant through a panel's nodes, and ``above_rows`` gives the
-weights of its integral from any point of the unit interval up to 1.
+for smooth integrands. Integrals from a point up to 1, which the joint
+survival takes, are on ``toward_one``'s rules: an interval within 1/2 of
+1 holds only the corner at 1, so its rule is refined toward that end
+alone, in 8 panels instead of 14. ``panel_calculus`` integrates and
+differentiates the interpolant through a panel's nodes, and
+``above_rows`` gives the weights of its integral from any point of the
+unit interval up to 1.
 
 ``Kept`` is the one store of arrays that calls share: a blend's grids and
 the sort order of a fit's data.
@@ -93,6 +97,19 @@ def _unit_rule(n_per_panel: int):
     return _composite(n_per_panel, UNIT_BREAKS)
 
 
+#: Panel ends, per unit length of the distance from 1, of the rule that
+#: ``toward_one`` maps onto an interval within 1/2 of 1: those of
+#: ``UNIT_BREAKS`` up to 1/2, refined toward the corner at 1, and one
+#: panel [1/2, 1] toward the interval's inner end.
+CORNER_BREAKS = np.append(UNIT_BREAKS[UNIT_BREAKS <= 0.5], 1.0)
+CORNER_BREAKS.flags.writeable = False
+
+
+@lru_cache(maxsize=16)
+def _corner_rule(n_per_panel: int):
+    return _composite(n_per_panel, CORNER_BREAKS)
+
+
 @lru_cache(maxsize=16)
 def skewed_refined(n_per_panel: int):
     """Composite Gauss-Legendre on (0, 1) refined to 2e-6 toward 1 but only
@@ -123,13 +140,31 @@ BELOW_ONE = np.nextafter(1.0, 0.0)
 NORMAL_MIN = np.finfo(float).tiny
 
 
-def toward_one(d, n_per_panel: int):
-    """Nodes of ``corner_refined(n_per_panel)`` mapped onto [1 - d, 1],
-    one row per length in the flat array d, and the weights on (0, 1),
-    to be scaled by d. A node within 1e-16 of 1 would round to 1, where
-    some conditional CDFs are NaN, so the nodes are capped below 1."""
-    a, w = corner_refined(n_per_panel)
-    return np.minimum(1.0 - d[:, None] * a, BELOW_ONE), w
+def toward_one(d, n_per_panel: int, batch: int | None = None):
+    """Rules on [1 - d, 1] for points whose intervals end at 1, grouped
+    by the rule that each point takes; d holds the intervals' lengths,
+    one row per axis that is integrated, or a flat array for one axis.
+
+    A point within 1/2 of 1 on every axis takes the rule refined toward
+    the corner only (``_corner_rule``, on ``CORNER_BREAKS``: 8 panels);
+    any other point takes ``corner_refined``'s two-sided rule (14
+    panels), whose panels refined toward the inner end are needed once
+    an interval reaches below 1/2. Yields (index, nodes, w) for at most
+    ``batch`` points of one rule at a time: their positions in d, the
+    rule's nodes mapped onto their intervals, shaped as ``d[..., index]``
+    plus an axis of nodes, and the rule's weights on (0, 1), to be scaled
+    by d. A point's rule depends on its own lengths alone, so its value
+    does not depend on the other points. A node within 1e-16 of 1 would
+    round to 1, where some conditional CDFs are NaN, so the nodes are
+    capped below 1."""
+    d = np.asarray(d, dtype=float)
+    near = (d <= 0.5).all(axis=0) if d.ndim > 1 else d <= 0.5
+    step = max(near.size if batch is None else batch, 1)
+    for rule, index in ((_corner_rule, np.flatnonzero(near)), (_unit_rule, np.flatnonzero(~near))):
+        a, w = rule(n_per_panel)
+        for i in range(0, index.size, step):
+            b = index[i : i + step]
+            yield b, np.minimum(1.0 - d[..., b, None] * a, BELOW_ONE), w
 
 
 class PanelCalculus(NamedTuple):

@@ -35,11 +35,24 @@ numbers (``repr`` of Python floats, the bytes of arrays):
 A group whose computation raises hashes the exception's type and text
 instead, so a failure changes the hash too. Nothing is imported from the
 benchmark.
+
+A moved hash says that a group changed, not by how much. Two options
+measure it: ``--dump PATH`` writes each group's numbers as JSON, and
+``--compare PATH`` prints, after each hash, the group's largest absolute
+and relative change against such a file, written by another version:
+
+    PYTHONPATH=<old>/src OMP_NUM_THREADS=1 python3 tests/fingerprint.py --dump old.json
+    PYTHONPATH=src OMP_NUM_THREADS=1 python3 tests/fingerprint.py --compare old.json
+
+A fit's numbers are its params, its log-likelihood and its ``cov``; a
+failed group has none, and compares with no other.
 """
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 
@@ -85,6 +98,21 @@ def blend(key):
     return BlendedModel(parse_copula(tail), parse_copula(body), parse_weighting(weight))
 
 
+def array(a):
+    """An array's (text, numbers): its bytes, and its values."""
+    return a.tobytes().hex(), a
+
+
+def value(x):
+    """A Python number's or tuple's (text, numbers): its repr, and itself."""
+    return repr(x), x
+
+
+def fit(res):
+    """A ``FitResult``'s (text, numbers)."""
+    return fit_text(res), [*res.params, res.loglik, *res.cov.ravel()]
+
+
 def fit_text(res):
     # the model's repr rounds its parameters; ``params`` holds them exactly.
     # A blend's flat params are written as the former
@@ -109,44 +137,44 @@ def fits():
                 rng = np.random.default_rng([seed, i, j])
                 data = fitting.Dataset.from_array(sample_blended_copula(model, FIT_N, rng))
                 for comp in (model.tail, model.body):
-                    yield fit_text(fitting.fit(comp.tag, data))
-                yield fit_text(fitting.fit(spec, data, model.params, restarts=1))
-                yield fit_text(fitting.fit(spec, data, restarts=3))
+                    yield fit(fitting.fit(comp.tag, data))
+                yield fit(fitting.fit(spec, data, model.params, restarts=1))
+                yield fit(fitting.fit(spec, data, restarts=3))
 
 
 def margins():
     for key in BLENDS:
         model = blend(key)
-        yield repr(model.norm_constants)
+        yield value(model.norm_constants)
         for m in model._axes:
             for table in (m.x, m.pdf, m.cdf, m.sf, m.level):
-                yield table.tobytes().hex()
+                yield array(table)
 
 
 def chi_eta():
     for obj in [blend(key) for key in BLENDS] + [parse_copula(text) for text in SINGLES]:
         for r in dependence.DEFAULT_R_GRID:
-            yield repr(dependence.chi_eta(obj, r))
+            yield value(dependence.chi_eta(obj, r))
 
 
 def copula_cdf():
     u, v = np.meshgrid(LATTICE, LATTICE, indexing="ij")
     for key in BLENDS:
-        yield blend(key).copula_cdf(u, v).tobytes().hex()
+        yield array(blend(key).copula_cdf(u, v))
 
 
 def quantiles():
     for key in QUANTILE_BLENDS:
         model = blend(key)
         for axis in (0, 1):
-            yield model.marginal_quantile(axis, QUANTILE_LEVELS).tobytes().hex()
+            yield array(model.marginal_quantile(axis, QUANTILE_LEVELS))
 
 
 def draws():
     for text in FAMILY_SPECS:
-        yield parse_copula(text).sample(500, np.random.default_rng(DRAW_SEED)).tobytes().hex()
+        yield array(parse_copula(text).sample(500, np.random.default_rng(DRAW_SEED)))
     for key in BLENDS:
-        yield sample_blended_copula(blend(key), 2000, np.random.default_rng(DRAW_SEED)).tobytes().hex()
+        yield array(sample_blended_copula(blend(key), 2000, np.random.default_rng(DRAW_SEED)))
 
 
 def points(answer):
@@ -155,29 +183,63 @@ def points(answer):
     def group():
         u, v = np.meshgrid(POINT_LEVELS, POINT_LEVELS, indexing="ij")
         for key in POINT_BLENDS:
-            yield getattr(blend(key), answer)(u, v).tobytes().hex()
+            yield array(getattr(blend(key), answer)(u, v))
 
     group.__name__ = f"points.{answer}"
     return group
 
 
-def digest(group):
+def digest(group, numbers):
+    """The group's hash; its numbers are appended to ``numbers``, which a
+    failure replaces with the exception's text."""
     h = hashlib.sha256()
     try:
-        for text in group():
+        for text, values in group():
             h.update(text.encode())
             h.update(b"\n")
+            numbers.extend(np.ravel(values).astype(float).tolist())
     except Exception as exc:  # a failure is part of the fingerprint
         h.update(f"{type(exc).__name__}: {exc}".encode())
+        numbers[:] = [f"{type(exc).__name__}: {exc}"]
     return h.hexdigest()
 
 
+def change(now, then):
+    """The largest absolute and relative change of the numbers ``now``
+    against ``then``, as text; NaN in both places is no change."""
+    if len(now) != len(then) or any(isinstance(x, str) for x in now + then):
+        return "does not compare: a failure or another count of numbers"
+    a, b = np.array(now, dtype=float), np.array(then, dtype=float)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    gap = np.where(same, 0.0, np.abs(a - b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(same, 0.0, gap / np.abs(b))
+    gap, rel = gap.max(initial=0.0), rel.max(initial=0.0)
+    return f"largest change {gap:.3g} absolute, {rel:.3g} relative"
+
+
 def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--dump", metavar="PATH", help="write each group's numbers as JSON")
+    p.add_argument("--compare", metavar="PATH", help="print each group's change against a dump")
+    args = p.parse_args()
     if sorted(parse_copula(text).tag for text in FAMILY_SPECS) != sorted(FAMILIES):
         raise SystemExit("FAMILY_SPECS must name every family once")
+    then = {}
+    if args.compare:
+        with open(args.compare) as f:
+            then = json.load(f)
     answers = [points(answer) for answer in ("logpdf", "survival", "copula_cdf")]
+    dumped = {}
     for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles, *answers):
-        print(f"{group.__name__:<17} {digest(group)}", flush=True)
+        numbers = dumped[group.__name__] = []
+        line = f"{group.__name__:<17} {digest(group, numbers)}"
+        if args.compare:
+            line += "  " + change(numbers, then.get(group.__name__, ["missing"]))
+        print(line, flush=True)
+    if args.dump:
+        with open(args.dump, "w") as f:
+            json.dump(dumped, f)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,20 @@ from blendcop import blend, weighting
 from blendcop.blend import _BUILD_ORDER, BlendedModel, _component_grid, _Margin
 from blendcop.dependence import DEFAULT_R_GRID, R_MAX, chi_eta
 from blendcop.errors import EvaluationError, InputError
-from blendcop.families import Clayton, Copula, Frank, Galambos, Gumbel, HuslerReiss, make_copula
-from blendcop.quadrature import UNIT_BREAKS, corner_refined, gauss_legendre
-from blendcop.weighting import make_weighting
+from blendcop.families import (
+    Clayton,
+    Copula,
+    Frank,
+    Galambos,
+    Gaussian,
+    Gumbel,
+    HuslerReiss,
+    StudentT,
+    make_copula,
+    parse_copula,
+)
+from blendcop.quadrature import BELOW_ONE, UNIT_BREAKS, corner_refined, gauss_legendre
+from blendcop.weighting import make_weighting, parse_weighting
 from oracles import gl_2d
 
 # Frozen oracle values. K values come from the midpoint rule at 1024/2048
@@ -141,6 +152,11 @@ def test_outer_panel_root_solved_once_per_axis_and_level(triple, monkeypatch):
     deep = (1e-9, 1.0 - 1e-9)
     u = np.tile([1e-9, 0.5, 1.0 - 1e-9], 20)
     v = np.roll(u, 1)
+    # and a lattice whose points lie on both sides of 1/2 on each axis, so
+    # that survival's two rules, and their batches, mix
+    levels = [1e-9, 0.3, 0.5, 0.7, 1.0 - 1e-9]
+    lattice = np.meshgrid(levels, levels, indexing="ij")
+    u, v = np.concatenate([u, lattice[0].ravel()]), np.concatenate([v, lattice[1].ravel()])
     want = sorted((axis, q) for axis in ((0,) if shared else (0, 1)) for q in deep)
     for answer in (m.logpdf, m.survival):
         solved.clear()
@@ -148,6 +164,12 @@ def test_outer_panel_root_solved_once_per_axis_and_level(triple, monkeypatch):
         assert sorted(solved) == want, answer.__name__
         apart = [answer(a, b) for a, b in zip(u, v)]
         assert repr(got.tolist()) == repr([float(a) for a in apart]), answer.__name__
+    x, y, _, _ = m._pair(u, v)
+    assert x.min() < 0.5 < x.max() and y.min() < 0.5 < y.max()
+    for spec in ("gaussian(0.5)", "student_t(0.5,4)"):
+        c = parse_copula(spec)
+        apart = [c.survival(a, b) for a, b in zip(u, v)]
+        assert repr(c.survival(u, v).tolist()) == repr([float(a) for a in apart]), spec
 
 
 def test_norm_constants_against_oracle(power_model, exp_model):
@@ -486,6 +508,83 @@ def test_joint_upper_survival_matches_brute_force(power_model):
         brute = float(xw @ vals @ xw)
         got = power_model.joint_upper_survival(x, x)
         assert_allclose(got, brute, rtol=5e-4)
+
+
+#: The five blends whose chi/eta the benchmark's ``diagnose`` workload times.
+DIAGNOSE_BLENDS = (
+    "gumbel(2)/gaussian(0.5)/power(1.5)",
+    "gumbel(2)/clayton(1)/power(0.8)",
+    "husler_reiss(2)/frank(1)/exp_complement(1)",
+    "student_t(0.5,4)/clayton(1)/power(1)",
+    "gumbel(2)/gumbel(2)/power(1)",
+)
+
+
+def parsed(key):
+    tail, body, weight = key.split("/")
+    return BlendedModel(parse_copula(tail), parse_copula(body), parse_weighting(weight))
+
+
+def two_sided_survival(m, x, y, order):
+    """S(x, y) from the integrands of ``joint_upper_survival``, on the
+    two-sided rule ``corner_refined(order)`` mapped onto [x, 1] x [y, 1]."""
+    a, w = corner_refined(order)
+    s, t = (np.minimum(1.0 - (1.0 - z) * a, BELOW_ONE) for z in (x, y))
+    with np.errstate(divide="ignore", over="ignore"):
+        edge, inner = m._edge(s, y), m._inner(s[:, None], t[None, :])
+    return (1.0 - x) * (edge @ w + (1.0 - y) * (w @ inner @ w)) / m.K
+
+
+@pytest.mark.parametrize("key", DIAGNOSE_BLENDS)
+def test_chi_eta_agree_with_the_two_sided_rule_at_order_16(key):
+    # every level's points lie within 1/2 of 1, where survival takes the
+    # rule refined toward the corner only. Measured: chi at most 3.45e-7
+    # relative from the order-16 two-sided rule, at
+    # student_t(0.5,4)/clayton(1)/power(1), as is the order-6 two-sided rule
+    m = parsed(key)
+    for r in DEFAULT_R_GRID:
+        (x,), (y,), _, _ = m._pair(np.array([r]), np.array([r]))
+        assert min(x, y) >= 0.5
+        sf = two_sided_survival(m, x, y, 16)
+        want = (sf / (1.0 - r), np.log1p(-r) / np.log(sf))
+        assert_allclose(chi_eta(m, r), want, rtol=5e-7, err_msg=f"r = {r}")
+
+
+def test_identical_gumbel_components_give_the_closed_form_chi():
+    # tail = body gives cstar = c and uniform margins, so chi(r) is
+    # gumbel(2)'s (1 - 2r + r^sqrt(2)) / (1 - r). Measured: at most 1.1e-10
+    # relative apart at the ten levels
+    m = parsed("gumbel(2)/gumbel(2)/power(1)")
+    d = 1.0 - DEFAULT_R_GRID
+    want = (np.expm1(np.sqrt(2.0) * np.log1p(-d)) + 2.0 * d) / d
+    assert_allclose([chi_eta(m, r)[0] for r in DEFAULT_R_GRID], want, rtol=1e-9)
+
+
+def test_upper_half_points_take_the_rule_refined_toward_the_corner(monkeypatch):
+    # a point within 1/2 of 1 on every axis it integrates takes 8 panels,
+    # any other point 14: 48 x 48 nodes or 84 x 84 in joint_upper_survival,
+    # and 96 or 168 in Copula._surv, which integrates along the larger
+    # coordinate of an exchangeable family
+    grids = []
+    spied = ((BlendedModel, "_inner"), (Copula, "_hbar"), (Gaussian, "_hbar"), (StudentT, "_hbar"))
+    for cls, name in spied:
+        def spy(self, s, t, method=getattr(cls, name)):
+            grids.append(np.broadcast_shapes(np.shape(s), np.shape(t))[-2:])
+            return method(self, s, t)
+
+        monkeypatch.setattr(cls, name, spy)
+    m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
+    for x, y, n in ((0.5, 0.9, 48), (0.9, 1.0 - 1e-9, 48), (0.3, 0.9, 84), (0.9, 0.49, 84)):
+        grids.clear()
+        m.joint_upper_survival(x, y)
+        # the inner integrand's grid, and each component's hbar in the edge term
+        assert sorted(grids) == [(n, 1), (n, 1), (n, n)], (x, y)
+    for spec in ("gaussian(0.5)", "student_t(0.5,4)"):
+        c = parse_copula(spec)
+        for u, v, n in ((0.6, 0.9, 96), (0.3, 0.9, 96), (0.3, 0.4, 168), (1e-9, 0.49, 168)):
+            grids.clear()
+            c.survival(u, v)
+            assert grids == [(1, n)], (spec, u, v)
 
 
 @pytest.mark.parametrize("label,tt,tp,bt,bp", TABLE4_CASES)

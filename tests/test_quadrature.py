@@ -3,10 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import blendcop
 from blendcop.quadrature import (
+    CORNER_BREAKS,
     UNIT_BREAKS,
     Kept,
     above_rows,
@@ -59,13 +60,43 @@ def test_corner_refined_is_memoised_and_read_only():
 
 
 def test_toward_one_maps_each_row_onto_its_interval():
-    d = np.array([0.5, 1e-3, 1e-15])
-    s, w = toward_one(d, 8)
-    assert s.shape == (3, w.size) and np.all(s < 1.0)
-    # int_{1-d}^1 sqrt(1 - s) ds = 2/3 d^1.5, whose slope is singular at 1
-    assert_allclose(d[:2] * (np.sqrt(1.0 - s[:2]) @ w), 2.0 / 3.0 * d[:2] ** 1.5, rtol=1e-8)
-    # nodes closer to 1 than one ulp are capped at the largest double below 1
-    assert s[2].max() == np.nextafter(1.0, 0.0)
+    d = np.array([0.5, 1e-3, 1e-15, 0.9])
+    for index, s, w in toward_one(d, 8):
+        dd = d[index]
+        assert s.shape == (dd.size, w.size) and np.all(s < 1.0)
+        # int_{1-d}^1 sqrt(1 - s) ds = 2/3 d^1.5, whose slope is singular at 1
+        big = dd > 1e-14
+        assert_allclose(
+            dd[big] * (np.sqrt(1.0 - s[big]) @ w), 2.0 / 3.0 * dd[big] ** 1.5, rtol=1e-8
+        )
+        # nodes closer to 1 than one ulp are capped at the largest double below 1
+        assert np.all((s.max(axis=1) == np.nextafter(1.0, 0.0)) == (dd < 1e-14))
+
+
+def test_toward_one_refines_toward_the_inner_end_only_below_one_half():
+    # a point within 1/2 of 1 on every axis takes CORNER_BREAKS' 8 panels,
+    # any other point UNIT_BREAKS' 14; each group comes in batches, in order
+    assert_allclose(CORNER_BREAKS, np.append(UNIT_BREAKS[:8], 1.0), rtol=0, atol=0)
+    assert CORNER_BREAKS[-2] == 0.5 and not CORNER_BREAKS.flags.writeable
+    d = np.array([[0.5, 0.9, 1e-3, 0.2, 0.25], [0.1, 0.1, 0.6, 0.5, 0.01]])
+    groups = list(toward_one(d, 6, batch=2))
+    points = lambda i, n=d.shape[1]: np.arange(n)[i].tolist()
+    assert [points(i) for i, _, _ in groups] == [[0, 3], [4], [1, 2]]
+    for (i, s, w), panels in zip(groups, (8, 8, 14)):
+        assert s.shape == (2, len(i), 6 * panels) and w.size == 6 * panels
+        assert_allclose(w.sum(), 1.0, rtol=1e-14)
+        # the nodes on (0, 1): corner_refined's, or those of its panels
+        # within 1/2 of 0 (of 1 once mapped) and 6 more in [1/2, 1]
+        a = (1.0 - s) / d[:, i, None]
+        unit = corner_refined(6)[0]
+        assert_allclose(a[..., :42], np.broadcast_to(unit[:42], a[..., :42].shape), atol=1e-13)
+        assert np.all(a[..., 42:48] > 0.5) if panels == 8 else np.all(a[..., 42:] > 0.1)
+    # where one rule serves every point, and a flat d of one axis
+    (i, s, w), = toward_one(d[:, [0, 3, 4]], 6)
+    assert points(i, 3) == [0, 1, 2] and s.shape == (2, 3, 48)
+    assert [points(i, 2) for i, _, _ in toward_one(d[0, [1, 2]], 6, batch=1)] == [[1], [0]]
+    assert [points(i, 2) for i, _, _ in toward_one(d[:, [1, 2]], 6, batch=1)] == [[0], [1]]
+    assert list(toward_one(np.empty(0), 6)) == []
 
 
 def test_skewed_refined_resolves_boundary_layer_at_one():
