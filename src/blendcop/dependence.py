@@ -36,12 +36,18 @@ class DependenceCurve:
     label: str = ""
 
 
-def chi_eta(obj, r):
-    """(chi(r), eta(r)) for a copula or a blended model. A level
-    outside (0, R_MAX], NaN included, raises ``InputError``."""
+def _level(r):
+    """r as a float; NaN or a level outside (0, R_MAX] raises ``InputError``."""
     r = float(r)
     if not 0.0 < r <= R_MAX:
         raise InputError(f"dependence level must lie in (0, {R_MAX}]; got {r}")
+    return r
+
+
+def chi_eta(obj, r):
+    """(chi(r), eta(r)) for a copula or a blended model. A level
+    outside (0, R_MAX], NaN included, raises ``InputError``."""
+    r = _level(r)
     sf = float(obj.survival(r, r))
     if sf <= 0.0:
         raise UndefinedMeasureError(f"joint survival nonpositive at r={r}")
@@ -77,16 +83,15 @@ def empirical_chi_eta(u, v, r):
     uses the empirical joint survival. Zero joint exceedances leave eta
     undefined and raise, reporting the count. Where every pair exceeds r
     the joint survival is 1, so eta = log(1 - r) / log 1 is undefined and
-    returned as NaN while chi stands. The pseudo-observations are checked
-    as ``Dataset`` checks them: NaN, a value outside [0, 1] or arrays of
-    unequal length raise ``InputError``.
+    returned as NaN while chi stands. NaN, a value outside [0, 1], arrays
+    of unequal length or a level outside (0, R_MAX] raise ``InputError``.
     """
     data = Dataset(u, v)
     return _empirical_chi_eta(data.u, data.v, r)
 
 
 def _empirical_chi_eta(u, v, r):
-    r = float(r)
+    r = _level(r)
     n = len(u)
     joint_below = np.count_nonzero((u <= r) & (v <= r))
     joint_above = np.count_nonzero((u > r) & (v > r))
@@ -101,8 +106,8 @@ def _empirical_chi_eta(u, v, r):
 
 def empirical_curves(u, v, grid=None, label="empirical"):
     """Empirical chi/eta curves; undefined levels become NaN. The
-    pseudo-observations are checked once, as ``empirical_chi_eta``
-    checks them."""
+    pseudo-observations are checked once, and each level, as
+    ``empirical_chi_eta`` checks them."""
     data = Dataset(u, v)
     grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
     chis = np.full(len(grid), np.nan)

@@ -28,5 +28,6 @@ class UndefinedMeasureError(BlendcopError):
 class InputError(BlendcopError, ValueError):
     """Outside input is malformed: pseudo-observations that are NaN or lie
     outside [0, 1], a model file that cannot be parsed, a dependence level
-    outside (0, R_MAX], a quantile level outside (0, 1), a negative sample
-    size, no fit start, or data with no Kendall's tau to start a fit from."""
+    outside (0, R_MAX], a quantile level outside (0, 1), a sample size or
+    restart count that is not a whole number of at least 0 or 1, or data
+    with no Kendall's tau to start a fit from."""

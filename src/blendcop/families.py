@@ -27,9 +27,10 @@ once, as (name, ``Domain``) pairs in ``param_domains`` of its
 ``Parametric`` base. The four domains (``CORRELATION``, ``POSITIVE``,
 ``ABOVE_ONE``, ``NONZERO``) are the one place that states a parameter's
 range, checked on construction (NaN and inf fail), and the map the fit
-searches it through. ``Parametric`` also gives both kinds their repr,
-equality and hash, and ``lookup`` and ``parse_spec`` their registry
-lookup and their ``tag(p1[,p2])`` spec parser.
+searches it through. Beside them a class states its fit's default
+``start`` for the data's Kendall's tau. ``Parametric`` also gives both
+kinds their repr, equality and hash, and ``lookup`` and ``parse_spec``
+their registry lookup and their ``tag(p1[,p2])`` spec parser.
 
 Public entry points reject a point argument that is NaN or lies outside
 [0, 1] with ``InputError`` (``unit_points``), and clamp the others to
@@ -70,6 +71,13 @@ def unit_points(x, name="point"):
             f"outside, the first {float(x[bad].flat[0])!r}"
         )
     return x
+
+
+def whole_number(n, least, need):
+    """n if it is an integer >= ``least``, else ``InputError`` saying ``need``."""
+    if isinstance(n, (int, np.integer)) and n >= least:
+        return n
+    raise InputError(f"{need}, a whole number, got {n!r}")
 
 
 def clamp_unit(x):
@@ -125,6 +133,8 @@ class Parametric:
     tag: str = ""
     #: (name, domain) of each parameter, in order.
     param_domains: tuple = ()
+    #: Each parameter's default fit start, unless ``start`` is overridden.
+    _start = 1.0
 
     def __init__(self, *params):
         if len(params) != len(self.param_domains):
@@ -139,6 +149,11 @@ class Parametric:
         for (name, domain), p in zip(self.param_domains, self.params):
             if p not in domain:
                 raise ParameterError(f"{self.tag} {name} {domain.text}, got {p}")
+
+    @classmethod
+    def start(cls, tau):
+        """The default start of a fit to data of Kendall's tau ``tau``."""
+        return (cls._start,) * len(cls.param_domains)
 
     @property
     def n_params(self):
@@ -225,10 +240,8 @@ class Copula(Parametric):
         return np.maximum(self._surv(clamp_unit(u), clamp_unit(v)), 0.0)
 
     def sample(self, n, rng):
-        """n exact draws; a negative n raises ``InputError``."""
-        if n < 0:
-            raise InputError(f"sample size must be nonnegative, got {n}")
-        return self._sample(n, rng)
+        """n exact draws; an n that is not a whole number >= 0 raises ``InputError``."""
+        return self._sample(whole_number(n, 0, "the sample size must be nonnegative"), rng)
 
     # -- internals (unclamped) -------------------------------------------
     def _sample(self, n, rng):
@@ -301,6 +314,12 @@ class Gaussian(Copula):
     tag = "gaussian"
     param_domains = (("rho", CORRELATION),)
 
+    @classmethod
+    def start(cls, tau):
+        # the inverse of tau = 2 arcsin(rho) / pi (Lindskog, McNeil & Schmock
+        # 2003), clipped to +-0.95 so that it lies in the domain at |tau| = 1
+        return (float(np.clip(np.sin(0.5 * np.pi * tau), -0.95, 0.95)),)
+
     @property
     def rho(self):
         return self.params[0]
@@ -336,6 +355,10 @@ class Gaussian(Copula):
 class StudentT(Copula):
     tag = "student_t"
     param_domains = (("rho", CORRELATION), ("nu", POSITIVE))
+
+    @classmethod
+    def start(cls, tau):
+        return (*Gaussian.start(tau), 5.0)  # tau(rho) does not depend on nu
 
     # The t CDF and quantile are scipy.special's stdtr and stdtrit, the
     # kernels under scipy.stats.t, with the same values strictly inside
@@ -507,6 +530,13 @@ class Frank(Copula):
     tag = "frank"
     param_domains = (("alpha", NONZERO),)
 
+    @classmethod
+    def start(cls, tau):
+        # NONZERO's map is the identity, so z = 0 is alpha = 0 and scores
+        # -inf. No continuous map of the real line onto the nonzero reals
+        # reaches both signs; a search lands on 0 only by hitting it exactly.
+        return (9.0 * tau if abs(tau) > 0.06 else (0.5 if tau >= 0 else -0.5),)
+
     def _parts(self, u, v):
         a = self.params[0]
         return -np.expm1(-a * u), -np.expm1(-a * v), -np.expm1(-a)
@@ -541,6 +571,7 @@ class Frank(Copula):
 class Clayton(Copula):
     tag = "clayton"
     param_domains = (("alpha", POSITIVE),)
+    _start = 1.5
 
     def _wm1(self, u, v):
         # w - 1 where w = u^-a + v^-a - 1, computed without cancellation
@@ -575,6 +606,7 @@ class Clayton(Copula):
 class Joe(Copula):
     tag = "joe"
     param_domains = (("alpha", ABOVE_ONE),)
+    _start = 1.5
 
     def _A(self, x, y):
         a = self.params[0]
@@ -652,6 +684,7 @@ class _ExtremeValue(Copula):
 class Gumbel(_ExtremeValue):
     tag = "gumbel"
     param_domains = (("alpha", ABOVE_ONE),)
+    _start = 1.5
 
     def _power_sum(self, x, y):
         """(m, q) with x^a + y^a = m^a q, so that ell = m q^(1/a).
@@ -664,14 +697,7 @@ class Gumbel(_ExtremeValue):
         a = self.params[0]
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         with np.errstate(over="ignore"):
-            xa, ya = x**a, y**a
-            q = np.asarray(xa + ya)
-            # rounded addition is monotone, so on a grid the sums of the
-            # extremes of x^a and y^a bound every entry of q in fewer reads
-            # than a scan; a NaN fails both tests and is scanned
-            grid = np.size(xa) + np.size(ya) < q.size
-            if grid and xa.min() + ya.min() >= NORMAL_MIN and xa.max() + ya.max() < np.inf:
-                return 1.0, q
+            q = np.asarray(x**a + y**a)
         odd = ~((q >= NORMAL_MIN) & (q < np.inf))
         if not np.any(odd):
             return 1.0, q
@@ -710,6 +736,7 @@ class Gumbel(_ExtremeValue):
 class InvertedGumbel(Copula):
     tag = "inverted_gumbel"
     param_domains = (("alpha", ABOVE_ONE),)
+    _start = 1.5
 
     def __init__(self, *params):
         super().__init__(*params)

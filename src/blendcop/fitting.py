@@ -6,9 +6,9 @@ behind them is fixed, so the log-likelihood is smooth in the parameters,
 though no closed-form gradient exists. It is maximised by BFGS (Nocedal &
 Wright, *Numerical Optimization*, 2006, ch. 6) on forward-difference
 gradients over an unconstrained reparameterisation, restarted from
-jittered initial points. Each parameter's map onto the real line is read
-from its ``families.Domain``, the one place that also states its range.
-Tags are resolved through the registries before the first evaluation.
+jittered initial points. Each ``families.Parametric`` class states its
+parameters' domains, whose maps lead onto the real line, and its default
+``start`` for the data's Kendall's tau, so this module names no family.
 
 Standard errors come from a central-difference Hessian of the
 log-likelihood in the unconstrained coordinates at the optimum, in k^2 + k
@@ -34,7 +34,7 @@ from scipy.stats import kendalltau
 
 from .blend import BlendedModel
 from .errors import BlendcopError, FitError, InputError, ParameterError
-from .families import CLAMP, Copula, family_class, unit_points
+from .families import CLAMP, Copula, family_class, unit_points, whole_number
 from .weighting import weighting_class
 
 #: Floor of every log-density in the likelihood, blend or single copula.
@@ -53,10 +53,6 @@ _HESSIAN_STEP = 1e-3
 _JITTER = 0.3
 #: Seed of the jitter, so a fit is reproducible.
 _SEED = 0
-
-# coarse inversion table for the elliptical tau(rho) map
-_RHO_TABLE = np.linspace(-0.95, 0.95, 39)
-_TAU_TABLE = 2.0 * np.arcsin(_RHO_TABLE) / np.pi
 
 
 @dataclass
@@ -160,36 +156,6 @@ def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
 
 
-def _from_unconstrained(domains, z):
-    return tuple(float(d.backward(zi)) for d, zi in zip(domains, z))
-
-
-def _rho_from_tau(tau_hat: float) -> float:
-    return float(np.interp(tau_hat, _TAU_TABLE, _RHO_TABLE))
-
-
-def _default_family_params(tag: str, tau_hat: float):
-    if not np.isfinite(tau_hat):
-        raise InputError(f"no default start for {tag}: Kendall's tau of the data is {tau_hat!r}")
-    if tag == "gaussian":
-        return (_rho_from_tau(tau_hat),)
-    if tag == "student_t":
-        return (_rho_from_tau(tau_hat), 5.0)
-    if tag == "frank":
-        # frank's map (families.NONZERO) is the identity, so z = 0 is alpha = 0,
-        # outside the domain, and scores -inf. It stays: no continuous map of
-        # the real line onto the nonzero reals reaches both signs, and a
-        # search that crosses 0 lands on it only by hitting it exactly.
-        return (9.0 * tau_hat if abs(tau_hat) > 0.06 else (0.5 if tau_hat >= 0 else -0.5),)
-    if tag in ("joe", "gumbel", "inverted_gumbel", "clayton"):
-        return (1.5,)
-    if tag in ("husler_reiss", "galambos"):
-        return (1.0,)
-    if tag == "coles_tawn":
-        return (1.0, 1.0)
-    raise ValueError(f"no default initial for family {tag!r}")
-
-
 class _BudgetSpent(Exception):
     """An evaluation was asked for after the fit's budget ran out."""
 
@@ -223,7 +189,7 @@ class _Objective:
     def __call__(self, z):
         if self.evaluations >= self.budget:
             raise _BudgetSpent
-        params = _from_unconstrained(self.domains, z)
+        params = tuple(float(d.backward(zi)) for d, zi in zip(self.domains, z))
         try:
             ll, model = self._eval(params)
             failure = None if np.isfinite(ll) else ("non-finite", f"log-likelihood {ll!r}")
@@ -284,8 +250,7 @@ def _fit(label, domains, init, make, data, restarts):
     made, not a second one; ``log_likelihood_detail`` of it gives the
     log-likelihood and the floor count. A spent evaluation budget ends the
     search early, not converged."""
-    if not isinstance(restarts, (int, np.integer)) or restarts < 1:
-        raise InputError(f"a fit needs at least one start, a whole number, got restarts = {restarts!r}")
+    whole_number(restarts, 1, "a fit needs at least one start (restarts)")
     t0 = time.perf_counter()
 
     def evaluate(params):
@@ -341,17 +306,16 @@ def fit(spec: str, data: Dataset, start=None, restarts: int = 3) -> FitResult:
     (``"gumbel"``) or of a blend named ``tail+body:weighting``
     (``"gumbel+clayton:power"``), from ``start`` in ``params`` order (a
     blend's theta, then its tail's parameters, then its body's), or else
-    from theta = 1 and each family's start for the data's Kendall's tau.
-    A bad spec, tag or start raises ``ParameterError`` before the first
-    evaluation."""
+    from each class's ``start`` for the data's Kendall's tau. A bad spec,
+    tag or start raises ``ParameterError``, and data without a Kendall's
+    tau ``InputError``, before the first evaluation."""
     match = _SPEC.fullmatch(spec) if isinstance(spec, str) else None
     if match is None:
         raise ParameterError(f"cannot parse model spec {spec!r}; expected tag or tail+body:weighting")
     tail_tag, body_tag, weighting_tag = match.groups()
     if weighting_tag is None:
-        tags, classes, theta0 = (spec,), (family_class(spec),), ()
+        classes = (family_class(spec),)
     else:
-        tags, theta0 = (tail_tag, body_tag), (1.0,)
         classes = (weighting_class(weighting_tag), family_class(tail_tag), family_class(body_tag))
     domains = tuple(domain for cls in classes for _, domain in cls.param_domains)
     ends = list(accumulate(len(cls.param_domains) for cls in classes))
@@ -366,7 +330,9 @@ def fit(spec: str, data: Dataset, start=None, restarts: int = 3) -> FitResult:
 
     if start is None:
         tau_hat = data.kendall_tau()
-        start = theta0 + tuple(p for tag in tags for p in _default_family_params(tag, tau_hat))
+        if not np.isfinite(tau_hat):
+            raise InputError(f"no default start for {spec}: Kendall's tau of the data is {tau_hat!r}")
+        start = tuple(p for cls in classes for p in cls.start(tau_hat))
     else:
         # a given start of the wrong length or outside a domain fails here,
         # not as NaN in the unconstrained start; its parts check it without

@@ -9,12 +9,13 @@ component of every point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blend import BlendedModel
-from .errors import InputError, SamplingError
+from .errors import SamplingError
+from .families import whole_number
 
 TAIL, BODY = "tail", "body"
 #: Proposals per stream in the first round, as a multiple of n_target / K.
@@ -28,8 +29,7 @@ class SampleRequest:
     seed: int | np.random.Generator | None = None
 
     def __post_init__(self):
-        if self.n_target < 0:
-            raise InputError(f"n_target must be nonnegative, got {self.n_target}")
+        whole_number(self.n_target, 0, "n_target must be nonnegative")
 
     def rng(self) -> np.random.Generator:
         if isinstance(self.seed, np.random.Generator):

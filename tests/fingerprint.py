@@ -15,6 +15,8 @@ numbers (``repr`` of Python floats, the bytes of arrays):
   ``restarts=1`` and from the default start with ``restarts=3``; each
   ``FitResult`` as its ``repr`` without ``seconds``, with its ``params``
   and the bytes of ``cov``;
+* ``fits.families``: the ``fitting.fit`` result of each of the ten
+  families, from its default start, on 1000 of its own draws at a seed;
 * ``margins``: K, K_tail, K_body and both margin tables of five blends;
 * ``chi_eta``: chi and eta at ``DEFAULT_R_GRID`` of those blends and of
   seven single copulas;
@@ -39,13 +41,17 @@ benchmark.
 A moved hash says that a group changed, not by how much. Two options
 measure it: ``--dump PATH`` writes each group's numbers as JSON, and
 ``--compare PATH`` prints, after each hash, the group's largest absolute
-and relative change against such a file, written by another version:
+and relative change against such a file, written by another version, and
+how many of its entries moved:
 
     PYTHONPATH=<old>/src OMP_NUM_THREADS=1 python3 tests/fingerprint.py --dump old.json
     PYTHONPATH=src OMP_NUM_THREADS=1 python3 tests/fingerprint.py --compare old.json
 
-A fit's numbers are its params, its log-likelihood and its ``cov``; a
-failed group has none, and compares with no other.
+An entry is one array, number or fit. A fit's numbers come in three
+parts, its params, its log-likelihood and its ``cov``. ``fits.families``
+names its entries, so ``--compare`` prints a line for each entry that
+moved, with the largest change of each part. A failed group has no
+numbers, and compares with no other.
 """
 from __future__ import annotations
 
@@ -91,6 +97,8 @@ POINT_BLENDS = ("gumbel(2)/clayton(1)/power(0.8)", "coles_tawn(0.5,0.8)/gaussian
 POINT_LEVELS = np.array([1e-9, 1e-7, 0.3, 0.7, 1.0 - 1e-7, 1.0 - 1e-9])
 LATTICE = np.array([0.005, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 0.995])
 DRAW_SEED = 7
+#: Draws per family in ``fits.families``.
+FAMILY_FIT_N = 1000
 
 
 def blend(key):
@@ -109,8 +117,8 @@ def value(x):
 
 
 def fit(res):
-    """A ``FitResult``'s (text, numbers)."""
-    return fit_text(res), [*res.params, res.loglik, *res.cov.ravel()]
+    """A ``FitResult``'s (text, numbers), its numbers in named parts."""
+    return fit_text(res), {"params": res.params, "loglik": res.loglik, "cov": res.cov}
 
 
 def fit_text(res):
@@ -140,6 +148,18 @@ def fits():
                     yield fit(fitting.fit(comp.tag, data))
                 yield fit(fitting.fit(spec, data, model.params, restarts=1))
                 yield fit(fitting.fit(spec, data, restarts=3))
+
+
+def fits_families():
+    for text in FAMILY_SPECS:
+        cop = parse_copula(text)
+        draws = cop.sample(FAMILY_FIT_N, np.random.default_rng(DRAW_SEED))
+        yield fit(fitting.fit(cop.tag, fitting.Dataset.from_array(draws)))
+
+
+fits_families.__name__ = "fits.families"
+#: Its entries' names, which ``--compare`` prints for each entry that moved.
+fits_families.labels = FAMILY_SPECS
 
 
 def margins():
@@ -190,32 +210,56 @@ def points(answer):
 
 
 def digest(group, numbers):
-    """The group's hash; its numbers are appended to ``numbers``, which a
-    failure replaces with the exception's text."""
+    """The group's hash; each entry's numbers are appended to ``numbers``
+    as a dict of named parts, and a failure replaces them with the
+    exception's text."""
     h = hashlib.sha256()
     try:
         for text, values in group():
             h.update(text.encode())
             h.update(b"\n")
-            numbers.extend(np.ravel(values).astype(float).tolist())
+            parts = values if isinstance(values, dict) else {"values": values}
+            numbers.append({k: np.ravel(v).astype(float).tolist() for k, v in parts.items()})
     except Exception as exc:  # a failure is part of the fingerprint
         h.update(f"{type(exc).__name__}: {exc}".encode())
         numbers[:] = [f"{type(exc).__name__}: {exc}"]
     return h.hexdigest()
 
 
-def change(now, then):
+def gaps(now, then):
     """The largest absolute and relative change of the numbers ``now``
-    against ``then``, as text; NaN in both places is no change."""
-    if len(now) != len(then) or any(isinstance(x, str) for x in now + then):
-        return "does not compare: a failure or another count of numbers"
+    against ``then``; NaN in both places is no change."""
     a, b = np.array(now, dtype=float), np.array(then, dtype=float)
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     gap = np.where(same, 0.0, np.abs(a - b))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(same, 0.0, gap / np.abs(b))
-    gap, rel = gap.max(initial=0.0), rel.max(initial=0.0)
-    return f"largest change {gap:.3g} absolute, {rel:.3g} relative"
+    return gap.max(initial=0.0), rel.max(initial=0.0)
+
+
+def change(now, then, labels=None):
+    """The change of a group's entries ``now`` against ``then``, as text:
+    the largest over the group and how many entries moved, then, where
+    the entries have ``labels``, one line per entry that moved with the
+    largest change of each of its parts."""
+    def sizes(entries):
+        return [{k: len(x) for k, x in e.items()} if isinstance(e, dict) else e for e in entries]
+
+    if sizes(now) != sizes(then) or any(isinstance(e, str) for e in now):
+        return "does not compare: a failure or another count of numbers"
+
+    def flat(entries):
+        return [x for e in entries for part in e.values() for x in part]
+
+    def text(pair):
+        return "%.3g absolute, %.3g relative" % pair
+
+    moved = [i for i, (a, b) in enumerate(zip(now, then)) if gaps(flat([a]), flat([b])) != (0.0, 0.0)]
+    lines = [f"largest change {text(gaps(flat(now), flat(then)))}; {len(moved)} of {len(now)} entries moved"]
+    for i in moved if labels else ():
+        parts = (f"{k} {text(gaps(now[i][k], then[i][k]))}" for k in now[i])
+        lines.append(f"    {labels[i]}: " + "; ".join(parts))
+    return "\n".join(lines)
 
 
 def main():
@@ -231,11 +275,12 @@ def main():
             then = json.load(f)
     answers = [points(answer) for answer in ("logpdf", "survival", "copula_cdf")]
     dumped = {}
-    for group in (fits, margins, chi_eta, copula_cdf, draws, quantiles, *answers):
+    for group in (fits, fits_families, margins, chi_eta, copula_cdf, draws, quantiles, *answers):
         numbers = dumped[group.__name__] = []
         line = f"{group.__name__:<17} {digest(group, numbers)}"
         if args.compare:
-            line += "  " + change(numbers, then.get(group.__name__, ["missing"]))
+            line += "  " + change(numbers, then.get(group.__name__, ["missing"]),
+                                  getattr(group, "labels", None))
         print(line, flush=True)
     if args.dump:
         with open(args.dump, "w") as f:

@@ -205,6 +205,21 @@ def test_empirical_undefined_raises_with_count():
     assert np.all(np.isnan(eta_c.values))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v: empirical_chi_eta(u, v, -0.5),  # read chi = 1.333
+        lambda u, v: empirical_chi_eta(u, v, float("nan")),  # read "no joint exceedances"
+        lambda u, v: empirical_curves(u, v, [-0.5, 1.5, float("nan")]),  # read [1.333, nan, nan]
+    ],
+    ids=["negative", "nan", "curves"],
+)
+def test_empirical_rejects_levels_outside_the_range_of_chi_eta(call):
+    rng = np.random.default_rng(3)
+    with pytest.raises(InputError, match="dependence level"):
+        call(rng.random(1000), rng.random(1000))
+
+
 def _bad_pseudo_observations(case):
     rng = np.random.default_rng(3)
     u, v = rng.random(1000), rng.random(1000)

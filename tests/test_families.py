@@ -194,8 +194,8 @@ def test_extreme_value_conditionals_are_exact_at_the_ends(cop):
 
 def test_a_steep_gumbel_grid_takes_the_scaled_branch():
     # at alpha 60, x^a + y^a underflows near (1, 1) and overflows far from
-    # it; the bounds on the sums must leave those entries to the scan, whose
-    # values are the full scan's, written out here as the reference
+    # it; the scan must scale exactly those entries, written out here as
+    # the reference
     a = 60.0
     cop = make_copula("gumbel", [a])
     coords = -np.log(np.array([1e-100, 0.3, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]))
@@ -208,7 +208,7 @@ def test_a_steep_gumbel_grid_takes_the_scaled_branch():
     big = np.maximum(x, y)
     assert np.array_equal(m, np.where(odd, big, 1.0))
     assert np.array_equal(q, np.where(odd, 1.0 + (np.minimum(x, y) / big) ** a, plain))
-    # a grid with no odd entry, which the bounds decide: m is 1 and q the sum
+    # a grid with no odd entry: the scan finds none, so m is 1 and q the sum
     tame = -np.log(np.array([0.3, 0.9, 0.99]))
     m, q = cop._power_sum(tame[:, None], tame[None, :])
     assert m == 1.0 and np.array_equal(q, tame[:, None] ** a + tame[None, :] ** a)

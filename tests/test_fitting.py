@@ -8,7 +8,16 @@ from scipy.optimize import minimize_scalar
 
 from blendcop.blend import BlendedModel
 from blendcop.errors import BlendcopError, EvaluationError, InputError, ParameterError
-from blendcop.families import CORRELATION, NONZERO, POSITIVE, Gumbel, make_copula
+from blendcop.families import (
+    CORRELATION,
+    FAMILIES,
+    NONZERO,
+    POSITIVE,
+    Gaussian,
+    Gumbel,
+    StudentT,
+    make_copula,
+)
 from blendcop import fitting
 from blendcop.fitting import (
     Dataset,
@@ -20,7 +29,7 @@ from blendcop.fitting import (
     log_likelihood_detail,
 )
 from blendcop.sampling import sample_blended_copula
-from blendcop.weighting import make_weighting
+from blendcop.weighting import WEIGHTINGS, make_weighting
 
 # Full-pipeline oracle for gumbel(2) tail / clayton(1) body / power(0.8) on
 # 50 iid uniform pairs from default_rng(42), printed by
@@ -568,3 +577,37 @@ def test_fit_is_the_one_door():
         if "ModelParams" in path.read_text(encoding="utf-8")
     ]
     assert not offenders, offenders
+
+
+START_TAUS = [-1.0, -0.9, -0.06, 0.0, 0.06, 0.5, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("cls", [*FAMILIES.values(), *WEIGHTINGS.values()], ids=lambda c: c.tag)
+def test_every_default_start_lies_in_its_domains(cls):
+    # a fit from the default start checks it nowhere else, so it must
+    # construct at every tau, the ends included
+    for tau in START_TAUS:
+        params = cls.start(tau)
+        assert cls(*params).params == params, tau
+
+
+def test_the_gaussian_start_is_the_inverse_of_tau():
+    for tau in START_TAUS:
+        want = np.clip(np.sin(np.pi * tau / 2.0), -0.95, 0.95)
+        assert Gaussian.start(tau) == (want,)
+        assert StudentT.start(tau) == (want, 5.0)
+    # off the clamp, tau = 2 arcsin(rho) / pi holds
+    assert_allclose(2.0 * np.arcsin(Gaussian.start(0.37)[0]) / np.pi, 0.37, rtol=1e-15)
+
+
+def test_fitting_names_no_family_or_weighting():
+    # each class states its own start and domains, so no tag is spelled
+    # in the module that fits them
+    tree = ast.parse(Path(fitting.__file__).read_text(encoding="utf-8"))
+    tags = set(FAMILIES) | set(WEIGHTINGS)
+    named = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in tags
+    ]
+    assert not named, named

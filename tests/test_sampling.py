@@ -124,3 +124,14 @@ def test_shortfall_error(model, monkeypatch):
 def test_request_validation(model):
     with pytest.raises(InputError, match="n_target"):
         SampleRequest(model, -1)
+
+
+@pytest.mark.parametrize("n", [2.5, -1, "3"])
+def test_a_sample_size_that_is_not_a_whole_number_fails_before_any_draw(model, n):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match="sample size"):
+        model.tail.sample(n, rng)
+    with pytest.raises(InputError, match="n_target"):
+        sample_cstar(SampleRequest(model, n, seed=rng))
+    assert rng.bit_generator.state == state
