@@ -214,9 +214,15 @@ class Copula(Parametric):
         return np.exp(self.logpdf(u, v))
 
     def logpdf(self, u, v):
+        return self._clamped_logpdf(clamp_unit(u), clamp_unit(v))
+
+    def _clamped_logpdf(self, u, v):
+        """``logpdf`` at points already in [CLAMP, 1 - CLAMP], as a
+        ``Dataset``'s are, which it does not check again; a NaN density
+        raises ``EvaluationError``."""
         with np.errstate(divide="ignore", over="ignore"):
-            out = self._logpdf(clamp_unit(u), clamp_unit(v))
-        if np.any(np.isnan(out)):
+            out = self._logpdf(u, v)
+        if np.isnan(out).any():
             flat = int(np.argmax(np.isnan(np.ravel(np.atleast_1d(out)))))
             uu = np.ravel(np.broadcast_to(np.asarray(u, dtype=float), np.shape(out)))
             vv = np.ravel(np.broadcast_to(np.asarray(v, dtype=float), np.shape(out)))
@@ -671,7 +677,7 @@ class _ExtremeValue(Copula):
         # the ends are found on the coordinates, before a pass over the grid
         for coord, end in ((xy[given], 0.0), (xy[1 - given], 1.0)):
             at_end = coord == 0.0
-            if np.any(at_end):
+            if at_end.any():
                 out = np.where(at_end, end, out)
         return out if np.ndim(out) else float(out)
 
@@ -693,14 +699,16 @@ class Gumbel(_ExtremeValue):
         once alpha exceeds about 40, and far from it it overflows; there
         m = max(x, y) and q = 1 + (min(x, y) / m)^a lies in [1, 2]. Only
         those entries are scaled: elsewhere x^a and y^a stay apart, so on
-        a grid each is computed once per row or column."""
+        a grid each is computed once per row or column. Its callers
+        (``_ell``, and ``_ell_slope`` under ``_conditional``) ignore the
+        overflow, so a call of ``_h`` sets the error state once."""
         a = self.params[0]
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        with np.errstate(over="ignore"):
-            q = np.asarray(x**a + y**a)
-        odd = ~((q >= NORMAL_MIN) & (q < np.inf))
-        if not np.any(odd):
+        q = np.asarray(x**a + y**a)
+        # two reductions decide; NaN fails them, as it fails the mask
+        if q.min(initial=1.0) >= NORMAL_MIN and q.max(initial=1.0) < np.inf:
             return 1.0, q
+        odd = ~((q >= NORMAL_MIN) & (q < np.inf))
         m = np.ones_like(q)
         xs, ys = (np.broadcast_to(z, q.shape)[odd] for z in (x, y))
         m[odd] = big = np.maximum(xs, ys)
@@ -709,7 +717,8 @@ class Gumbel(_ExtremeValue):
         return m, q
 
     def _ell(self, x, y):
-        m, q = self._power_sum(x, y)
+        with np.errstate(over="ignore"):
+            m, q = self._power_sum(x, y)
         return m * q ** (1.0 / self.params[0])
 
     def _ell_slope(self, x, y, given):

@@ -55,25 +55,33 @@ _JITTER = 0.3
 _SEED = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Pseudo-observations on (0, 1) margins.
 
     Values must lie in [0, 1]; they are clamped to [CLAMP, 1 - CLAMP].
     NaN, a value outside [0, 1], coordinate arrays that are not 1-d and
     of equal length, or fewer than two observations raise ``InputError``.
+    ``u`` and ``v`` are the checked copies, read-only, and a dataset's
+    fields cannot be reassigned, so its points stay checked: the
+    likelihood hands them to each model's private log-density, which
+    does not check them again.
     """
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        self.u = np.clip(unit_points(self.u, "pseudo-observations u"), CLAMP, 1.0 - CLAMP)
-        self.v = np.clip(unit_points(self.v, "pseudo-observations v"), CLAMP, 1.0 - CLAMP)
-        if self.u.shape != self.v.shape or self.u.ndim != 1:
+        u = np.clip(unit_points(self.u, "pseudo-observations u"), CLAMP, 1.0 - CLAMP)
+        v = np.clip(unit_points(self.v, "pseudo-observations v"), CLAMP, 1.0 - CLAMP)
+        if np.shape(u) != np.shape(v) or np.ndim(u) != 1:
             raise InputError("dataset needs two equal-length 1-d coordinate arrays")
-        if self.n < 2:
+        if u.size < 2:
             raise InputError("dataset needs at least two observations")
+        u.flags.writeable = v.flags.writeable = False
+        # the fields are frozen, so the checked arrays are set here once
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     @property
     def n(self) -> int:
@@ -150,8 +158,11 @@ def log_likelihood(model: BlendedModel | Copula, data: Dataset) -> float:
 
 def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
     """(loglik, number of floor-clamped densities) of a blend or a single
-    copula."""
-    vals = model.logpdf(data.u, data.v)
+    copula. The data's points were checked and clamped once, by
+    ``Dataset``, so each evaluation reads them through the model's
+    ``_clamped_logpdf``: the values of ``logpdf`` without its second
+    check."""
+    vals = model._clamped_logpdf(data.u, data.v)
     clamped = int(np.count_nonzero(vals < _LOG_FLOOR))
     return float(np.sum(np.maximum(vals, _LOG_FLOOR))), clamped
 

@@ -47,6 +47,11 @@ how many of its entries moved:
     PYTHONPATH=<old>/src OMP_NUM_THREADS=1 python3 tests/fingerprint.py --dump old.json
     PYTHONPATH=src OMP_NUM_THREADS=1 python3 tests/fingerprint.py --compare old.json
 
+``--compare`` exits with status 1, after printing every line, when an
+entry of any group moved or a group does not compare, and with 0 when
+every number is bit-identical; so a claim of bit-identity is one
+command's exit status.
+
 An entry is one array, number or fit. A fit's numbers come in three
 parts, its params, its log-likelihood and its ``cov``. ``fits.families``
 names its entries, so ``--compare`` prints a line for each entry that
@@ -238,15 +243,16 @@ def gaps(now, then):
 
 
 def change(now, then, labels=None):
-    """The change of a group's entries ``now`` against ``then``, as text:
-    the largest over the group and how many entries moved, then, where
-    the entries have ``labels``, one line per entry that moved with the
-    largest change of each of its parts."""
+    """(text, same): the change of a group's entries ``now`` against
+    ``then``, as text, the largest over the group and how many entries
+    moved, then, where the entries have ``labels``, one line per entry
+    that moved with the largest change of each of its parts; and whether
+    every entry compares and none moved."""
     def sizes(entries):
         return [{k: len(x) for k, x in e.items()} if isinstance(e, dict) else e for e in entries]
 
     if sizes(now) != sizes(then) or any(isinstance(e, str) for e in now):
-        return "does not compare: a failure or another count of numbers"
+        return "does not compare: a failure or another count of numbers", False
 
     def flat(entries):
         return [x for e in entries for part in e.values() for x in part]
@@ -259,7 +265,7 @@ def change(now, then, labels=None):
     for i in moved if labels else ():
         parts = (f"{k} {text(gaps(now[i][k], then[i][k]))}" for k in now[i])
         lines.append(f"    {labels[i]}: " + "; ".join(parts))
-    return "\n".join(lines)
+    return "\n".join(lines), not moved
 
 
 def main():
@@ -275,17 +281,21 @@ def main():
             then = json.load(f)
     answers = [points(answer) for answer in ("logpdf", "survival", "copula_cdf")]
     dumped = {}
+    identical = True
     for group in (fits, fits_families, margins, chi_eta, copula_cdf, draws, quantiles, *answers):
         numbers = dumped[group.__name__] = []
         line = f"{group.__name__:<17} {digest(group, numbers)}"
         if args.compare:
-            line += "  " + change(numbers, then.get(group.__name__, ["missing"]),
-                                  getattr(group, "labels", None))
+            text, same = change(numbers, then.get(group.__name__, ["missing"]),
+                                getattr(group, "labels", None))
+            line += "  " + text
+            identical &= same
         print(line, flush=True)
     if args.dump:
         with open(args.dump, "w") as f:
             json.dump(dumped, f)
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -217,6 +217,72 @@ def test_a_reused_data_order_cannot_go_stale(triple):
         assert np.array_equal(got, [m.logpdf(a, b) for a, b in zip(uu, vv)])
 
 
+def searched(model, axis, q):
+    """(x, log f) at sorted levels q, each searched among the inner knots
+    of the quantile table and every coefficient gathered at its interval;
+    the outermost panels' levels take the root, and f there a search."""
+    m = model._axes[axis]
+    i = np.searchsorted(m.quantile_at.inner, q, side="right")
+
+    def gathered(cubic, t):
+        dt = t - cubic.left[i]
+        return cubic.c0[i] + dt * (cubic.c1[i] + dt * (cubic.c2[i] + dt * cubic.c3[i]))
+
+    x = gathered(m.quantile_at, q)
+    f = gathered(m.pdf_at, x)
+    outer = (q < m.inner[0]) | (q > m.inner[1])
+    x[outer] = [model._quantile_exact(axis, float(p)) for p in q[outer]]
+    f[outer] = m.pdf_at(x[outer])
+    return x, np.log(f)
+
+
+def sorted_levels(case, knots, n):
+    """n sorted levels of kind ``case`` for a table of ``knots``."""
+    inner = knots[1:-1]
+    if case == "knots":
+        return np.sort(np.resize(inner, n))
+    if case == "repeated":
+        return np.full(n, inner[100])
+    if case == "one-interval":
+        return np.linspace(inner[100], inner[101], n + 2)[1:-1]
+    if case == "ends":
+        # below the first and above the last inner knot: the root's levels
+        return np.sort(np.resize([1e-9, 0.5 * inner[0], 1.0 - 1e-9, 0.5 * (1.0 + inner[-1])], n))
+    return np.sort(np.random.default_rng(n).random(n))
+
+
+@pytest.mark.parametrize("case", ["knots", "repeated", "one-interval", "ends", "random", "empty"])
+def test_the_walk_and_the_search_give_the_same_intervals(case):
+    # _lookup searches each level among the knots up to _WALK_PER_KNOT
+    # levels per knot and walks the knots through the levels beyond it;
+    # either way it gives the values of one search per level. Sizes lie
+    # on both sides of the knot count and of the switch
+    m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
+    knots = m._axes[0].level
+    switch = blend._WALK_PER_KNOT * knots.size
+    for n in (0,) if case == "empty" else (knots.size - 1, knots.size + 1, switch, switch + 1):
+        q = sorted_levels(case, knots, n)
+        assert q.size == n and np.all(q[1:] >= q[:-1])
+        got, want = m._lookup(0, q), searched(m, 0, q)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), (case, n)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [("gumbel", [2.0], "clayton", [1.0], 0.8), ("coles_tawn", [0.5, 0.8], "gaussian", [0.5], 1.5)],
+    ids=["shared-margin", "coles_tawn"],
+)
+def test_a_walked_logpdf_is_that_of_its_points_one_at_a_time(triple):
+    # 4000 points walk the knots on each axis, one point searches them
+    tail, tp, body, bp, theta = triple
+    m = build(tail, tp, body, bp, "power", theta)
+    u, v = np.random.default_rng(5).random((2, 4000))
+    assert u.size > blend._WALK_PER_KNOT * m._axes[1].level.size
+    got = m.logpdf(u, v)
+    assert repr(got.tolist()) == repr([float(m.logpdf(a, b)) for a, b in zip(u, v)])
+
+
 def test_K_additivity(power_model):
     K, Kt, Kb = power_model.norm_constants
     assert abs(K - (Kt + Kb)) <= 1e-10 * K
@@ -407,9 +473,12 @@ def test_end_mass_density_is_its_slope(power_model):
 
 
 def test_outer_panel_root_failures_name_the_level(power_model, monkeypatch):
-    # a NaN mass, or no convergence within the step budget, names q and the axis
+    # a NaN mass, or no convergence within the step budget, names q and the axis.
+    # One Newton step solves the true mass at 1e-9, so the budget is spent on
+    # a mass of 1 at every d, which no step solves
     with monkeypatch.context() as patch:
         patch.setattr(blend, "_ROOT_STEPS", 1)
+        patch.setattr(BlendedModel, "_end_mass", lambda m, axis, logd, top: (0.0, 1.0))
         with pytest.raises(EvaluationError, match=r"marginal quantile of 1e-09 on axis 1: no root"):
             power_model._quantile_exact(1, 1e-9)
     monkeypatch.setattr(BlendedModel, "_end_mass", lambda m, axis, logd, top: (np.nan, 1.0))

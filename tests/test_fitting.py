@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
+from blendcop import blend, families
 from blendcop.blend import BlendedModel
 from blendcop.errors import BlendcopError, EvaluationError, InputError, ParameterError
 from blendcop.families import (
@@ -17,6 +20,8 @@ from blendcop.families import (
     Gumbel,
     StudentT,
     make_copula,
+    parse_copula,
+    unit_points,
 )
 from blendcop import fitting
 from blendcop.fitting import (
@@ -29,7 +34,7 @@ from blendcop.fitting import (
     log_likelihood_detail,
 )
 from blendcop.sampling import sample_blended_copula
-from blendcop.weighting import WEIGHTINGS, make_weighting
+from blendcop.weighting import WEIGHTINGS, make_weighting, parse_weighting
 
 # Full-pipeline oracle for gumbel(2) tail / clayton(1) body / power(0.8) on
 # 50 iid uniform pairs from default_rng(42), printed by
@@ -182,6 +187,58 @@ def test_loglik_detail_counts_clamped():
         assert_allclose(ll, np.log(1e-300) + others, rtol=0, atol=1e-6 * data.n)
     assert_allclose(results[0][0], results[1][0], rtol=0, atol=1e-6 * data.n)
     assert log_likelihood(cop, data) == results[0][0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["gumbel(2)/clayton(1)/power(0.8)", "coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5)", "gumbel(2)"],
+    ids=["shared-margin", "coles_tawn", "gumbel"],
+)
+def test_the_likelihood_reads_the_datasets_points_once(spec, monkeypatch):
+    # an evaluation reads the Dataset's checked points through the model's
+    # private log-density: logpdf's values, without its second range check
+    parts = spec.split("/")
+    model = parse_copula(spec) if len(parts) == 1 else BlendedModel(
+        parse_copula(parts[0]), parse_copula(parts[1]), parse_weighting(parts[2])
+    )
+    data = Dataset.from_array(np.random.default_rng(8).random((2000, 2)))
+    want = np.sum(np.maximum(model.logpdf(data.u, data.v), np.log(1e-300)))
+    checked = []
+    spy = lambda x, name="point": checked.append(name) or unit_points(x, name)
+    for module in (families, blend, fitting):
+        monkeypatch.setattr(module, "unit_points", spy)
+    assert log_likelihood(model, data) == want
+    assert checked == []
+    model.logpdf(data.u, data.v)
+    assert checked == ["point", "point"]  # the spy sees the public path's check
+
+
+def test_a_nan_density_still_scores_minus_inf_in_a_fit(monkeypatch):
+    # the private log-density keeps logpdf's NaN check: a fit counts each
+    # NaN evaluation as an EvaluationError and goes on
+    data = Dataset.from_array(Gumbel(2.5).sample(500, np.random.default_rng(9)))
+    logpdf = Gumbel._logpdf
+    monkeypatch.setattr(
+        Gumbel, "_logpdf", lambda c, u, v: np.where(c.params[0] > 1.8, np.nan, logpdf(c, u, v))
+    )
+    res = fit("gumbel", data, restarts=1)
+    assert res.params[0] <= 1.8
+    assert any(
+        re.fullmatch(r"\d+ evaluations scored -inf on EvaluationError, the first: gumbel density "
+                     r"produced NaN at .*", w)
+        for w in res.warnings
+    ), res.warnings
+
+
+def test_a_datasets_points_cannot_be_changed():
+    u, v = np.array([0.2, 0.5, 0.9]), np.array([0.3, 0.6, 0.8])
+    data = Dataset(u, v)
+    with pytest.raises(ValueError, match="read-only"):
+        data.u[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.v = np.array([0.1, 0.2, 0.3])
+    u[0] = 0.4  # the caller's arrays stay its own
+    assert data.u[0] == 0.2
 
 
 def test_fit_single_gaussian_independent(rng):
