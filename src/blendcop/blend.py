@@ -71,15 +71,20 @@ copula's ``survival``, which chi and eta read. A point within 1/2 of 1 on
 both axes, as every chi/eta level's is, takes the rule refined toward
 the corner only, 48 x 48 nodes; any other point the two-sided rule,
 84 x 84, whose panels refined toward x and y are needed once an interval
-reaches below 1/2. Far off the diagonal, where 1 - y is much smaller
+reaches below 1/2. Where cstar is symmetric, S(x, y) = S(y, x), and the
+outer integral runs along the coordinate nearer to 1, so S keeps its
+accuracy off the diagonal too; otherwise, where 1 - y is much smaller
 than 1 - x, S is low (see ``joint_upper_survival``).
 ``copula_cdf`` = u + v - 1 + S needs only absolute accuracy, so it
-integrates on the build's own rule instead, from weights of the integral
-from x or y to 1 (``quadrature.above_rows``) and G on the rule's
-224 x 224 tensor, made on the first call and kept on the model: a query
-costs its lookup, the edge term at the 224 s-nodes for each distinct y,
-and row-wise dot products. A model answers ``logpdf``, ``pdf`` and
-``survival`` as a ``Copula`` does.
+integrates on the build's own rule instead, from G on the rule's
+224 x 224 tensor and its sums over the s-panels above each panel, made
+on the first call and kept on the model. The rule's weights integrate
+whole panels, and ``quadrature.to_panel_end``'s the part of x's and of
+y's own panel above them, so a query costs its lookup, those weights,
+the edge term on the s-panels from the lowest x-panel up for each
+distinct y, table reads and the 16 x 16 block of G where the point's two
+panels meet. A model answers ``logpdf``, ``pdf`` and ``survival`` as a
+``Copula`` does.
 
 One routine, ``_lookup``, maps levels to points: x = F^-1(q) and
 log f(x), from the table's quantile step or, inside the outermost
@@ -103,6 +108,7 @@ and a model its ``copula_cdf`` tensor, since a likelihood reads neither.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,10 +119,10 @@ from .quadrature import (
     NORMAL_MIN,
     UNIT_BREAKS,
     Kept,
-    above_rows,
     corner_refined,
     gauss_legendre,
     panel_calculus,
+    to_panel_end,
     toward_one,
 )
 from .weighting import WeightingFunction, parse_weighting
@@ -141,8 +147,9 @@ _BUILD_ORDER = 16
 #: (batch, 84, 84) one about 0.9 MB.
 _RECT_ORDER = 6
 _RECT_BATCH = 16
-#: Points per batch of ``copula_cdf``: a (batch, 224, 16) temporary takes
-#: about 1.8 MB.
+#: Points per batch of ``copula_cdf``: its largest temporaries are the
+#: (batch, 16, 16) blocks of G, 128 KB, and the edge term at up to
+#: (batch, 224) nodes, 112 KB.
 _CDF_BATCH = 64
 #: Component grids kept by ``_component_grid``. A build's grid holds
 #: 224 x 66 doubles, about 118 KB, so the store holds under 1 MB; eight
@@ -307,6 +314,26 @@ def _joined(at_ends):
     return np.concatenate([left[:1], 0.5 * (right[:-1] + left[1:]), right[-1:]])
 
 
+def _sums_above(per_panel):
+    """Sums of ``per_panel``'s rows from each row to the last, summed from
+    the last row down, and a row of zeros after them."""
+    out = np.zeros((per_panel.shape[0] + 1, *per_panel.shape[1:]))
+    out[:-1] = per_panel
+    return np.cumsum(out[::-1], axis=0)[::-1]
+
+
+class _CdfTensor(NamedTuple):
+    """G = dpi/dv (h_body - h_tail) on the build rule's tensor of nodes,
+    read-only: s-node i of panel p, t-node j of panel q, the panels
+    numbered 0 to 13 from 0 to 1. A sum from panel 14 up, where no panel
+    is left, is a row of zeros."""
+
+    by_panel: np.ndarray  # (14, 16, 14, 16): [q, j, p, i] G at (s_pi, t_qj)
+    tails: np.ndarray  # (15, 14, 16): [q, p, i] int from panel q's left end to 1 over t
+    above: np.ndarray  # (15, 14, 16): [p, q, j] sum of w G over the s-nodes of panels >= p
+    above_tails: np.ndarray  # (15, 15): [p, q] sum of w ``tails[q]`` over those s-nodes
+
+
 @lru_cache(maxsize=8)
 def _panel_maps(p):
     """Node values of f on [-1, 1] -> its interpolant's integrals from -1
@@ -355,8 +382,10 @@ class BlendedModel:
         self.K = K = k_t + k_b
         self.norm_constants = (K, k_t, k_b)
         margin = _checked_margin(0, x, (1.0 + e_t - e_b) / K)
-        if self.tail.exchangeable and self.body.exchangeable:
-            # cstar(u, v) = cstar(v, u), the weighting being symmetric too
+        # cstar(u, v) = cstar(v, u) when both components are exchangeable,
+        # every weighting being symmetric
+        self._symmetric = self.tail.exchangeable and self.body.exchangeable
+        if self._symmetric:
             self._axes = (margin, margin)
         else:
             e_t, e_b = self._pi_expectations(1, x)
@@ -484,8 +513,10 @@ class BlendedModel:
         """P[U > u, V > v] under the induced copula: the joint upper
         survival of cstar at x = F^-1(u), y = G^-1(v), on the mapped rule
         of ``joint_upper_survival``, which keeps its relative accuracy
-        near (1, 1) on and near the diagonal, where chi and eta read it,
-        but not far off it: at (0.5, 1 - 1e-8) it is 59 % low."""
+        near (1, 1), where chi and eta read it. Off the diagonal it does
+        so for a blend of exchangeable components, whose S is symmetric,
+        but not for others: there, at (0.5, 1 - 1e-8), it is 36 % low
+        for coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5)."""
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
         return self.joint_upper_survival(x.reshape(u.shape), y.reshape(u.shape))
@@ -496,34 +527,48 @@ class BlendedModel:
 
         K S is the integral over s in [x, 1] of the integrands of
         ``joint_upper_survival`` on the build's own rule: at each s-node,
-        the edge term at (s, y), once per distinct y, plus the integral over
-        t in [y, 1] of G = dpi/dv (h_body - h_tail), from the kept tensor
-        ``_cdf_tensor``: the panels above y's, and the part of its own. The
-        integrals from x and from y to 1 take ``above_rows``'s weights. S is
-        within a few 1e-9 of the mapped rule at order 16, which is as much
-        as a CDF needs, but carries no relative accuracy near (1, 1), where
-        ``survival`` keeps the mapped rule. Every sum runs over one point's
-        own values, with no BLAS call, so a point's value does not depend on
-        its batch.
+        the edge term at (s, y) plus the integral over t in [y, 1] of
+        G = dpi/dv (h_body - h_tail). The rule's weights integrate whole
+        panels, and ``to_panel_end``'s the part of x's and of y's own panel
+        above them, so every s-panel above x's and every t-panel above y's
+        is read from ``_cdf_tensor``'s sums over panels: the inner term is
+        three table reads and the 16 x 16 block of G where x's and y's
+        panels meet. The edge term is evaluated once per distinct y, on the
+        s-panels at or above the batch's lowest x-panel, and summed per
+        panel and then from the top panel down. S is within a few 1e-9 of
+        the mapped rule at order 16, which is as much as a CDF needs, but
+        carries no relative accuracy near (1, 1), where ``survival`` keeps
+        the mapped rule. Every sum runs over one point's own values in a
+        fixed order, with no BLAS call, so a point's value does not depend
+        on its batch.
         """
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
-        by_panel, tails = self._cdf_tensor
-        s, _ = corner_refined(_BUILD_ORDER)
+        g = self._cdf_tensor
+        s, w = corner_refined(_BUILD_ORDER)
+        s, w = s.reshape(-1, _BUILD_ORDER), w.reshape(-1, _BUILD_ORDER)
         k_s = np.empty(x.size)
         for b in (slice(i, i + _CDF_BATCH) for i in range(0, x.size, _CDF_BATCH)):
             n = x[b].size
-            rows, panel = above_rows(np.concatenate([x[b], y[b]]), _BUILD_ORDER)
-            rows_x, rows_y, panel_y = rows[:n].reshape(n, -1), rows[n:], panel[n:]
-            # int_y^1 G(s, t) dt at every s-node: the panels above y's, and
-            # the part of its own
-            own = rows_y[np.arange(n), panel_y]
-            inner = tails[panel_y + 1] + np.einsum("kji,kj->ki", by_panel[panel_y], own)
+            panel, part = to_panel_end(np.concatenate([x[b], y[b]]), _BUILD_ORDER)
+            px, py, part_x, part_y = panel[:n], panel[n:], part[:n], part[n:]
+            # int_y^1 G(s, t) dt at the s-nodes of x's panel: the t-panels
+            # above y's, and the part of its own
+            block = g.by_panel[py, :, px]
+            inner = g.tails[py + 1, px] + np.einsum("kji,kj->ki", block, part_y)
+            # the same integral integrated over the s-panels above x's
+            inner_above = g.above_tails[px + 1, py + 1] + np.einsum(
+                "kj,kj->k", g.above[px + 1, py], part_y
+            )
             levels, j = np.unique(y[b], return_inverse=True)
+            low = px.min()
             # h at a node that underflows to 0 or 1 takes its limit value
             with np.errstate(divide="ignore", over="ignore"):
-                edge = self._edge(s[None, :], levels[:, None])
-            k_s[b] = np.sum(rows_x * (edge[j] + inner), axis=1)
+                edge = self._edge(s[None, low:], levels[:, None, None])
+            # its sums over the s-panels from each panel up
+            edge_above = _sums_above(np.einsum("lqi,qi->ql", edge, w[low:]))
+            own = np.einsum("ki,ki->k", part_x, edge[j, px - low] + inner)
+            k_s[b] = own + (edge_above[px + 1 - low, j] + inner_above)
         lower = u + v - 1.0
         surv = np.maximum(k_s / self.K, 0.0).reshape(u.shape)
         out = np.clip(lower + surv, np.maximum(lower, 0.0), np.minimum(u, v))
@@ -531,23 +576,24 @@ class BlendedModel:
 
     @property
     def _cdf_tensor(self):
-        """(``by_panel``, ``tails``) of G = dpi/dv (h_body - h_tail) on the
-        build rule's 224 x 224 tensor of nodes: ``by_panel[q, j, i]`` is G
-        at s-node i and the j-th t-node of panel q, and ``tails[q, i]`` the
-        integral over t of its interpolant from panel q's left end to 1
-        (``tails[-1]`` is 0). Made on the first ``copula_cdf`` call and
-        kept on the model, about 430 KB, as a margin's ``cdf_at`` is: a
-        fit never reads it."""
+        """G = dpi/dv (h_body - h_tail) on the build rule's 224 x 224
+        tensor of nodes, and its sums over panels, as a ``_CdfTensor``
+        made on the first ``copula_cdf`` call and kept on the model, about
+        460 KB, as a margin's ``cdf_at`` is: a fit never reads it."""
         if self._tensor is None:
             x, w = corner_refined(_BUILD_ORDER)
             shape = (UNIT_BREAKS.size - 1, _BUILD_ORDER)
             with np.errstate(divide="ignore", over="ignore"):
                 g = self._inner(x[:, None], x[None, :])
-            by_panel = np.ascontiguousarray(g.T).reshape(*shape, x.size)
-            panel_sums = np.einsum("qji,qj->qi", by_panel, w.reshape(shape))
-            tails = np.cumsum(np.vstack([np.zeros(x.size), panel_sums[::-1]]), axis=0)[::-1]
-            by_panel.flags.writeable = tails.flags.writeable = False
-            self._tensor = (by_panel, tails)
+            w = w.reshape(shape)
+            by_panel = np.ascontiguousarray(g.T).reshape(*shape, *shape)
+            tails = _sums_above(np.einsum("qjpi,qj->qpi", by_panel, w))
+            # sums over the s-panels of each panel, then from each one up
+            above = _sums_above(np.einsum("qjpi,pi->pqj", by_panel, w))
+            above_tails = _sums_above(np.einsum("qpi,pi->pq", tails, w))
+            for a in (by_panel, tails, above, above_tails):
+                a.flags.writeable = False
+            self._tensor = _CdfTensor(by_panel, tails, above, above_tails)
         return self._tensor
 
     # ------------------------------------------------------------------
@@ -660,26 +706,37 @@ class BlendedModel:
         relative accuracy down to the corner on and near the diagonal, as
         chi and eta at 1 - r = 1.49e-8 need; the build's fixed rule, whose
         outermost panel is 2e-6 wide, cannot, and serves only
-        ``copula_cdf``. Far off the diagonal S is low, since the s-panels
-        stop at 2e-6 (1 - x), coarser than 1 - y: 59 % at (0.5, 1 - 1e-8)
-        and 5e-4 at (0.8, 1 - 1e-7) for gumbel(2)/clayton(1)/power(0.8).
-        Each family's ``_hbar`` keeps hbar's relative accuracy where 1 - h
-        would round to 0.
+        ``copula_cdf``. Off the diagonal the s-panels stop at 2e-6 (1 - x),
+        coarser than the scale 1 - y on which the edge term changes when
+        y > x. A symmetric cstar has S(x, y) = S(y, x), so such a point is
+        swapped to x >= y (a tie keeps its order), and S keeps its
+        accuracy: within 3.5e-7 relative of a rule refined toward 1 on
+        both axes, at points as far off as (0.5, 1 - 1e-8). A blend of a
+        non-exchangeable component is not swapped, and there S is low far
+        off the diagonal: 36 % at (0.5, 1 - 1e-8) for
+        coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5). Each family's
+        ``_hbar`` keeps hbar's relative accuracy where 1 - h would round
+        to 0.
         """
         x, y = np.broadcast_arrays(unit_points(x), unit_points(y))
-        dx, dy, yy = 1.0 - x.ravel(), 1.0 - y.ravel(), y.ravel()
-        out = np.empty(dx.size)
+        shape, x, y = x.shape, x.ravel(), y.ravel()
+        if self._symmetric:
+            # S(x, y) = S(y, x): integrate along the coordinate nearer to 1
+            x, y = np.maximum(x, y), np.minimum(x, y)
+        d = 1.0 - np.stack([x, y])
+        dx, dy = d
+        out = np.empty(y.size)
         # h at a node that underflows to 0 or 1 takes its limit value
         with np.errstate(divide="ignore", over="ignore"):
-            for i, (s, t), aw in toward_one(np.stack([dx, dy]), _RECT_ORDER, _RECT_BATCH):
-                s, t, yi = s[:, :, None], t[:, None, :], yy[i, None, None]
+            for i, (s, t), aw in toward_one(d, _RECT_ORDER, _RECT_BATCH):
+                s, t, yi = s[:, :, None], t[:, None, :], y[i, None, None]
                 edge = self._edge(s, yi)
                 inner = self._inner(s, t)
                 # sums along rows, so a point's value does not depend on its batch
                 edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)
                 inner_sum = np.sum((inner @ aw) * aw, axis=1)
                 out[i] = dx[i] * (edge_sum + dy[i] * inner_sum)
-        return np.maximum(out / self.K, 0.0).reshape(x.shape)[()]
+        return np.maximum(out / self.K, 0.0).reshape(shape)[()]
 
     # ------------------------------------------------------------------
     # parameters and serialisation

@@ -812,10 +812,14 @@ class Galambos(_ExtremeValue):
         x = -np.log(u)
         y = -np.log(v)
         logG = self._logG(x, y)
-        A1 = np.exp(-(1.0 + 1.0 / a) * logG - (a + 1.0) * np.log(x))
-        A2 = np.exp(-(1.0 + 1.0 / a) * logG - (a + 1.0) * np.log(y))
+        # 1 - A1 with A1 = (1 + (x/y)^a)^(-1 - 1/a), and 1 - A2 with x and
+        # y swapped, from expm1: near a corner A1 rounds to 1, and 1 - A1
+        # would come out 0 or negative
+        log_ratio = a * (np.log(x) - np.log(y))
+        one_m_a1 = -np.expm1(-(1.0 + 1.0 / a) * np.logaddexp(0.0, log_ratio))
+        one_m_a2 = -np.expm1(-(1.0 + 1.0 / a) * np.logaddexp(0.0, -log_ratio))
         T = (1.0 + a) * np.exp(-(2.0 + 1.0 / a) * logG - (a + 1.0) * (np.log(x) + np.log(y)))
-        return -self._ell(x, y) + x + y + np.log((1.0 - A1) * (1.0 - A2) + T)
+        return -self._ell(x, y) + x + y + np.log(one_m_a1 * one_m_a2 + T)
 
 
 class ColesTawn(_ExtremeValue):

@@ -11,8 +11,10 @@ survival takes, are on ``toward_one``'s rules: an interval within 1/2 of
 1 holds only the corner at 1, so its rule is refined toward that end
 alone, in 8 panels instead of 14. ``panel_calculus`` integrates and
 differentiates the interpolant through a panel's nodes, and
-``above_rows`` gives the weights of its integral from any point of the
-unit interval up to 1.
+``to_panel_end`` finds the panel that holds a point of the unit
+interval and gives the weights of the interpolant's integral from the
+point to that panel's end; with the rule's weights on the panels above,
+they integrate from the point up to 1.
 
 ``Kept`` is the one store of arrays that calls share: a blend's grids and
 the sort order of a fit's data.
@@ -218,19 +220,17 @@ def panel_calculus(n: int) -> PanelCalculus:
     )
 
 
-def above_rows(t, n_per_panel: int):
-    """Weights of the integral from each t in [0, 1] up to 1 on the nodes
-    of ``corner_refined(n_per_panel)``, and the panel that holds each t.
+def to_panel_end(t, n_per_panel: int):
+    """The panel of ``corner_refined(n_per_panel)`` that holds each t in
+    [0, 1], and the weights of the integral from t to that panel's end.
 
-    Row i, shaped (panels, ``n_per_panel``), gives a @ f = int_{t_i}^1 of
-    the panel-by-panel interpolant of f's node values: a panel above t_i
-    takes its rule's weights, t_i's own panel the integral of its
-    interpolant from t_i to the panel's end, from the Legendre
-    antiderivative, and a panel below nothing. Each row is computed from
-    its own t alone, by elementwise kernels that call no BLAS, so a
-    point's row does not depend on the other points.
+    Row i gives a @ f = the integral from t_i to its panel's right end of
+    the interpolant of f's values at the panel's ``n_per_panel`` nodes,
+    from the Legendre antiderivative; the rule's own weights integrate the
+    panels above. Each row is computed from its own t alone, by
+    elementwise kernels that call no BLAS, so a point's row does not
+    depend on the other points.
     """
-    _, rule_w = _unit_rule(n_per_panel)
     _, anti = _legendre_maps(n_per_panel)
     _, w = _leggauss(n_per_panel)
     n_panels = UNIT_BREAKS.size - 1
@@ -239,7 +239,4 @@ def above_rows(t, n_per_panel: int):
     half = 0.5 * (UNIT_BREAKS[panel + 1] - lo)
     legendre = eval_legendre(np.arange(n_per_panel + 1), ((t - lo) / half - 1.0)[:, None])
     below = np.einsum("kl,lj->kj", legendre, anti)
-    above = np.arange(n_panels)[:, None] > panel[:, None, None]
-    rows = np.where(above, rule_w.reshape(n_panels, n_per_panel), 0.0)
-    rows[np.arange(t.size), panel] = half[:, None] * (w - below)
-    return rows, panel
+    return panel, half[:, None] * (w - below)

@@ -10,11 +10,11 @@ from blendcop.quadrature import (
     CORNER_BREAKS,
     UNIT_BREAKS,
     Kept,
-    above_rows,
     corner_refined,
     gauss_legendre,
     panel_calculus,
     skewed_refined,
+    to_panel_end,
     toward_one,
 )
 from oracles import tensor_integrate, unit_nodes
@@ -125,23 +125,25 @@ def test_panel_calculus_exact_on_polynomials(n):
         assert_allclose(pc.end_slopes @ f, k * ends ** max(k - 1, 0), atol=1e-10 * max(1, k * k))
 
 
-def test_above_rows_integrate_the_panel_interpolant_from_each_point_to_one():
+def test_to_panel_end_with_the_panels_above_integrates_the_interpolant_to_one():
     # exact on polynomials of degree n - 1, from a point in any panel, at
-    # the panel ends and at 0 and 1
+    # the panel ends and at 0 and 1: the rule's weights on the panels above
+    # t's, and to_panel_end's on t's own
     n = 8
-    x, _ = corner_refined(n)
+    x, w = corner_refined(n)
     t = np.array([0.0, 1e-9, 2e-6, 1e-3, 0.3, 0.5, 0.97, 1.0 - 1e-9, 1.0])
-    rows, panel = above_rows(t, n)
-    assert rows.shape == (t.size, UNIT_BREAKS.size - 1, n)
+    panel, part = to_panel_end(t, n)
+    assert part.shape == (t.size, n)
     assert np.all(UNIT_BREAKS[panel] <= t) and np.all(t <= UNIT_BREAKS[panel + 1])
-    rows = rows.reshape(t.size, -1)
+    own = np.arange(x.size) // n == panel[:, None]
+    rows = np.where(np.arange(x.size) // n > panel[:, None], w, 0.0)
+    rows[own] = part.ravel()
     for k in range(n):
         assert_allclose(rows @ x**k, (1.0 - t ** (k + 1)) / (k + 1), rtol=0, atol=1e-15)
-    # zero below each point's panel; a row does not depend on the others
-    assert all(not np.any(rows[i, : n * p]) for i, p in enumerate(panel))
+    # a point's weights do not depend on the others
     for i in range(t.size):
-        one, _ = above_rows(t[i : i + 1], n)
-        assert np.array_equal(one.reshape(-1), rows[i])
+        one_panel, one = to_panel_end(t[i : i + 1], n)
+        assert one_panel[0] == panel[i] and np.array_equal(one[0], part[i])
 
 
 def test_no_module_of_the_package_imports_scipy_integrate():
