@@ -21,9 +21,10 @@ One rule serves K and both margins: the corner-refined Gauss-Legendre
 rule of order ``_BUILD_ORDER`` over the whole unit interval. ``build``
 evaluates Pi_tail and Pi_body at its nodes on axis 0, where the same
 values give K_tail = int Pi_tail and K_body = 1 - int Pi_body. Every
-weighting is symmetric, pi(u, v) = pi(v, u), so when both components are
-exchangeable cstar is symmetric too and axis 1 shares axis 0's margin;
-otherwise a second pass evaluates Pi_tail and Pi_body on axis 1.
+weighting is symmetric, pi(u, v) = pi(v, u), so cstar(v, u) is the blend
+of the transposed components, C^T(u, v) = C(v, u), with the same weighting
+and K: axis 1 is axis 0 of that blend, which is cstar itself, sharing
+its margin, when both components are exchangeable.
 
 Each Pi_c reduces a grid of the component's conditional CDF at points t
 and the weighting's ``v_nodes``; ``_pi_expectations`` computes both, on
@@ -71,10 +72,9 @@ copula's ``survival``, which chi and eta read. A point within 1/2 of 1 on
 both axes, as every chi/eta level's is, takes the rule refined toward
 the corner only, 48 x 48 nodes; any other point the two-sided rule,
 84 x 84, whose panels refined toward x and y are needed once an interval
-reaches below 1/2. Where cstar is symmetric, S(x, y) = S(y, x), and the
-outer integral runs along the coordinate nearer to 1, so S keeps its
-accuracy off the diagonal too; otherwise, where 1 - y is much smaller
-than 1 - x, S is low (see ``joint_upper_survival``).
+reaches below 1/2. The outer integral runs along the coordinate nearer
+to 1: a point with y > x is the transposed blend's S at (y, x), so S
+keeps its accuracy off the diagonal too.
 ``copula_cdf`` = u + v - 1 + S needs only absolute accuracy, so it
 integrates on the build's own rule instead, from G on the rule's
 224 x 224 tensor and its sums over the s-panels above each panel, made
@@ -284,27 +284,27 @@ def _checked_margin(axis, x, pdf):
     return margin
 
 
-def _component_grid(name, copula, axis, t, v):
-    """h of ``copula`` on ``axis`` (its ``_h``, or ``_h2`` with the
-    arguments swapped) at a column t and a row v, read-only, kept in
-    ``_grids`` under the family, its parameters, the axis, t and v. A
-    value that is not finite raises ``EvaluationError`` naming the
-    component (``name``)."""
+def _component_grid(model, name, t, v):
+    """h of ``model``'s ``name`` component ("tail" or "body") at a column
+    t and a row v, read-only, kept in ``_grids`` under the family, its
+    parameters, t and v. A value that is not finite raises
+    ``EvaluationError`` naming the component and the model's axis."""
+    copula = getattr(model, name)
 
     def make():
         # h at a node that underflows to 0 or 1 takes its limit value
         with np.errstate(divide="ignore", over="ignore"):
-            grid = copula._h(t, v) if axis == 0 else copula._h2(v, t)
+            grid = copula._h(t, v)
         if not np.isfinite(grid).all():
             bad = ~np.isfinite(grid)
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
             raise EvaluationError(
-                f"non-finite conditional CDF of the {name} {copula!r} on axis {axis} "
+                f"non-finite conditional CDF of the {name} {copula!r} on axis {model._axis} "
                 f"at (t={t[i, 0]:.6g}, v={v[0, j]:.6g})"
             )
         return grid
 
-    return _grids.get((type(copula), copula.params, axis, t.tobytes(), v.tobytes()), make)
+    return _grids.get((type(copula), copula.params, t.tobytes(), v.tobytes()), make)
 
 
 def _joined(at_ends):
@@ -363,6 +363,7 @@ class BlendedModel:
     construction."""
 
     source = "blended"  # of its dependence curves
+    _axis = 0  # the blend's axis that this model's axis 0 is; a transpose's is 1
 
     def __init__(self, tail: Copula, body: Copula, weighting: WeightingFunction):
         self.tail = tail
@@ -375,22 +376,21 @@ class BlendedModel:
     # ------------------------------------------------------------------
     def build(self) -> "BlendedModel":
         """Compute K, ``norm_constants`` = (K, K_tail, K_body) and the
-        margins of the current parameters; construction calls it."""
+        margins of the current parameters; construction calls it. Axis 1
+        is axis 0 of ``_transpose``, None where cstar is symmetric."""
         x, w = corner_refined(_BUILD_ORDER)
-        e_t, e_b = self._pi_expectations(0, x)
+        e_t, e_b = self._pi_expectations(x)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
         self.K = K = k_t + k_b
         self.norm_constants = (K, k_t, k_b)
-        margin = _checked_margin(0, x, (1.0 + e_t - e_b) / K)
-        # cstar(u, v) = cstar(v, u) when both components are exchangeable,
-        # every weighting being symmetric
-        self._symmetric = self.tail.exchangeable and self.body.exchangeable
-        if self._symmetric:
-            self._axes = (margin, margin)
-        else:
-            e_t, e_b = self._pi_expectations(1, x)
-            self._axes = (margin, _checked_margin(1, x, (1.0 + e_t - e_b) / K))
-        self._tensor = None
+        self._margin = _checked_margin(0, x, (1.0 + e_t - e_b) / K)
+        self._tensor = self._transpose = None
+        tail, body = self.tail.transposed(), self.body.transposed()
+        if (tail, body) != (self.tail, self.body):
+            t = self._transpose = object.__new__(BlendedModel)
+            t.tail, t.body, t.weighting, t.K, t._axis = tail, body, self.weighting, K, 1
+            e_t, e_b = t._pi_expectations(x)
+            t._margin = _checked_margin(1, x, (1.0 + e_t - e_b) / K)
         return self
 
     def _unnorm_density(self, u, v):
@@ -417,11 +417,18 @@ class BlendedModel:
         """Normalised blended density at interior points."""
         return self._unnorm_density(clamp_unit(u), clamp_unit(v)) / self.K
 
+    def _axis_model(self, axis):
+        """The model whose axis 0 is ``axis``, an integer 0 or 1, else
+        ``InputError``: the blend itself, or its transpose."""
+        if not (isinstance(axis, (int, np.integer)) and 0 <= axis <= 1):
+            raise InputError(f"axis must be 0 or 1, got {axis!r}")
+        return self._transpose if axis and self._transpose is not None else self
+
     def marginal_pdf(self, axis, x):
-        return self._axes[axis].pdf_at(unit_points(x))
+        return self._axis_model(axis)._margin.pdf_at(unit_points(x))
 
     def marginal_cdf(self, axis, x):
-        out = np.clip(self._axes[axis].cdf_at(unit_points(x)), 0.0, 1.0)
+        out = np.clip(self._axis_model(axis)._margin.cdf_at(unit_points(x)), 0.0, 1.0)
         return out if np.ndim(x) else float(out)
 
     def marginal_quantile(self, axis, q):
@@ -429,10 +436,10 @@ class BlendedModel:
         a Hermite step on the tabulated levels (slope 1 / pdf), the exact
         root inside the outermost panels, solved once per distinct level."""
         q = np.asarray(q, dtype=float)
-        x, _ = self._lookup(axis, q.ravel())
+        x, _ = self._axis_model(axis)._lookup(q.ravel())
         return x.reshape(q.shape) if q.ndim else float(x[0])
 
-    def _lookup(self, axis, q):
+    def _lookup(self, q):
         """(x, log f(x)) at x = F^-1(q) for a flat array q, in the order
         of q: the one place that maps levels to points. The levels are
         looked up in sorted order; the order is kept in ``_orders`` under
@@ -453,7 +460,7 @@ class BlendedModel:
         values. Levels in the outermost panels take the exact root,
         solved once per distinct level, and f there is looked up anew;
         elsewhere f takes the interval of the level."""
-        m = self._axes[axis]
+        m = self._margin
         # 1/2 joins the range so that an empty q passes
         lo, hi = q.min(initial=0.5), q.max(initial=0.5)
         if not (0.0 < lo and hi < 1.0):
@@ -474,7 +481,7 @@ class BlendedModel:
         if lo < m.inner[0] or hi > m.inner[1]:
             outer = (qs < m.inner[0]) | (qs > m.inner[1])
             levels, index = np.unique(qs[outer], return_inverse=True)
-            xs[outer] = np.array([self._quantile_exact(axis, float(p)) for p in levels])[index]
+            xs[outer] = np.array([self._quantile_exact(float(p)) for p in levels])[index]
             fs[outer] = m.pdf_at(xs[outer])
         x, log_f = np.empty_like(q), np.empty_like(q)
         x[order] = xs
@@ -484,12 +491,12 @@ class BlendedModel:
 
     def _pair(self, u, v):
         """(x, y, log f(x), log g(y)) at x = F^-1(u), y = G^-1(v) for flat
-        u and v. Axes that share one margin look u and v up together, so a
-        level on both solves its root once."""
-        if self._axes[0] is self._axes[1]:
-            x, log_f = self._lookup(0, np.concatenate([u, v]))
+        u and v, v looked up by the transpose. Axes that share one margin
+        look u and v up together, so a level on both solves its root once."""
+        if self._transpose is None:
+            x, log_f = self._lookup(np.concatenate([u, v]))
             return x[: u.size], x[u.size :], log_f[: u.size], log_f[u.size :]
-        (x, log_fx), (y, log_fy) = self._lookup(0, u), self._lookup(1, v)
+        (x, log_fx), (y, log_fy) = self._lookup(u), self._transpose._lookup(v)
         return x, y, log_fx, log_fy
 
     def pdf(self, u, v):
@@ -513,10 +520,7 @@ class BlendedModel:
         """P[U > u, V > v] under the induced copula: the joint upper
         survival of cstar at x = F^-1(u), y = G^-1(v), on the mapped rule
         of ``joint_upper_survival``, which keeps its relative accuracy
-        near (1, 1), where chi and eta read it. Off the diagonal it does
-        so for a blend of exchangeable components, whose S is symmetric,
-        but not for others: there, at (0.5, 1 - 1e-8), it is 36 % low
-        for coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5)."""
+        near (1, 1), where chi and eta read it, and off the diagonal."""
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
         return self.joint_upper_survival(x.reshape(u.shape), y.reshape(u.shape))
@@ -599,7 +603,7 @@ class BlendedModel:
     # ------------------------------------------------------------------
     # the exact marginal mass near an end, and the joint tail
     # ------------------------------------------------------------------
-    def _pi_expectations(self, axis, t):
+    def _pi_expectations(self, t):
         """(Pi_tail(t), Pi_body(t)) where Pi_c(t) = E[pi | coord = t] under c,
         from the components' grids of ``_component_grid``.
 
@@ -609,10 +613,9 @@ class BlendedModel:
         w = self.weighting
         t = np.asarray(t, dtype=float)[:, None]
         v = w.v_nodes[None, :]
-        parts = (("tail", self.tail), ("body", self.body))
-        return w.expectation(t, [_component_grid(name, c, axis, t, v) for name, c in parts])
+        return w.expectation(t, [_component_grid(self, name, t, v) for name in ("tail", "body")])
 
-    def _end_mass(self, axis, logd, top):
+    def _end_mass(self, logd, top):
         """(log M, f): M is the marginal mass within d = exp(logd) of 1
         (``top``) or of 0, by a 32-point Gauss rule on that interval,
         accurate for tiny d, and f the marginal density at the interval's
@@ -624,12 +627,12 @@ class BlendedModel:
         _, w = _GL32
         x = np.exp(logd) * _END_POINTS
         x = np.minimum(1.0 - x, BELOW_ONE) if top else np.maximum(x, NORMAL_MIN)
-        e_t, e_b = self._pi_expectations(axis, x)
+        e_t, e_b = self._pi_expectations(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_mass = logd + np.log((1.0 + (e_t[:-1] - e_b[:-1]) @ w) / self.K)
         return float(log_mass), float((1.0 + e_t[-1] - e_b[-1]) / self.K)
 
-    def _quantile_exact(self, axis, q):
+    def _quantile_exact(self, q):
         """Quantile from the exact mass below (q < 1/2) or above (q >= 1/2)
         it, for levels whose quantile lies in an outermost panel.
 
@@ -646,7 +649,7 @@ class BlendedModel:
         """
         top = bool(q >= 0.5)
         log_target = float(np.log(1.0 - q if top else q))
-        mass, density = self._axes[axis].outer[top]
+        mass, density = self._margin.outer[top]
         b = UNIT_BREAKS[1]
         # the marginal pdf is at most 2 / K, so less than the target lies
         # within target K / 4 of the end; the outermost panel holds more
@@ -656,7 +659,7 @@ class BlendedModel:
         if not lo < logd < hi:
             logd = 0.5 * (lo + hi)
         for _ in range(_ROOT_STEPS):
-            log_mass, f = self._end_mass(axis, logd, top)
+            log_mass, f = self._end_mass(logd, top)
             gap = log_mass - log_target
             if np.isnan(gap):
                 break
@@ -674,7 +677,7 @@ class BlendedModel:
                 d = float(np.exp(logd))
                 return 1.0 - d if top else d
         raise EvaluationError(
-            f"marginal quantile of {q!r} on axis {axis}: "
+            f"marginal quantile of {q!r} on axis {self._axis}: "
             + ("NaN mass" if np.isnan(gap) else f"no root within {_ROOT_STEPS} steps")
         )
 
@@ -708,34 +711,33 @@ class BlendedModel:
         outermost panel is 2e-6 wide, cannot, and serves only
         ``copula_cdf``. Off the diagonal the s-panels stop at 2e-6 (1 - x),
         coarser than the scale 1 - y on which the edge term changes when
-        y > x. A symmetric cstar has S(x, y) = S(y, x), so such a point is
-        swapped to x >= y (a tie keeps its order), and S keeps its
-        accuracy: within 3.5e-7 relative of a rule refined toward 1 on
-        both axes, at points as far off as (0.5, 1 - 1e-8). A blend of a
-        non-exchangeable component is not swapped, and there S is low far
-        off the diagonal: 36 % at (0.5, 1 - 1e-8) for
-        coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5). Each family's
-        ``_hbar`` keeps hbar's relative accuracy where 1 - h would round
-        to 0.
+        y > x. Such a point takes the transposed blend's rule at (y, x) (a
+        tie keeps its order), where S keeps its accuracy: within 3.5e-7
+        relative of a rule refined toward 1 on both axes, as far off as
+        (0.5, 1 - 1e-8). Each family's ``_hbar`` keeps hbar's relative
+        accuracy where 1 - h would round to 0.
         """
         x, y = np.broadcast_arrays(unit_points(x), unit_points(y))
         shape, x, y = x.shape, x.ravel(), y.ravel()
-        if self._symmetric:
-            # S(x, y) = S(y, x): integrate along the coordinate nearer to 1
-            x, y = np.maximum(x, y), np.minimum(x, y)
+        swap = y > x
+        x, y = np.maximum(x, y), np.minimum(x, y)
         d = 1.0 - np.stack([x, y])
-        dx, dy = d
         out = np.empty(y.size)
         # h at a node that underflows to 0 or 1 takes its limit value
         with np.errstate(divide="ignore", over="ignore"):
-            for i, (s, t), aw in toward_one(d, _RECT_ORDER, _RECT_BATCH):
-                s, t, yi = s[:, :, None], t[:, None, :], y[i, None, None]
-                edge = self._edge(s, yi)
-                inner = self._inner(s, t)
-                # sums along rows, so a point's value does not depend on its batch
-                edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)
-                inner_sum = np.sum((inner @ aw) * aw, axis=1)
-                out[i] = dx[i] * (edge_sum + dy[i] * inner_sum)
+            for model, group in ((self, ~swap), (self._axis_model(1), swap)):
+                index = np.flatnonzero(group)
+                if not index.size:
+                    continue  # so the diagonal's points make one call
+                for i, (s, t), aw in toward_one(d[:, index], _RECT_ORDER, _RECT_BATCH):
+                    i = index[i]
+                    s, t, yi = s[:, :, None], t[:, None, :], y[i, None, None]
+                    edge = model._edge(s, yi)
+                    inner = model._inner(s, t)
+                    # sums along rows, so a point's value does not depend on its batch
+                    edge_sum = np.sum(edge[:, :, 0] * aw, axis=1)
+                    inner_sum = np.sum((inner @ aw) * aw, axis=1)
+                    out[i] = d[0, i] * (edge_sum + d[1, i] * inner_sum)
         return np.maximum(out / self.K, 0.0).reshape(shape)[()]
 
     # ------------------------------------------------------------------

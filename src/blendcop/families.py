@@ -199,11 +199,18 @@ def parse_spec(registry, kind, text):
 class Copula(Parametric):
     """Base class; subclasses define the closed forms of one family."""
 
-    #: C(u, v) = C(v, u), true of every family but coles_tawn with
-    #: alpha != beta. A blend of two exchangeable families builds one
-    #: margin for both axes.
-    exchangeable: bool = True
     source = "single-copula"  # of its dependence curves
+
+    def transposed(self) -> "Copula":
+        """The copula of (V, U), C^T(u, v) = C(v, u) (Nelsen 2006, 2.7),
+        whose ``_h(v, u)`` is P[U <= u | V = v]: all but coles_tawn with
+        alpha != beta are their own."""
+        return self
+
+    @property
+    def exchangeable(self) -> bool:
+        """C(u, v) = C(v, u); a blend of two such builds one margin."""
+        return self.transposed() == self
 
     # -- public API (clamped) -------------------------------------------
     def cdf(self, u, v):
@@ -269,11 +276,6 @@ class Copula(Parametric):
 
     def _h(self, u, v):
         raise NotImplementedError
-
-    def _h2(self, u, v):
-        """P[U <= u | V = v]; the default h(v, u) holds where
-        ``exchangeable`` does, and a family that is not overrides it."""
-        return self._h(v, u)
 
     def _hinv(self, u, w):
         v = _bisect_conditional(self._h, u, w)
@@ -651,31 +653,24 @@ class _ExtremeValue(Copula):
 
     def _ell(self, x, y):
         """ell(x, y); a family with a cheaper form overrides it."""
-        return self._ell_slope(x, y, 0)[0]
+        return self._ell_slope(x, y)[0]
 
-    def _ell_slope(self, x, y, given):
-        """(ell, d ell / d xy[given]) at (x, y), where xy = (x, y): the two
-        share most of their arithmetic, which is done once."""
+    def _ell_slope(self, x, y):
+        """(ell, d ell / dx) at (x, y): the two share most of their
+        arithmetic, which is done once."""
         raise NotImplementedError
 
     def _cdf(self, u, v):
         return np.exp(-self._ell(-np.log(u), -np.log(v)))
 
     def _h(self, u, v):
-        return self._conditional(u, v, 0)
-
-    def _h2(self, u, v):
-        return self._conditional(u, v, 1)
-
-    def _conditional(self, u, v, given):
-        """``_h`` (``given`` = 0) or ``_h2`` (1): C dell/dx_given / u_given,
-        0 where the given coordinate is 1 and 1 where the other one is."""
-        xy = (-np.log(np.asarray(u, dtype=float)), -np.log(np.asarray(v, dtype=float)))
+        """C dell/dx / u, 0 where u is 1 and 1 where v is."""
+        x, y = -np.log(np.asarray(u, dtype=float)), -np.log(np.asarray(v, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ell, slope = self._ell_slope(*xy, given)
-            out = np.exp(-ell + xy[given]) * slope
+            ell, slope = self._ell_slope(x, y)
+            out = np.exp(-ell + x) * slope
         # the ends are found on the coordinates, before a pass over the grid
-        for coord, end in ((xy[given], 0.0), (xy[1 - given], 1.0)):
+        for coord, end in ((x, 0.0), (y, 1.0)):
             at_end = coord == 0.0
             if at_end.any():
                 out = np.where(at_end, end, out)
@@ -700,8 +695,8 @@ class Gumbel(_ExtremeValue):
         m = max(x, y) and q = 1 + (min(x, y) / m)^a lies in [1, 2]. Only
         those entries are scaled: elsewhere x^a and y^a stay apart, so on
         a grid each is computed once per row or column. Its callers
-        (``_ell``, and ``_ell_slope`` under ``_conditional``) ignore the
-        overflow, so a call of ``_h`` sets the error state once."""
+        (``_ell``, and ``_ell_slope`` under ``_h``) ignore the overflow,
+        so a call of ``_h`` sets the error state once."""
         a = self.params[0]
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         q = np.asarray(x**a + y**a)
@@ -721,11 +716,11 @@ class Gumbel(_ExtremeValue):
             m, q = self._power_sum(x, y)
         return m * q ** (1.0 / self.params[0])
 
-    def _ell_slope(self, x, y, given):
+    def _ell_slope(self, x, y):
         # d ell / dx = (x / ell)^(a - 1) = (x / m)^(a - 1) q^(1/a - 1)
         a = self.params[0]
         m, q = self._power_sum(x, y)
-        return m * q ** (1.0 / a), ((x, y)[given] / m) ** (a - 1.0) * q ** (1.0 / a - 1.0)
+        return m * q ** (1.0 / a), (x / m) ** (a - 1.0) * q ** (1.0 / a - 1.0)
 
     def _logpdf(self, u, v):
         a = self.params[0]
@@ -774,10 +769,10 @@ class HuslerReiss(_ExtremeValue):
         a = self.params[0]
         return 1.0 / a + 0.5 * a * np.log(x / y)
 
-    def _ell_slope(self, x, y, given):
-        # ell = x Phi(z(x, y)) + y Phi(z(y, x)), whose slopes are the Phi
-        slopes = ndtr(self._z(x, y)), ndtr(self._z(y, x))
-        return x * slopes[0] + y * slopes[1], slopes[given]
+    def _ell_slope(self, x, y):
+        # ell = x Phi(z(x, y)) + y Phi(z(y, x)), whose slope in x is the first Phi
+        slope = ndtr(self._z(x, y))
+        return x * slope + y * ndtr(self._z(y, x)), slope
 
     def _logpdf(self, u, v):
         a = self.params[0]
@@ -801,10 +796,10 @@ class Galambos(_ExtremeValue):
         a = self.params[0]
         return x + y - np.exp(-self._logG(x, y) / a)
 
-    def _ell_slope(self, x, y, given):
+    def _ell_slope(self, x, y):
         a = self.params[0]
         log_g = self._logG(x, y)
-        slope = 1.0 - np.exp(-(1.0 + 1.0 / a) * log_g - (a + 1.0) * np.log((x, y)[given]))
+        slope = 1.0 - np.exp(-(1.0 + 1.0 / a) * log_g - (a + 1.0) * np.log(x))
         return x + y - np.exp(-log_g / a), slope
 
     def _logpdf(self, u, v):
@@ -833,22 +828,23 @@ class ColesTawn(_ExtremeValue):
     tag = "coles_tawn"
     param_domains = (("alpha", POSITIVE), ("beta", POSITIVE))
 
-    @property
-    def exchangeable(self):
+    def transposed(self):
+        # ell(y, x) swaps alpha and beta: q becomes 1 - q, and W1 and W2 swap
         a, b = self.params
-        return a == b
+        return ColesTawn(b, a)
 
     def _q(self, x, y):
         a, b = self.params
         den = a * y + b * x
         return a * y / den, b * x / den
 
-    def _ell_slope(self, x, y, given):
-        # ell = x W1 + y W2, whose slopes are W1 and W2
+    def _ell_slope(self, x, y):
+        # ell = x W1 + y W2, whose slope in x is W1 = I_{1-q}(b, a + 1), not
+        # 1 - I_q(a + 1, b) (DLMF 8.17.4): accurate where small, W2 of the transpose
         a, b = self.params
-        q, _ = self._q(x, y)
-        slopes = 1.0 - betainc(a + 1.0, b, q), betainc(a, b + 1.0, q)
-        return x * slopes[0] + y * slopes[1], slopes[given]
+        q, one_m_q = self._q(x, y)
+        slope = betainc(b, a + 1.0, one_m_q)
+        return x * slope + y * betainc(a, b + 1.0, q), slope
 
     def _logpdf(self, u, v):
         a, b = self.params

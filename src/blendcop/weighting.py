@@ -3,9 +3,9 @@
 A weighting pi(u, v; theta) maps the open unit square into (0, 1) and is
 nondecreasing in each argument, so the tail component dominates toward
 the upper corner. Every weighting must be symmetric, pi(u, v) = pi(v, u):
-the blend's margin on either axis is computed from ``expectation`` with
-that axis's coordinate as the first argument, and a blend of exchangeable
-copulas shares one margin between the axes. ``WEIGHTINGS`` holds the two
+a blend's axis 1 is then axis 0 of the blend of the transposed copulas,
+so ``expectation`` takes axis 0's coordinate first, and a blend of
+exchangeable copulas shares one margin between the axes. ``WEIGHTINGS`` holds the two
 forms. A new form is a subclass added there: it must be symmetric and
 provide the partial derivative in v, which the joint survival uses, and
 the conditional expectation, which the margins use. That expectation

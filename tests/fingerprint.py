@@ -171,7 +171,7 @@ def margins():
     for key in BLENDS:
         model = blend(key)
         yield value(model.norm_constants)
-        for m in model._axes:
+        for m in (model._axis_model(axis)._margin for axis in (0, 1)):
             for table in (m.x, m.pdf, m.cdf, m.sf, m.level):
                 yield array(table)
 
