@@ -18,7 +18,8 @@ and each Pi_c integrates the component's conditional CDF by parts, so no
 density spike near a corner is ever sampled.
 
 One rule serves K and both margins: the corner-refined Gauss-Legendre
-rule of order ``_BUILD_ORDER`` over the whole unit interval. ``build``
+rule of order ``_BUILD_ORDER`` over the whole unit interval, made once at
+import with its panel maps and abscissae (``_RULE``). ``build``
 evaluates Pi_tail and Pi_body at its nodes on axis 0, where the same
 values give K_tail = int Pi_tail and K_body = 1 - int Pi_body. Every
 weighting is symmetric, pi(u, v) = pi(v, u), so cstar(v, u) is the blend
@@ -107,13 +108,12 @@ and a model its ``copula_cdf`` tensor, since a likelihood reads neither.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EvaluationError, InputError
-from .families import Copula, clamp_unit, parse_copula, unit_points
+from .families import Copula, clamp_unit, first_bad, parse_copula, unit_points
 from .quadrature import (
     BELOW_ONE,
     NORMAL_MIN,
@@ -139,7 +139,7 @@ _ROOT_STEPS = 60
 #: stops the root only below 1e-12.
 _NEWTON_STOP = 1e-6
 #: Order of the corner-refined rule (224 nodes) on which ``build`` computes
-#: K and both margins.
+#: K and both margins, and ``copula_cdf`` integrates.
 _BUILD_ORDER = 16
 #: Order of the mapped rules of ``joint_upper_survival``: 48 nodes on the
 #: rule refined toward the corner only, 84 on the two-sided rule. And its
@@ -232,11 +232,10 @@ class _Margin:
     )
 
     def __init__(self, pdf):
-        n_panels = UNIT_BREAKS.size - 1
-        p = pdf.size // n_panels
-        f = pdf.reshape(n_panels, p)
+        p = _RULE.order
+        f = pdf.reshape(-1, p)
         half = _HALF_WIDTHS
-        g = f @ _panel_maps(p)
+        g = f @ _RULE.maps
         below, above = half * g[:, :p], half * g[:, p : 2 * p]
         ends, slope, end_slopes = g[:, 2 * p : 2 * p + 2], g[:, 2 * p + 2 : 3 * p + 2], g[:, 3 * p + 2 : -1]
         mass = half[:, 0] * g[:, -1]
@@ -244,14 +243,14 @@ class _Margin:
         sf_ends = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
         # rows pdf, slope, cdf, sf; per panel its left end, then its nodes
         at_ends = np.vstack([_joined(ends), _joined(end_slopes / half), cdf_ends, sf_ends])
-        tab = np.empty((4, n_panels, p + 1))
+        tab = np.empty((4, f.shape[0], p + 1))
         tab[:, :, 0] = at_ends[:, :-1]
         tab[0, :, 1:] = f
         tab[1, :, 1:] = slope / half
         tab[2, :, 1:] = cdf_ends[:-1, None] + below
         tab[3, :, 1:] = sf_ends[1:, None] + above
         tab = np.concatenate([tab.reshape(4, -1), at_ends[:, -1:]], axis=1)
-        self.x = _abscissae(p)
+        self.x = _RULE.abscissae
         self.pdf, slope, self.cdf, self.sf = tab
         median = np.searchsorted(self.cdf, 0.5)
         self.level = np.concatenate([self.cdf[:median], 1.0 - self.sf[median:]])
@@ -274,7 +273,7 @@ def _checked_margin(axis, x, pdf):
     """The ``_Margin`` of node values ``pdf`` at ``x``, which must be
     positive and give an increasing CDF."""
     if not (pdf > 0.0).all():
-        bad = x[np.argmin(pdf > 0.0)]
+        (bad,) = first_bad(~(pdf > 0.0), x)
         raise EvaluationError(
             f"non-finite or nonpositive marginal density on axis {axis} at {bad:.6g}"
         )
@@ -296,11 +295,10 @@ def _component_grid(model, name, t, v):
         with np.errstate(divide="ignore", over="ignore"):
             grid = copula._h(t, v)
         if not np.isfinite(grid).all():
-            bad = ~np.isfinite(grid)
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            tt, vv = first_bad(~np.isfinite(grid), t, v)
             raise EvaluationError(
                 f"non-finite conditional CDF of the {name} {copula!r} on axis {model._axis} "
-                f"at (t={t[i, 0]:.6g}, v={v[0, j]:.6g})"
+                f"at (t={tt:.6g}, v={vv:.6g})"
             )
         return grid
 
@@ -334,24 +332,39 @@ class _CdfTensor(NamedTuple):
     above_tails: np.ndarray  # (15, 15): [p, q] sum of w ``tails[q]`` over those s-nodes
 
 
-@lru_cache(maxsize=8)
-def _panel_maps(p):
-    """Node values of f on [-1, 1] -> its interpolant's integrals from -1
-    to each node (p columns) and from each node to 1 (p), values at -1 and
-    1 (2), slopes at the nodes (p) and at -1 and 1 (2), and integral (1)."""
-    pc = panel_calculus(p)
+class _Rule(NamedTuple):
+    """The build rule, ``corner_refined(order)``, and what is read from
+    it, all read-only: its nodes and weights, flat and one row per panel
+    of ``UNIT_BREAKS``; the panel ends and nodes in order, a margin's
+    abscissae; and the panel maps, which take f's values at a panel's
+    nodes on [-1, 1] to its interpolant's integrals from -1 to each node
+    (order columns) and from each node to 1 (order), its values at -1
+    and 1 (2), its slopes at the nodes (order) and at -1 and 1 (2), and
+    its integral (1)."""
+
+    order: int
+    x: np.ndarray  # (224,)
+    w: np.ndarray  # (224,)
+    nodes: np.ndarray  # (14, 16)
+    weights: np.ndarray  # (14, 16)
+    abscissae: np.ndarray  # (239,)
+    maps: np.ndarray  # (16, 53)
+
+
+def _build_rule(order):
+    """The ``_Rule`` of the corner-refined rule of ``order``: made once,
+    at import, as ``_RULE``."""
+    x, w = corner_refined(order)
+    nodes, weights = x.reshape(-1, order), w.reshape(-1, order)
+    pc = panel_calculus(order)
     maps = np.column_stack([pc.below.T, pc.above.T, pc.ends.T, pc.slope.T, pc.end_slopes.T, pc.weights])
-    maps.flags.writeable = False
-    return maps
+    abscissae = np.append(np.column_stack([UNIT_BREAKS[:-1], nodes]).ravel(), 1.0)
+    for a in (maps, abscissae):
+        a.flags.writeable = False
+    return _Rule(order, x, w, nodes, weights, abscissae, maps)
 
 
-@lru_cache(maxsize=8)
-def _abscissae(p):
-    """Panel ends and nodes of the order-p corner-refined rule, in order."""
-    nodes, _ = corner_refined(p)
-    x = np.append(np.column_stack([UNIT_BREAKS[:-1], nodes.reshape(-1, p)]).ravel(), 1.0)
-    x.flags.writeable = False
-    return x
+_RULE = _build_rule(_BUILD_ORDER)
 
 
 #: Keys of a model file.
@@ -378,7 +391,7 @@ class BlendedModel:
         """Compute K, ``norm_constants`` = (K, K_tail, K_body) and the
         margins of the current parameters; construction calls it. Axis 1
         is axis 0 of ``_transpose``, None where cstar is symmetric."""
-        x, w = corner_refined(_BUILD_ORDER)
+        x, w = _RULE.x, _RULE.w
         e_t, e_b = self._pi_expectations(x)
         k_t, k_b = float(e_t @ w), float(1.0 - e_b @ w)
         self.K = K = k_t + k_b
@@ -402,9 +415,7 @@ class BlendedModel:
             cb = np.exp(self.body._logpdf(u, v))
         for name, fam, c in (("tail", self.tail, ct), ("body", self.body, cb)):
             if not np.isfinite(c).all():
-                bad = ~np.isfinite(c)
-                i = np.argmax(bad.ravel())
-                uu, vv = (np.broadcast_to(a, bad.shape).flat[i] for a in (u, v))
+                uu, vv = first_bad(~np.isfinite(c), u, v)
                 raise EvaluationError(
                     f"non-finite {name} density {fam!r} at (x={uu:.6g}, y={vv:.6g})"
                 )
@@ -549,12 +560,11 @@ class BlendedModel:
         u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
         g = self._cdf_tensor
-        s, w = corner_refined(_BUILD_ORDER)
-        s, w = s.reshape(-1, _BUILD_ORDER), w.reshape(-1, _BUILD_ORDER)
+        s, w = _RULE.nodes, _RULE.weights
         k_s = np.empty(x.size)
         for b in (slice(i, i + _CDF_BATCH) for i in range(0, x.size, _CDF_BATCH)):
             n = x[b].size
-            panel, part = to_panel_end(np.concatenate([x[b], y[b]]), _BUILD_ORDER)
+            panel, part = to_panel_end(np.concatenate([x[b], y[b]]), _RULE.order)
             px, py, part_x, part_y = panel[:n], panel[n:], part[:n], part[n:]
             # int_y^1 G(s, t) dt at the s-nodes of x's panel: the t-panels
             # above y's, and the part of its own
@@ -585,12 +595,10 @@ class BlendedModel:
         made on the first ``copula_cdf`` call and kept on the model, about
         460 KB, as a margin's ``cdf_at`` is: a fit never reads it."""
         if self._tensor is None:
-            x, w = corner_refined(_BUILD_ORDER)
-            shape = (UNIT_BREAKS.size - 1, _BUILD_ORDER)
+            x, w = _RULE.x, _RULE.weights
             with np.errstate(divide="ignore", over="ignore"):
                 g = self._inner(x[:, None], x[None, :])
-            w = w.reshape(shape)
-            by_panel = np.ascontiguousarray(g.T).reshape(*shape, *shape)
+            by_panel = np.ascontiguousarray(g.T).reshape(*w.shape, *w.shape)
             tails = _sums_above(np.einsum("qjpi,qj->qpi", by_panel, w))
             # sums over the s-panels of each panel, then from each one up
             above = _sums_above(np.einsum("qjpi,pi->pqj", by_panel, w))

@@ -14,7 +14,7 @@ class EvaluationError(BlendcopError):
 
 
 class SamplingError(BlendcopError):
-    """Sampling failed (root-finder breakdown or persistent acceptance shortfall)."""
+    """Sampling failed: a persistent acceptance shortfall."""
 
 
 class FitError(BlendcopError):

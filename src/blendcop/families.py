@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv, betaln, gammaln, ndtr, ndtri, stdtr, stdtrit
 
 from . import special
-from .errors import EvaluationError, InputError, ParameterError, SamplingError
+from .errors import EvaluationError, InputError, ParameterError
 from .quadrature import NORMAL_MIN, toward_one
 
 CLAMP = 1e-10
@@ -68,9 +68,17 @@ def unit_points(x, name="point"):
         bad = ~((x >= 0.0) & (x <= 1.0))
         raise InputError(
             f"{name} must lie in [0, 1]: {np.count_nonzero(bad)} value(s) NaN or "
-            f"outside, the first {float(x[bad].flat[0])!r}"
+            f"outside, the first {first_bad(bad, x)[0]!r}"
         )
     return x
+
+
+def first_bad(bad, *coords):
+    """The values of ``coords``, each broadcast to the shape of the mask
+    ``bad``, at its first True in C order, as floats: the point that an
+    error message names."""
+    i = int(np.argmax(np.ravel(bad)))
+    return tuple(float(np.broadcast_to(c, np.shape(bad)).flat[i]) for c in coords)
 
 
 def whole_number(n, least, need):
@@ -84,21 +92,6 @@ def clamp_unit(x):
     """``unit_points``, pulled into the open unit interval used for all
     evaluations."""
     return np.clip(unit_points(x), CLAMP, 1.0 - CLAMP)
-
-
-def _bisect_conditional(hfun, u, w):
-    """Solve h(u, v) = w for v in [CLAMP, 1 - CLAMP] by 90 steps of
-    vectorised bisection (h nondecreasing in v)."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    a = np.full(np.broadcast_shapes(u.shape, w.shape), CLAMP)
-    b = np.full(a.shape, 1.0 - CLAMP)
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        less = hfun(u, mid) < w
-        a = np.where(less, mid, a)
-        b = np.where(less, b, mid)
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -230,12 +223,8 @@ class Copula(Parametric):
         with np.errstate(divide="ignore", over="ignore"):
             out = self._logpdf(u, v)
         if np.isnan(out).any():
-            flat = int(np.argmax(np.isnan(np.ravel(np.atleast_1d(out)))))
-            uu = np.ravel(np.broadcast_to(np.asarray(u, dtype=float), np.shape(out)))
-            vv = np.ravel(np.broadcast_to(np.asarray(v, dtype=float), np.shape(out)))
-            raise EvaluationError(
-                f"{self.tag} density produced NaN at (u={uu[flat]:.6g}, v={vv[flat]:.6g})"
-            )
+            uu, vv = first_bad(np.isnan(out), u, v)
+            raise EvaluationError(f"{self.tag} density produced NaN at (u={uu:.6g}, v={vv:.6g})")
         return out
 
     def cond_cdf(self, u, v):
@@ -278,13 +267,18 @@ class Copula(Parametric):
         raise NotImplementedError
 
     def _hinv(self, u, w):
-        v = _bisect_conditional(self._h, u, w)
-        if np.any(~np.isfinite(v)):
-            bad = np.ravel(np.broadcast_to(u, np.shape(v)))[
-                int(np.argmax(~np.isfinite(np.ravel(v))))
-            ]
-            raise SamplingError(f"{self} conditional inversion failed at u={bad}")
-        return v
+        """Solve h(u, v) = w for v in [CLAMP, 1 - CLAMP] by 90 steps of
+        vectorised bisection, h being nondecreasing in v; a family with a
+        closed form overrides it. Every step halves a bracket of finite
+        ends, so v is finite."""
+        a = np.full(np.broadcast_shapes(np.shape(u), np.shape(w)), CLAMP)
+        b = np.full(a.shape, 1.0 - CLAMP)
+        for _ in range(90):
+            mid = 0.5 * (a + b)
+            less = self._h(u, mid) < w
+            a = np.where(less, mid, a)
+            b = np.where(less, b, mid)
+        return 0.5 * (a + b)
 
     def _hbar(self, u, v):
         """P[V > v | U = u]. A family overrides it where 1 - h would
@@ -723,9 +717,11 @@ class Gumbel(_ExtremeValue):
         return m * q ** (1.0 / a), (x / m) ** (a - 1.0) * q ** (1.0 / a - 1.0)
 
     def _logpdf(self, u, v):
+        return self._logpdf_at(-np.log(u), -np.log(v))
+
+    def _logpdf_at(self, x, y):
+        """log c at u = exp(-x), v = exp(-y)."""
         a = self.params[0]
-        x = -np.log(u)
-        y = -np.log(v)
         s = self._ell(x, y)
         return (
             -s
@@ -738,6 +734,11 @@ class Gumbel(_ExtremeValue):
 
 
 class InvertedGumbel(Copula):
+    """The survival copula of Gumbel, C(u, v) = u + v - 1 + C_G(1 - u,
+    1 - v), with lower-tail dependence. Its density is Gumbel's at
+    (1 - u, 1 - v), read at x = -log1p(-u) and y = -log1p(-v), as its CDF
+    is: -log(1 - u) would lose u's digits near 0."""
+
     tag = "inverted_gumbel"
     param_domains = (("alpha", ABOVE_ONE),)
     _start = 1.5
@@ -752,7 +753,7 @@ class InvertedGumbel(Copula):
         return u + v + np.expm1(-self._base._ell(x, y))
 
     def _logpdf(self, u, v):
-        return self._base._logpdf(1.0 - u, 1.0 - v)
+        return self._base._logpdf_at(-np.log1p(-u), -np.log1p(-v))
 
     def _h(self, u, v):
         return 1.0 - self._base._h(1.0 - u, 1.0 - v)
@@ -820,9 +821,12 @@ class Galambos(_ExtremeValue):
 class ColesTawn(_ExtremeValue):
     """Asymmetric extreme-value family driven by a Dirichlet spectral density.
 
-    The exponent mixes regularised incomplete beta functions evaluated at
-    q = alpha*y / (alpha*y + beta*x); at beta = alpha it reduces to a
-    symmetric model.
+    The exponent is ell(x, y) = x W1 + y W2, whose slopes in x and y are
+    the weights W1 = I_{1-q}(beta, alpha + 1) and W2 = I_q(alpha, beta + 1),
+    regularised incomplete beta functions at q = alpha y / (alpha y +
+    beta x); at beta = alpha it reduces to a symmetric model. ``_weights``
+    is the one place that states them, for the conditional CDF and the
+    density alike.
     """
 
     tag = "coles_tawn"
@@ -833,26 +837,24 @@ class ColesTawn(_ExtremeValue):
         a, b = self.params
         return ColesTawn(b, a)
 
-    def _q(self, x, y):
+    def _weights(self, x, y):
+        """(q, 1 - q, W1, W2) at (x, y). W1 is I_{1-q}(b, a + 1), not
+        1 - I_q(a + 1, b) (DLMF 8.17.4), which cancels where W1 is small:
+        W1 is W2 of the transpose."""
         a, b = self.params
         den = a * y + b * x
-        return a * y / den, b * x / den
+        q, one_m_q = a * y / den, b * x / den
+        return q, one_m_q, betainc(b, a + 1.0, one_m_q), betainc(a, b + 1.0, q)
 
     def _ell_slope(self, x, y):
-        # ell = x W1 + y W2, whose slope in x is W1 = I_{1-q}(b, a + 1), not
-        # 1 - I_q(a + 1, b) (DLMF 8.17.4): accurate where small, W2 of the transpose
-        a, b = self.params
-        q, one_m_q = self._q(x, y)
-        slope = betainc(b, a + 1.0, one_m_q)
-        return x * slope + y * betainc(a, b + 1.0, q), slope
+        _, _, w1, w2 = self._weights(x, y)
+        return x * w1 + y * w2, w1
 
     def _logpdf(self, u, v):
         a, b = self.params
         x = -np.log(u)
         y = -np.log(v)
-        q, one_m_q = self._q(x, y)
-        W1 = 1.0 - betainc(a + 1.0, b, q)
-        W2 = betainc(a, b + 1.0, q)
+        q, one_m_q, w1, w2 = self._weights(x, y)
         log_t = (
             np.log(a * b)
             + gammaln(a + b + 1.0)
@@ -864,7 +866,7 @@ class ColesTawn(_ExtremeValue):
             + np.log(y)
             - 3.0 * np.log(a * y + b * x)
         )
-        return -(x * W1 + y * W2) + x + y + np.log(W1 * W2 + np.exp(log_t))
+        return -(x * w1 + y * w2) + x + y + np.log(w1 * w2 + np.exp(log_t))
 
 
 FAMILIES = {

@@ -32,7 +32,10 @@ numbers (``repr`` of Python floats, the bytes of arrays):
   of gumbel(2)/clayton(1)/power(0.8), whose axes share one margin, and of
   coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5), whose axes have their
   own, on a 6 x 6 lattice whose outer levels lie within 2e-6 of either
-  end, where the quantile is the outer-panel root.
+  end, where the quantile is the outer-panel root;
+* ``points.families``: ``logpdf``, ``cdf``, ``survival``, ``cond_cdf``
+  and ``cond_quantile`` of each family of ``FAMILY_SPECS`` on that
+  lattice, one named entry per family and answer.
 
 A group whose computation raises hashes the exception's type and text
 instead, so a failure changes the hash too. Nothing is imported from the
@@ -54,9 +57,9 @@ command's exit status.
 
 An entry is one array, number or fit. A fit's numbers come in three
 parts, its params, its log-likelihood and its ``cov``. ``fits.families``
-names its entries, so ``--compare`` prints a line for each entry that
-moved, with the largest change of each part. A failed group has no
-numbers, and compares with no other.
+and ``points.families`` name their entries, so ``--compare`` prints a
+line for each entry that moved, with the largest change of each part. A
+failed group has no numbers, and compares with no other.
 """
 from __future__ import annotations
 
@@ -214,6 +217,21 @@ def points(answer):
     return group
 
 
+FAMILY_ANSWERS = ("logpdf", "cdf", "survival", "cond_cdf", "cond_quantile")
+
+
+def points_families():
+    u, v = np.meshgrid(POINT_LEVELS, POINT_LEVELS, indexing="ij")
+    for text in FAMILY_SPECS:
+        cop = parse_copula(text)
+        for answer in FAMILY_ANSWERS:
+            yield array(getattr(cop, answer)(u, v))
+
+
+points_families.__name__ = "points.families"
+points_families.labels = [f"{text} {answer}" for text in FAMILY_SPECS for answer in FAMILY_ANSWERS]
+
+
 def digest(group, numbers):
     """The group's hash; each entry's numbers are appended to ``numbers``
     as a dict of named parts, and a failure replaces them with the
@@ -282,7 +300,9 @@ def main():
     answers = [points(answer) for answer in ("logpdf", "survival", "copula_cdf")]
     dumped = {}
     identical = True
-    for group in (fits, fits_families, margins, chi_eta, copula_cdf, draws, quantiles, *answers):
+    groups = (fits, fits_families, margins, chi_eta, copula_cdf, draws, quantiles, *answers,
+              points_families)
+    for group in groups:
         numbers = dumped[group.__name__] = []
         line = f"{group.__name__:<17} {digest(group, numbers)}"
         if args.compare:

@@ -522,6 +522,22 @@ def test_marginal_quantile_out_of_grid_fallback(power_model):
     assert_allclose(end_mass(power_model, 0, x, False), q, rtol=1e-8)
 
 
+def test_the_outer_root_bisects_where_the_power_law_start_leaves_the_bracket(monkeypatch):
+    # under power(0.05), pi = (u v)^0.05 still changes by half within the
+    # outermost panel, [0, 2e-6], and the margin's density rises toward 0
+    # there: the power law through the panel's inner end falls below the
+    # bracket at 1e-300, so the root starts from the bracket's midpoint
+    m = build("frank", [1.0], "clayton", [5.0], "power", 0.05)
+    q = 1e-300
+    logds = []
+    end_mass_of = m._end_mass
+    monkeypatch.setattr(m, "_end_mass", lambda logd, top: logds.append(logd) or end_mass_of(logd, top))
+    x = m.marginal_quantile(0, q)
+    lo, hi = np.log(q) + np.log(0.25 * m.K), np.log(2.0 * UNIT_BREAKS[1])
+    assert logds[0] == pytest.approx(0.5 * (lo + hi), rel=1e-15)
+    assert_allclose(end_mass(m, 0, x, False), q, rtol=1e-8)
+
+
 def test_marginal_cdf_resolves_corner_mass():
     # the clayton body's conditional density at u ~ 1e-4 concentrates
     # within ~u of v = 0; margins and K must still cover the whole square
@@ -794,7 +810,7 @@ def test_upper_half_points_take_the_rule_refined_toward_the_corner(monkeypatch):
 @pytest.mark.parametrize("wtag", ["power", "exp_complement"])
 def test_grid_refinement_stability(label, tt, tp, bt, bp, wtag, monkeypatch):
     coarse = build(tt, tp, bt, bp, wtag, 1.0)
-    monkeypatch.setattr(blend, "_BUILD_ORDER", 2 * _BUILD_ORDER)
+    monkeypatch.setattr(blend, "_RULE", blend._build_rule(2 * _BUILD_ORDER))
     fine = build(tt, tp, bt, bp, wtag, 1.0)
     assert abs(coarse.norm_constants[0] - fine.norm_constants[0]) < 1e-5
     grid = np.linspace(0.15, 0.85, 5)
@@ -1250,4 +1266,41 @@ def test_only_the_lookup_maps_levels_to_points():
                 isinstance(node, ast.Attribute) and node.attr == "_h2"
             ):
                 offenders.add(f"{path.name} line {node.lineno} names _h2")
+    assert not offenders, sorted(offenders)
+
+
+def test_each_formula_is_stated_once():
+    # the build rule is made once, at import: in ``blend`` only
+    # ``_build_rule`` calls corner_refined and panel_calculus, and no
+    # function calls it, so only the module's own statements do; the
+    # bisection is ``Copula._hinv``'s, and Coles-Tawn states its weights in
+    # one method
+    src = Path(blend.__file__).parent
+
+    def tree(name):
+        return ast.parse((src / name).read_text(encoding="utf-8"))
+
+    def calls(node, name):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and ast.unparse(n.func) == name]
+
+    offenders = set()
+    for f in (n for n in ast.walk(tree("blend.py")) if isinstance(n, ast.FunctionDef)):
+        for name in ("corner_refined", "panel_calculus", "_build_rule"):
+            if calls(f, name) and (f.name, name) not in {
+                ("_build_rule", "corner_refined"),
+                ("_build_rule", "panel_calculus"),
+            }:
+                offenders.add(f"blend.{f.name} calls {name}")
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(tree(path.name)):
+            if isinstance(node, ast.FunctionDef) and node.name in {
+                "_bisect_conditional", "_abscissae", "_panel_maps"
+            }:
+                offenders.add(f"{path.name} line {node.lineno} defines {node.name}")
+    (coles_tawn,) = (
+        n for n in ast.walk(tree("families.py")) if isinstance(n, ast.ClassDef) and n.name == "ColesTawn"
+    )
+    users = [m.name for m in coles_tawn.body if isinstance(m, ast.FunctionDef) and calls(m, "betainc")]
+    if len(users) != 1:
+        offenders.add(f"ColesTawn calls betainc in {users}")
     assert not offenders, sorted(offenders)

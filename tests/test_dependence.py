@@ -205,6 +205,15 @@ def test_empirical_undefined_raises_with_count():
     assert np.all(np.isnan(eta_c.values))
 
 
+def test_chi_eta_where_the_survival_underflows_is_undefined():
+    # gaussian(-0.99) puts far less than the smallest double above (R_MAX,
+    # R_MAX), so its survival there is 0 and eta's log is not defined
+    cop = parse_copula("gaussian(-0.99)")
+    assert cop.survival(R_MAX, R_MAX) == 0.0
+    with pytest.raises(UndefinedMeasureError, match="joint survival nonpositive at r=0.9999999851"):
+        chi_eta(cop, R_MAX)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from blendcop import blend, families
 from blendcop.blend import BlendedModel
-from blendcop.errors import BlendcopError, EvaluationError, InputError, ParameterError
+from blendcop.errors import BlendcopError, EvaluationError, FitError, InputError, ParameterError
 from blendcop.families import (
     CORRELATION,
     FAMILIES,
@@ -228,6 +228,27 @@ def test_a_nan_density_still_scores_minus_inf_in_a_fit(monkeypatch):
                      r"produced NaN at .*", w)
         for w in res.warnings
     ), res.warnings
+
+
+def test_a_fit_with_no_finite_log_likelihood_is_a_fit_error(rng, monkeypatch):
+    # every evaluation scores -inf, so no restart has a best point
+    data = Dataset.from_array(rng.random((50, 2)))
+    monkeypatch.setattr(fitting, "log_likelihood", lambda model, data: -np.inf)
+    monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 30)
+    with pytest.raises(FitError, match="no restart produced a finite log-likelihood"):
+        fit("gumbel", data, restarts=2)
+
+
+def test_a_fit_with_many_densities_at_the_floor_warns(monkeypatch):
+    # the points with u > 0.95 have density 1e-1000 at every parameter, so
+    # more than 1 % of the data sits at the 1e-300 floor at the optimum too
+    data = Dataset.from_array(Gumbel(2.0).sample(400, np.random.default_rng(5)))
+    logpdf = Gumbel._logpdf
+    monkeypatch.setattr(Gumbel, "_logpdf", lambda c, u, v: np.where(u > 0.95, -1000.0, logpdf(c, u, v)))
+    res = fit("gumbel", data, restarts=1)
+    clamped = np.count_nonzero(data.u > 0.95)
+    assert clamped > 0.01 * data.n
+    assert f"ill-conditioned likelihood: {clamped}/{data.n} densities at the 1e-300 floor" in res.warnings
 
 
 def test_a_datasets_points_cannot_be_changed():
