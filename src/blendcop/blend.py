@@ -76,7 +76,7 @@ the corner only, 48 x 48 nodes; any other point the two-sided rule,
 reaches below 1/2. The outer integral runs along the coordinate nearer
 to 1: a point with y > x is the transposed blend's S at (y, x), so S
 keeps its accuracy off the diagonal too.
-``copula_cdf`` = u + v - 1 + S needs only absolute accuracy, so it
+The CDF, ``cdf`` = u + v - 1 + S, needs only absolute accuracy, so it
 integrates on the build's own rule instead, from G on the rule's
 224 x 224 tensor and its sums over the s-panels above each panel, made
 on the first call and kept on the model. The rule's weights integrate
@@ -84,8 +84,14 @@ whole panels, and ``quadrature.to_panel_end``'s the part of x's and of
 y's own panel above them, so a query costs its lookup, those weights,
 the edge term on the s-panels from the lowest x-panel up for each
 distinct y, table reads and the 16 x 16 block of G where the point's two
-panels meet. A model answers ``logpdf``, ``pdf`` and ``survival`` as a
-``Copula`` does.
+panels meet.
+
+A blend is a ``families.Model``, as a ``Copula`` is: ``pdf``,
+``logpdf``, ``cdf``, ``survival`` and ``sample`` check and clamp their
+input there and call the blend's ``_clamped_logpdf``, ``_cdf``, ``_surv``
+and ``_sample``. Its draws are ``sampling.sample_cstar``'s, pushed
+through the marginal CDFs. ``copula_cdf`` is ``cdf`` under its former
+name.
 
 One routine, ``_lookup``, maps levels to points: x = F^-1(q) and
 log f(x), from the table's quantile step or, inside the outermost
@@ -97,14 +103,14 @@ knots; many, as a fit's, cost less the other way round: each knot is
 searched among the sorted levels, 239 searches however many levels
 there are, which splits them into one run per interval. Both find the
 same intervals. ``marginal_quantile`` reads its x. ``logpdf``,
-``survival`` and ``copula_cdf`` read both axes through ``_pair``, which
+``survival`` and ``cdf`` read both axes through ``_pair``, which
 looks u and v up together, in one sorted pass, where the axes share one
 margin, so a level on both solves its root once. The values, and the
 order in which a log-likelihood sums them, are those of the points taken
 one at a time. A likelihood reads a ``Dataset``'s points, checked once
 when it was made, through ``_clamped_logpdf``, which ``logpdf`` calls
 after its own check. A margin makes its CDF's interpolant on first use,
-and a model its ``copula_cdf`` tensor, since a likelihood reads neither.
+and a model its ``cdf`` tensor, since a likelihood reads neither.
 """
 from __future__ import annotations
 
@@ -113,7 +119,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvaluationError, InputError
-from .families import Copula, clamp_unit, first_bad, parse_copula, unit_points
+from .families import Copula, Model, clamp_unit, first_bad, parse_copula, unit_points
 from .quadrature import (
     BELOW_ONE,
     NORMAL_MIN,
@@ -125,6 +131,7 @@ from .quadrature import (
     to_panel_end,
     toward_one,
 )
+from .sampling import SampleRequest, sample_cstar
 from .weighting import WeightingFunction, parse_weighting
 
 _GL32 = gauss_legendre(32, 0.0, 1.0)
@@ -139,7 +146,7 @@ _ROOT_STEPS = 60
 #: stops the root only below 1e-12.
 _NEWTON_STOP = 1e-6
 #: Order of the corner-refined rule (224 nodes) on which ``build`` computes
-#: K and both margins, and ``copula_cdf`` integrates.
+#: K and both margins, and ``cdf`` integrates.
 _BUILD_ORDER = 16
 #: Order of the mapped rules of ``joint_upper_survival``: 48 nodes on the
 #: rule refined toward the corner only, 84 on the two-sided rule. And its
@@ -147,7 +154,7 @@ _BUILD_ORDER = 16
 #: (batch, 84, 84) one about 0.9 MB.
 _RECT_ORDER = 6
 _RECT_BATCH = 16
-#: Points per batch of ``copula_cdf``: its largest temporaries are the
+#: Points per batch of ``cdf``: its largest temporaries are the
 #: (batch, 16, 16) blocks of G, 128 KB, and the edge term at up to
 #: (batch, 224) nodes, 112 KB.
 _CDF_BATCH = 64
@@ -371,9 +378,10 @@ _RULE = _build_rule(_BUILD_ORDER)
 _MODEL_KEYS = ("tail", "body", "weighting")
 
 
-class BlendedModel:
+class BlendedModel(Model):
     """A (tail, body, weighting) triple with K and its margins, built on
-    construction."""
+    construction; it answers ``pdf``, ``logpdf``, ``cdf``, ``survival``
+    and ``sample`` through ``Model``, as a ``Copula`` does."""
 
     source = "blended"  # of its dependence curves
     _axis = 0  # the blend's axis that this model's axis 0 is; a transpose's is 1
@@ -459,7 +467,7 @@ class BlendedModel:
 
         A level's interval of the table is found one of two ways. Up to
         ``_WALK_PER_KNOT`` levels per knot, as chi/eta's 2 and a
-        ``copula_cdf`` call's 32, each level is searched among the knots
+        ``cdf`` call's 32, each level is searched among the knots
         and the coefficients of both interpolants are gathered at its
         interval. Beyond it, as a fit's 2000 or 4000, each knot's place
         among the sorted levels is searched instead, 239 searches however
@@ -510,35 +518,29 @@ class BlendedModel:
         (x, log_fx), (y, log_fy) = self._lookup(u), self._transpose._lookup(v)
         return x, y, log_fx, log_fy
 
-    def pdf(self, u, v):
-        return np.exp(self.logpdf(u, v))
-
-    def logpdf(self, u, v):
-        """Log-density of the copula induced by cstar."""
-        return self._clamped_logpdf(clamp_unit(u), clamp_unit(v))
-
     def _clamped_logpdf(self, u, v):
-        """``logpdf`` at points already in [CLAMP, 1 - CLAMP], as a
-        ``Dataset``'s are, which it does not check again; ``_lookup``
-        still checks the levels."""
+        """Log-density of the copula induced by cstar at points already in
+        [CLAMP, 1 - CLAMP], as ``logpdf``'s and a ``Dataset``'s are, which
+        it does not check again; ``_lookup`` still checks the levels."""
         u, v = np.broadcast_arrays(u, v)
         x, y, log_fx, log_fy = self._pair(u.ravel(), v.ravel())
         with np.errstate(divide="ignore"):
             out = np.log(self._unnorm_density(x, y)) - np.log(self.K) - log_fx - log_fy
         return out.reshape(u.shape)[()]
 
-    def survival(self, u, v):
+    def _surv(self, u, v):
         """P[U > u, V > v] under the induced copula: the joint upper
         survival of cstar at x = F^-1(u), y = G^-1(v), on the mapped rule
         of ``joint_upper_survival``, which keeps its relative accuracy
         near (1, 1), where chi and eta read it, and off the diagonal."""
-        u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
+        u, v = np.broadcast_arrays(u, v)
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
         return self.joint_upper_survival(x.reshape(u.shape), y.reshape(u.shape))
 
-    def copula_cdf(self, u, v):
+    def _cdf(self, u, v):
         """CDF of the induced copula, C(u, v) = u + v - 1 + S(x, y) at
-        x = F^-1(u), y = G^-1(v), clipped to the Frechet bounds.
+        x = F^-1(u), y = G^-1(v), clipped to the Frechet bounds, which lie
+        in [0, 1].
 
         K S is the integral over s in [x, 1] of the integrands of
         ``joint_upper_survival`` on the build's own rule: at each s-node,
@@ -548,21 +550,24 @@ class BlendedModel:
         above them, so every s-panel above x's and every t-panel above y's
         is read from ``_cdf_tensor``'s sums over panels: the inner term is
         three table reads and the 16 x 16 block of G where x's and y's
-        panels meet. The edge term is evaluated once per distinct y, on the
-        s-panels at or above the batch's lowest x-panel, and summed per
-        panel and then from the top panel down. S is within a few 1e-9 of
+        panels meet. The points are batched in order of y, and the edge
+        term is evaluated once per distinct y of a batch, on the s-panels
+        at or above its lowest x-panel, and summed per panel and then from
+        the top panel down: a lattice's batch then holds one or two levels
+        of y, not up to ``_CDF_BATCH``. S is within a few 1e-9 of
         the mapped rule at order 16, which is as much as a CDF needs, but
         carries no relative accuracy near (1, 1), where ``survival`` keeps
         the mapped rule. Every sum runs over one point's own values in a
         fixed order, with no BLAS call, so a point's value does not depend
         on its batch.
         """
-        u, v = np.broadcast_arrays(clamp_unit(u), clamp_unit(v))
+        u, v = np.broadcast_arrays(u, v)
         x, y, _, _ = self._pair(u.ravel(), v.ravel())
         g = self._cdf_tensor
         s, w = _RULE.nodes, _RULE.weights
         k_s = np.empty(x.size)
-        for b in (slice(i, i + _CDF_BATCH) for i in range(0, x.size, _CDF_BATCH)):
+        by_y = np.argsort(y)
+        for b in (by_y[i : i + _CDF_BATCH] for i in range(0, x.size, _CDF_BATCH)):
             n = x[b].size
             panel, part = to_panel_end(np.concatenate([x[b], y[b]]), _RULE.order)
             px, py, part_x, part_y = panel[:n], panel[n:], part[:n], part[n:]
@@ -585,14 +590,22 @@ class BlendedModel:
             k_s[b] = own + (edge_above[px + 1 - low, j] + inner_above)
         lower = u + v - 1.0
         surv = np.maximum(k_s / self.K, 0.0).reshape(u.shape)
-        out = np.clip(lower + surv, np.maximum(lower, 0.0), np.minimum(u, v))
-        return out if out.ndim else float(out)
+        return np.clip(lower + surv, np.maximum(lower, 0.0), np.minimum(u, v))
+
+    # kept only because bench/ calls it
+    copula_cdf = Model.cdf
+
+    def _sample(self, n, rng):
+        """n draws from the induced copula: draws of cstar from
+        ``sampling.sample_cstar``, pushed through the marginal CDFs."""
+        points, _ = sample_cstar(SampleRequest(self, n, seed=rng))
+        return np.column_stack([self.marginal_cdf(0, points[:, 0]), self.marginal_cdf(1, points[:, 1])])
 
     @property
     def _cdf_tensor(self):
         """G = dpi/dv (h_body - h_tail) on the build rule's 224 x 224
         tensor of nodes, and its sums over panels, as a ``_CdfTensor``
-        made on the first ``copula_cdf`` call and kept on the model, about
+        made on the first ``cdf`` call and kept on the model, about
         460 KB, as a margin's ``cdf_at`` is: a fit never reads it."""
         if self._tensor is None:
             x, w = _RULE.x, _RULE.weights
@@ -717,7 +730,7 @@ class BlendedModel:
         relative accuracy down to the corner on and near the diagonal, as
         chi and eta at 1 - r = 1.49e-8 need; the build's fixed rule, whose
         outermost panel is 2e-6 wide, cannot, and serves only
-        ``copula_cdf``. Off the diagonal the s-panels stop at 2e-6 (1 - x),
+        ``cdf``. Off the diagonal the s-panels stop at 2e-6 (1 - x),
         coarser than the scale 1 - y on which the edge term changes when
         y > x. Such a point takes the transposed blend's rule at (y, x) (a
         tie keeps its order), where S keeps its accuracy: within 3.5e-7

@@ -7,10 +7,15 @@ joint survival, never from 1 - 2r + C(r, r) directly, so levels within
 1e-8 of one remain computable (the subtraction cancels catastrophically
 there while the survival routines keep relative accuracy).
 
-Kendall's tau is 4 E[C(U, V)] - 1 (Nelsen 2006, Thm 5.1.1), and E[C] =
-E[S] under uniform margins, so tau = 4 int int S c - 1 on the order-8
-corner-refined rule over [1e-6, 1 - 1e-6]^2. A model is read through
-``survival``, ``pdf`` and ``source``, which a blend answers too.
+Kendall's tau is 4 E[C(U, V)] - 1 (Nelsen 2006, Thm 5.1.1), so tau =
+4 int int C c - 1 on the corner-refined rule of order ``_TAU_ORDER``
+over [``_TAU_INSET``, 1 - ``_TAU_INSET``]^2. The strips left out put the
+tau of gumbel(2), clayton(1) and gaussian(0.6) 5.6e-6, 5.3e-6 and 7.9e-6
+below their closed forms, and a blend of a family with itself reads its
+family's within 1.1e-11. A model is read through the ``cdf``, ``pdf`` and
+``survival`` of ``families.Model`` and its ``source``, which a blend
+answers as a copula does; a blend's CDF reads the tensor it keeps, so
+its tau takes a fraction of a second.
 """
 from __future__ import annotations
 
@@ -25,6 +30,10 @@ from .quadrature import corner_refined
 #: Ten levels log-spaced in 1-r from 0.7 up to the largest studied level.
 R_MAX = 1.0 - 1.49e-8
 DEFAULT_R_GRID = 1.0 - np.geomspace(0.3, 1.49e-8, 10)
+#: Order of ``kendall_tau``'s corner-refined rule (112 nodes per axis) and
+#: the distance from each end of the interval it covers.
+_TAU_ORDER = 8
+_TAU_INSET = 1e-6
 
 
 @dataclass
@@ -70,10 +79,11 @@ def dependence_curves(obj, grid=None, label=""):
 
 def kendall_tau(obj):
     """Kendall's tau of a copula or a blended model,
-    4 int int S c du dv - 1 on the order-8 corner-refined rule."""
-    x, w = corner_refined(8, 1e-6, 1.0 - 1e-6)
+    4 int int C c du dv - 1 on the corner-refined rule of order
+    ``_TAU_ORDER``."""
+    x, w = corner_refined(_TAU_ORDER, _TAU_INSET, 1.0 - _TAU_INSET)
     u, v = x[:, None], x[None, :]
-    return float(4.0 * (w @ (obj.survival(u, v) * obj.pdf(u, v)) @ w) - 1.0)
+    return float(4.0 * (w @ (obj.cdf(u, v) * obj.pdf(u, v)) @ w) - 1.0)
 
 
 def empirical_chi_eta(u, v, r):

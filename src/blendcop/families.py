@@ -32,11 +32,14 @@ searches it through. Beside them a class states its fit's default
 kinds their repr, equality and hash, and ``lookup`` and ``parse_spec``
 their registry lookup and their ``tag(p1[,p2])`` spec parser.
 
-Public entry points reject a point argument that is NaN or lies outside
-[0, 1] with ``InputError`` (``unit_points``), and clamp the others to
-[CLAMP, 1 - CLAMP]; the underscore methods assume arguments strictly
-inside (0, 1) and are used by internal machinery that must reach closer
-to the corner than the public clamp allows.
+Every model, a family here or a blend of ``blend``, answers through one
+base, ``Model``: ``pdf``, ``logpdf``, ``cdf``, ``survival`` and
+``sample``. It rejects a point argument that is NaN or lies outside
+[0, 1] with ``InputError`` (``unit_points``), clamps the others to
+[CLAMP, 1 - CLAMP] and hands them to the model's underscore methods,
+which assume arguments strictly inside (0, 1) and are used by internal
+machinery that must reach closer to the corner than the public clamp
+allows.
 """
 from __future__ import annotations
 
@@ -88,10 +91,10 @@ def whole_number(n, least, need):
     raise InputError(f"{need}, a whole number, got {n!r}")
 
 
-def clamp_unit(x):
+def clamp_unit(x, name="point"):
     """``unit_points``, pulled into the open unit interval used for all
     evaluations."""
-    return np.clip(unit_points(x), CLAMP, 1.0 - CLAMP)
+    return np.clip(unit_points(x, name), CLAMP, 1.0 - CLAMP)
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,38 @@ def parse_spec(registry, kind, text):
     return lookup(registry, kind, tag.strip())(*params)
 
 
-class Copula(Parametric):
+class Model:
+    """The public answers of every model, a copula family or a blend: the
+    density, the log-density, the CDF, the joint survival P[U > u, V > v]
+    and draws. Each checks and clamps its points (``clamp_unit``) or its
+    sample size (``whole_number``) and calls the private method that the
+    model states, ``_clamped_logpdf``, ``_cdf``, ``_surv`` or
+    ``_sample``; the CDF is clipped to [0, 1] and the survival floored
+    at 0."""
+
+    def pdf(self, u, v):
+        """The copula density c(u, v), exp of ``logpdf``."""
+        return np.exp(self.logpdf(u, v))
+
+    def logpdf(self, u, v):
+        """log c(u, v)."""
+        return self._clamped_logpdf(clamp_unit(u), clamp_unit(v))
+
+    def cdf(self, u, v):
+        """C(u, v) = P[U <= u, V <= v]."""
+        return np.clip(self._cdf(clamp_unit(u), clamp_unit(v)), 0.0, 1.0)
+
+    def survival(self, u, v):
+        """P[U > u, V > v] with deep-corner relative accuracy."""
+        return np.maximum(self._surv(clamp_unit(u), clamp_unit(v)), 0.0)
+
+    def sample(self, n, rng):
+        """n draws, an (n, 2) array; an n that is not a whole number >= 0
+        raises ``InputError``."""
+        return self._sample(whole_number(n, 0, "the sample size must be nonnegative"), rng)
+
+
+class Copula(Parametric, Model):
     """Base class; subclasses define the closed forms of one family."""
 
     source = "single-copula"  # of its dependence curves
@@ -205,17 +239,18 @@ class Copula(Parametric):
         """C(u, v) = C(v, u); a blend of two such builds one margin."""
         return self.transposed() == self
 
-    # -- public API (clamped) -------------------------------------------
-    def cdf(self, u, v):
-        c = self._cdf(clamp_unit(u), clamp_unit(v))
-        return np.clip(c, 0.0, 1.0)
+    # -- conditional answers (clamped), which a blend does not give yet --
+    def cond_cdf(self, u, v):
+        """h(u, v) = P[V <= v | U = u]."""
+        return np.clip(self._h(clamp_unit(u), clamp_unit(v)), 0.0, 1.0)
 
-    def pdf(self, u, v):
-        return np.exp(self.logpdf(u, v))
+    def cond_quantile(self, u, w):
+        """Inverse of ``cond_cdf`` in its second argument."""
+        u = clamp_unit(u)
+        w = np.clip(unit_points(w, "conditional level"), 1e-14, 1.0 - 1e-14)
+        return self._hinv(u, w)
 
-    def logpdf(self, u, v):
-        return self._clamped_logpdf(clamp_unit(u), clamp_unit(v))
-
+    # -- internals (unclamped) -------------------------------------------
     def _clamped_logpdf(self, u, v):
         """``logpdf`` at points already in [CLAMP, 1 - CLAMP], as a
         ``Dataset``'s are, which it does not check again; a NaN density
@@ -227,25 +262,6 @@ class Copula(Parametric):
             raise EvaluationError(f"{self.tag} density produced NaN at (u={uu:.6g}, v={vv:.6g})")
         return out
 
-    def cond_cdf(self, u, v):
-        """h(u, v) = P[V <= v | U = u]."""
-        return np.clip(self._h(clamp_unit(u), clamp_unit(v)), 0.0, 1.0)
-
-    def cond_quantile(self, u, w):
-        """Inverse of ``cond_cdf`` in its second argument."""
-        u = clamp_unit(u)
-        w = np.clip(unit_points(w, "conditional level"), 1e-14, 1.0 - 1e-14)
-        return self._hinv(u, w)
-
-    def survival(self, u, v):
-        """P[U > u, V > v] with deep-corner relative accuracy."""
-        return np.maximum(self._surv(clamp_unit(u), clamp_unit(v)), 0.0)
-
-    def sample(self, n, rng):
-        """n exact draws; an n that is not a whole number >= 0 raises ``InputError``."""
-        return self._sample(whole_number(n, 0, "the sample size must be nonnegative"), rng)
-
-    # -- internals (unclamped) -------------------------------------------
     def _sample(self, n, rng):
         """n draws by conditional inversion; a family with a cheaper
         latent representation overrides it."""
@@ -757,6 +773,10 @@ class InvertedGumbel(Copula):
 
     def _h(self, u, v):
         return 1.0 - self._base._h(1.0 - u, 1.0 - v)
+
+    def _hbar(self, u, v):
+        # Gumbel's own h, not 1 - h: 1 - (1 - h) would lose h's digits
+        return self._base._h(1.0 - u, 1.0 - v)
 
     def _surv(self, u, v):
         return self._base._cdf(1.0 - u, 1.0 - v)

@@ -34,7 +34,7 @@ from scipy.stats import kendalltau
 
 from .blend import BlendedModel
 from .errors import BlendcopError, FitError, InputError, ParameterError
-from .families import CLAMP, Copula, family_class, unit_points, whole_number
+from .families import Model, clamp_unit, family_class, whole_number
 from .weighting import weighting_class
 
 #: Floor of every log-density in the likelihood, blend or single copula.
@@ -72,8 +72,8 @@ class Dataset:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.clip(unit_points(self.u, "pseudo-observations u"), CLAMP, 1.0 - CLAMP)
-        v = np.clip(unit_points(self.v, "pseudo-observations v"), CLAMP, 1.0 - CLAMP)
+        u = clamp_unit(self.u, "pseudo-observations u")
+        v = clamp_unit(self.v, "pseudo-observations v")
         if np.shape(u) != np.shape(v) or np.ndim(u) != 1:
             raise InputError("dataset needs two equal-length 1-d coordinate arrays")
         if u.size < 2:
@@ -109,7 +109,7 @@ class FitResult:
     """A fitted model. ``k``, ``aic`` and ``evaluations`` are derived from
     ``cov``, ``loglik`` and ``trace``, so they cannot disagree with them."""
 
-    model: object  # fitted BlendedModel or Copula
+    model: Model  # fitted BlendedModel or Copula
     label: str
     loglik: float
     converged: bool
@@ -150,13 +150,13 @@ def aic(loglik: float, k: int) -> float:
     return 2.0 * k - 2.0 * float(loglik)
 
 
-def log_likelihood(model: BlendedModel | Copula, data: Dataset) -> float:
+def log_likelihood(model: Model, data: Dataset) -> float:
     """Sum of log copula densities over the observations, each floored
     at log(1e-300)."""
     return log_likelihood_detail(model, data)[0]
 
 
-def log_likelihood_detail(model: BlendedModel | Copula, data: Dataset):
+def log_likelihood_detail(model: Model, data: Dataset):
     """(loglik, number of floor-clamped densities) of a blend or a single
     copula. The data's points were checked and clamped once, by
     ``Dataset``, so each evaluation reads them through the model's

@@ -5,7 +5,10 @@ weight-tilted copula densities; each is simulated by rejection from the
 corresponding copula with acceptance probability equal to the weight (or
 its complement), so no envelope constants beyond the normalising
 integrals are needed. Acceptance bookkeeping keeps the originating
-component of every point.
+component of every point. A blend's ``sample`` pushes these draws
+through its marginal CDFs, so it draws from the induced copula. This
+module does not import ``blend``, which calls it: ``BlendedModel`` in
+its annotations, which are never evaluated, names that class.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blend import BlendedModel
 from .errors import SamplingError
 from .families import whole_number
 
@@ -90,11 +92,5 @@ def sample_cstar(req: SampleRequest):
 
 
 def sample_blended_copula(model: BlendedModel, n: int, rng: np.random.Generator):
-    """Draws from the induced copula: blended draws pushed through the
-    marginal distribution functions."""
-    points, _ = sample_cstar(SampleRequest(model, n, seed=rng))
-    if n == 0:
-        return points
-    return np.column_stack(
-        [model.marginal_cdf(0, points[:, 0]), model.marginal_cdf(1, points[:, 1])]
-    )
+    """``model.sample(n, rng)``, kept only because bench/ calls it."""
+    return model.sample(n, rng)

@@ -20,15 +20,18 @@ numbers (``repr`` of Python floats, the bytes of arrays):
 * ``margins``: K, K_tail, K_body and both margin tables of five blends;
 * ``chi_eta``: chi and eta at ``DEFAULT_R_GRID`` of those blends and of
   seven single copulas;
-* ``copula_cdf``: each blend's ``copula_cdf`` on a 10 x 10 lattice;
+* ``copula_cdf``: each blend's ``cdf`` on a 10 x 10 lattice (the
+  group keeps the name of the method it read before, ``copula_cdf``, so
+  that a dump of an older version still compares);
 * ``quantiles``: both axes' ``marginal_quantile`` of those blends and of
   coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5), whose axes have their own
   margins, at levels within 2e-6 of either end, where the quantile is
   the outer-panel root;
 * ``draws``: 500 draws of each family and 2000 draws of each blend at a
   seed;
-* ``points.logpdf``, ``points.survival`` and ``points.copula_cdf``: one
-  group per answer, so that a change to one answer moves one hash; each
+* ``points.logpdf``, ``points.survival`` and ``points.copula_cdf`` (of
+  ``cdf``): one group per answer, so that a change to one answer moves
+  one hash; each
   of gumbel(2)/clayton(1)/power(0.8), whose axes share one margin, and of
   coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5), whose axes have their
   own, on a 6 x 6 lattice whose outer levels lie within 2e-6 of either
@@ -73,7 +76,6 @@ import numpy as np
 from blendcop import dependence, fitting
 from blendcop.blend import BlendedModel
 from blendcop.families import FAMILIES, parse_copula
-from blendcop.sampling import sample_blended_copula
 from blendcop.weighting import parse_weighting
 
 FIT_MODELS = ("gumbel(2)/clayton(1)/power(0.8)", "husler_reiss(2)/frank(1)/exp_complement(1)")
@@ -151,7 +153,7 @@ def fits():
             spec = f"{model.tail.tag}+{model.body.tag}:{model.weighting.tag}"
             for j in range(FIT_DATASETS):
                 rng = np.random.default_rng([seed, i, j])
-                data = fitting.Dataset.from_array(sample_blended_copula(model, FIT_N, rng))
+                data = fitting.Dataset.from_array(model.sample(FIT_N, rng))
                 for comp in (model.tail, model.body):
                     yield fit(fitting.fit(comp.tag, data))
                 yield fit(fitting.fit(spec, data, model.params, restarts=1))
@@ -188,7 +190,7 @@ def chi_eta():
 def copula_cdf():
     u, v = np.meshgrid(LATTICE, LATTICE, indexing="ij")
     for key in BLENDS:
-        yield array(blend(key).copula_cdf(u, v))
+        yield array(blend(key).cdf(u, v))
 
 
 def quantiles():
@@ -202,18 +204,19 @@ def draws():
     for text in FAMILY_SPECS:
         yield array(parse_copula(text).sample(500, np.random.default_rng(DRAW_SEED)))
     for key in BLENDS:
-        yield array(sample_blended_copula(blend(key), 2000, np.random.default_rng(DRAW_SEED)))
+        yield array(blend(key).sample(2000, np.random.default_rng(DRAW_SEED)))
 
 
-def points(answer):
-    """The group of the method ``answer`` of each of ``POINT_BLENDS``."""
+def points(answer, name=None):
+    """The group, ``points.{name}``, of the method ``answer`` of each of
+    ``POINT_BLENDS``; ``name`` defaults to ``answer``."""
 
     def group():
         u, v = np.meshgrid(POINT_LEVELS, POINT_LEVELS, indexing="ij")
         for key in POINT_BLENDS:
             yield array(getattr(blend(key), answer)(u, v))
 
-    group.__name__ = f"points.{answer}"
+    group.__name__ = f"points.{name or answer}"
     return group
 
 
@@ -297,7 +300,7 @@ def main():
     if args.compare:
         with open(args.compare) as f:
             then = json.load(f)
-    answers = [points(answer) for answer in ("logpdf", "survival", "copula_cdf")]
+    answers = [points("logpdf"), points("survival"), points("cdf", "copula_cdf")]
     dumped = {}
     identical = True
     groups = (fits, fits_families, margins, chi_eta, copula_cdf, draws, quantiles, *answers,

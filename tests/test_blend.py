@@ -108,7 +108,7 @@ def test_constructed_model_answers_without_build():
         make_copula("gumbel", [2.0]), make_copula("gaussian", [0.6]), make_weighting("power", 1.5)
     )
     u, v = np.array([1e-7, 0.3, 0.9, 1.0 - 1e-7]), np.array([0.5, 0.8, 0.95, 0.999])
-    answers = lambda: [m.logpdf(u, v), m.survival(u, v), m.copula_cdf(u, v), m.marginal_quantile(1, u)]
+    answers = lambda: [m.logpdf(u, v), m.survival(u, v), m.cdf(u, v), m.marginal_quantile(1, u)]
     before, constants = answers(), m.norm_constants
     assert_allclose(constants[0], K_POW_ORACLE, atol=1e-4)
     assert np.all(np.isfinite(before))
@@ -308,7 +308,7 @@ def test_degenerate_weight_reduces_to_tail():
     # so cstar matches the tail density well inside the 1e-5 slack
     assert_allclose(m.cstar_pdf(U, V), tail.pdf(U, V), rtol=1e-5)
     assert_allclose(m.pdf(U, V), tail.pdf(U, V), rtol=2e-4, atol=1e-4)
-    assert_allclose(m.copula_cdf(0.5, 0.5), GUMBEL2_CDF_HALF, atol=1e-3)
+    assert_allclose(m.cdf(0.5, 0.5), GUMBEL2_CDF_HALF, atol=1e-3)
 
 
 def test_identical_components_collapse():
@@ -321,12 +321,12 @@ def test_identical_components_collapse():
     assert_allclose(m.marginal_quantile(0, 0.73), 0.73, atol=1e-5)
     U, V = np.meshgrid(xs[::3], xs[::3], indexing="ij")
     assert_allclose(m.pdf(U, V), comp.pdf(U, V), rtol=1e-4)
-    assert_allclose(m.copula_cdf(0.3, 0.7), comp.cdf(0.3, 0.7), atol=1e-3)
+    assert_allclose(m.cdf(0.3, 0.7), comp.cdf(0.3, 0.7), atol=1e-3)
 
 
 def test_identical_independence_cdf_example():
     m = build("gaussian", [0.0], "gaussian", [0.0], "power", 1.5)
-    assert_allclose(m.copula_cdf(0.3, 0.7), 0.21, atol=1e-3)
+    assert_allclose(m.cdf(0.3, 0.7), 0.21, atol=1e-3)
 
 
 def test_cstar_density_formula(power_model):
@@ -385,7 +385,7 @@ def test_marginal_quantile_against_oracle(power_model):
 def test_public_methods_reject_points_outside_the_unit_interval(power_model):
     # NaN and values outside [0, 1] are not clipped; 0 and 1 still clamp
     m = power_model
-    two = ("cstar_pdf", "pdf", "logpdf", "survival", "copula_cdf", "joint_upper_survival")
+    two = ("cstar_pdf", "pdf", "logpdf", "survival", "cdf", "joint_upper_survival")
     methods = [(name, getattr(m, name)) for name in two] + [
         (f"{name}[{axis}]", lambda x, f=getattr(m, name), a=axis: f(a, x))
         for name in ("marginal_pdf", "marginal_cdf")
@@ -600,7 +600,7 @@ def test_copula_uniform_margins(power_model):
 def test_copula_cdf_frechet_and_monotone(power_model):
     grid = np.linspace(0.1, 0.9, 5)
     U, V = np.meshgrid(grid, grid, indexing="ij")
-    C = power_model.copula_cdf(U, V)
+    C = power_model.cdf(U, V)
     assert np.all(C <= np.minimum(U, V) + 1e-6)
     assert np.all(C >= np.maximum(U + V - 1, 0.0) - 1e-6)
     assert np.all(np.diff(C, axis=0) > -1e-9)
@@ -869,10 +869,10 @@ def test_load_rejects_malformed_file(tmp_path, text):
 def test_copula_cdf_batch_matches_single_points(power_model):
     u = np.array([1e-7, 0.2, 0.5, 0.97, 1.0 - 1e-7])
     v = np.array([0.3, 5e-7, 0.5, 0.99, 0.999])
-    batch = power_model.copula_cdf(u, v)
+    batch = power_model.cdf(u, v)
     assert np.all(np.maximum(u + v - 1.0, 0.0) <= batch) and np.all(batch <= np.minimum(u, v))
     for i in range(u.size):
-        assert power_model.copula_cdf(u[i], v[i]) == batch[i]
+        assert power_model.cdf(u[i], v[i]) == batch[i]
 
 
 #: Levels of the rectangle tests, down to 1e-9 from either end.
@@ -889,15 +889,15 @@ CDF_LEVELS = np.array([1e-9, 1e-7, 0.005, 0.2, 0.5, 0.8, 0.995, 1.0 - 1e-7, 1.0 
     ids=["gumbel-clayton", "coles_tawn-gaussian", "student_t-clayton"],
 )
 def test_copula_cdf_matches_the_mapped_rule(tail, tp, body, bp, theta, monkeypatch):
-    # copula_cdf on the build rule's tensor against u + v - 1 + survival on
+    # cdf on the build rule's tensor against u + v - 1 + survival on
     # the mapped rule at order 16. Measured: at most 7.0e-10 apart on this
     # lattice (coles_tawn's axes have their own margins); at the mapped
     # rule's own order 6, survival is up to 1.2e-6 from both
     m = build(tail, tp, body, bp, "power", theta)
     u, v = np.meshgrid(CDF_LEVELS, CDF_LEVELS, indexing="ij")
-    cdf = m.copula_cdf(u, v)
+    cdf = m.cdf(u, v)
     monkeypatch.setattr(blend, "_RECT_ORDER", 16)
-    assert_array_equal(m.copula_cdf(u, v), cdf)  # the mapped rule is not read
+    assert_array_equal(m.cdf(u, v), cdf)  # the mapped rule is not read
     lower = u + v - 1.0
     mapped = np.clip(lower + m.survival(u, v), np.maximum(lower, 0.0), np.minimum(u, v))
     assert np.max(np.abs(cdf - mapped)) <= 1e-9
@@ -914,9 +914,9 @@ def test_copula_cdf_of_a_shuffled_lattice_matches_single_points(triple):
     u, v = (np.tile(a.ravel(), 2) for a in np.meshgrid(CDF_LEVELS, CDF_LEVELS, indexing="ij"))
     order = np.random.default_rng(5).permutation(u.size)
     u, v = u[order], v[order]
-    batch = m.copula_cdf(u, v)
+    batch = m.cdf(u, v)
     assert batch.size > 2 * blend._CDF_BATCH
-    assert np.array_equal(batch, [m.copula_cdf(a, b) for a, b in zip(u, v)])
+    assert np.array_equal(batch, [m.cdf(a, b) for a, b in zip(u, v)])
 
 
 def test_the_cdf_tensor_is_made_once_and_only_by_copula_cdf(monkeypatch):
@@ -934,9 +934,9 @@ def test_the_cdf_tensor_is_made_once_and_only_by_copula_cdf(monkeypatch):
     m.build()
     m.logpdf(u, v)
     assert shapes and tensors() == 0
-    first = m.copula_cdf(u, v)
+    first = m.cdf(u, v)
     assert tensors() == 2  # h_tail and h_body, once each
-    assert_array_equal(m.copula_cdf(u, v), first)
+    assert_array_equal(m.cdf(u, v), first)
     assert tensors() == 2
     # kept on the model, not in the stores that a fit's builds share
     kept = blend._grids.values() + weighting._dv_grids.values()
@@ -954,8 +954,8 @@ def test_copula_cdf_uniform_margins(tail, tp, body, bp, theta):
     m = build(tail, tp, body, bp, "power", theta)
     q = np.array([1e-9, 1e-6, 0.005, 0.3, 0.5, 0.8, 0.995, 1.0 - 1e-6, 1.0 - 1e-9])
     one = np.ones_like(q)
-    assert np.max(np.abs(m.copula_cdf(q, one) - q)) <= 1e-8
-    assert np.max(np.abs(m.copula_cdf(one, q) - q)) <= 1e-8
+    assert np.max(np.abs(m.cdf(q, one) - q)) <= 1e-8
+    assert np.max(np.abs(m.cdf(one, q) - q)) <= 1e-8
 
 
 def full_weights(t):
@@ -979,13 +979,13 @@ def full_weights(t):
 )
 def test_copula_cdf_tables_give_the_plain_double_sum(key):
     # K S = a_x . E(., y) + a_x' G a_y over all 224 nodes of each axis, with
-    # G read from the kept tensor, against copula_cdf's sums over panels.
+    # G read from the kept tensor, against cdf's sums over panels.
     # Measured: at most 2.2e-16 apart on the shuffled lattice
     m = parsed(key)
     u, v = (a.ravel() for a in np.meshgrid(CDF_LEVELS, CDF_LEVELS, indexing="ij"))
     order = np.random.default_rng(5).permutation(u.size)
     u, v = u[order], v[order]
-    got = m.copula_cdf(u, v)
+    got = m.cdf(u, v)
     x, y, _, _ = m._pair(u, v)
     s, _ = corner_refined(_BUILD_ORDER)
     g = m._cdf_tensor.by_panel.reshape(s.size, s.size).T  # [s-node, t-node]
@@ -1004,7 +1004,7 @@ def test_copula_cdf_of_identical_components_is_the_family_cdf(spec):
     # 8.7e-10 apart on the lattice, for gumbel(2)
     m = parsed(f"{spec}/{spec}/power(1.7)")
     u, v = np.meshgrid(CDF_LEVELS, CDF_LEVELS, indexing="ij")
-    assert_allclose(m.copula_cdf(u, v), parse_copula(spec).cdf(u, v), rtol=0.0, atol=2e-9)
+    assert_allclose(m.cdf(u, v), parse_copula(spec).cdf(u, v), rtol=0.0, atol=2e-9)
 
 
 # every exchangeable family of the zoo (coles_tawn only with alpha = beta);

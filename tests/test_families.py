@@ -187,6 +187,19 @@ def test_steep_gumbel_against_mpmath(alpha):
         assert np.isfinite(cop._logpdf(np.array([u]), np.array([v]))[0])
 
 
+def test_inverted_gumbel_conditional_survival_against_mpmath():
+    # hbar(u, v) = P[V > v | U = u] is Gumbel's h at (1 - u, 1 - v), whose
+    # arguments are exact here; 1 - (1 - h_G) lost h_G's digits, 1.1e-3
+    # relative at the first point. Measured: within 5.2e-15
+    cop = make_copula("inverted_gumbel", [2.0])
+    with mpmath.workdps(50):
+        for u, v in ((0.9, 1 - 1e-14), (0.5, 1 - 1e-12), (0.1, 1 - 1e-10), (0.99, 1 - 1e-8), (0.3, 0.6)):
+            x, y = -mpmath.log(1 - mpmath.mpf(u)), -mpmath.log(1 - mpmath.mpf(v))
+            ell = mpmath.sqrt(x**2 + y**2)
+            h = mpmath.exp(-ell + x) * x / ell
+            assert_allclose(cop._hbar(u, v), float(h), rtol=1e-13)
+
+
 @pytest.mark.parametrize("cop", ["gumbel(2)", "husler_reiss(2)", "galambos(1.5)", "coles_tawn(0.5,0.8)"])
 def test_extreme_value_conditionals_are_exact_at_the_ends(cop):
     # h(u, v) = P[V <= v | U = u] is 0 at u = 1 and 1 at v = 1, and so is

@@ -33,7 +33,6 @@ from blendcop.fitting import (
     log_likelihood,
     log_likelihood_detail,
 )
-from blendcop.sampling import sample_blended_copula
 from blendcop.weighting import WEIGHTINGS, make_weighting, parse_weighting
 
 # Full-pipeline oracle for gumbel(2) tail / clayton(1) body / power(0.8) on
@@ -205,7 +204,8 @@ def test_the_likelihood_reads_the_datasets_points_once(spec, monkeypatch):
     want = np.sum(np.maximum(model.logpdf(data.u, data.v), np.log(1e-300)))
     checked = []
     spy = lambda x, name="point": checked.append(name) or unit_points(x, name)
-    for module in (families, blend, fitting):
+    # fitting checks through families.clamp_unit, so through the first
+    for module in (families, blend):
         monkeypatch.setattr(module, "unit_points", spy)
     assert log_likelihood(model, data) == want
     assert checked == []
@@ -339,9 +339,7 @@ def test_blend_fit_hessian_costs_twelve_evaluations(rng, monkeypatch):
         return out
 
     monkeypatch.setattr(fitting, "_covariance", counted)
-    uv = sample_blended_copula(
-        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 200, rng
-    )
+    uv = build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0).sample(200, rng)
     res = fit("gumbel+gaussian:power", Dataset.from_array(uv), restarts=1)
     assert spent == [12] and res.cov.shape == (3, 3)
 
@@ -392,9 +390,7 @@ def test_fit_counts_objective_failures_by_type(rng):
 
 
 def test_spent_budget_ends_at_the_best_traced_point(rng, monkeypatch):
-    uv = sample_blended_copula(
-        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 60, rng
-    )
+    uv = build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0).sample(60, rng)
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 30)
     res = fit("gumbel+gaussian:power", Dataset.from_array(uv), restarts=1)
     assert res.evaluations == 30 and not res.converged
@@ -404,9 +400,7 @@ def test_spent_budget_ends_at_the_best_traced_point(rng, monkeypatch):
 
 
 def test_fit_mle_reproducible_trace(rng, monkeypatch):
-    uv = sample_blended_copula(
-        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 80, rng
-    )
+    uv = build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0).sample(80, rng)
     data = Dataset.from_array(uv)
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 40)
     r1 = fit("gumbel+gaussian:power", data, restarts=2)
@@ -419,9 +413,7 @@ def test_fit_mle_reproducible_trace(rng, monkeypatch):
 
 
 def test_fit_mle_initial_override_and_result_fields(rng, monkeypatch):
-    uv = sample_blended_copula(
-        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 120, rng
-    )
+    uv = build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0).sample(120, rng)
     data = Dataset.from_array(uv)
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 150)
     res = fit("gumbel+gaussian:power", data, (0.9, 1.8, 0.25), restarts=1)
@@ -441,7 +433,7 @@ def test_fit_mle_initial_override_and_result_fields(rng, monkeypatch):
 
 def test_fit_mle_blend_recovery_smoke(monkeypatch):
     true = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
-    uv = sample_blended_copula(true, 500, np.random.default_rng(123))
+    uv = true.sample(500, np.random.default_rng(123))
     monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 400)
     res = fit("gumbel+clayton:power", Dataset.from_array(uv), restarts=1)
     assert res.loglik >= log_likelihood(true, Dataset.from_array(uv)) - 1e-6
@@ -454,9 +446,7 @@ def test_fit_mle_calls_log_likelihood_once_per_evaluation(rng, monkeypatch):
     # the benchmark times a blend fit split at each return of the module-level
     # log_likelihood, so the objective must look it up at call time, once
     # per evaluation, and the result's own log-likelihood must not call it
-    uv = sample_blended_copula(
-        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 60, rng
-    )
+    uv = build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0).sample(60, rng)
     calls = []
     inner = fitting.log_likelihood
 
@@ -478,9 +468,7 @@ def test_a_fit_makes_one_model_per_evaluation(spec, rng, monkeypatch):
     # the result's model is the one the best evaluation made, not a second
     # build; every evaluation still scores its model through the
     # module-level log_likelihood, where the benchmark splits a fit's time
-    uv = sample_blended_copula(
-        build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0), 100, rng
-    )
+    uv = build("gumbel", [2.0], "gaussian", [0.3], "power", 1.0).sample(100, rng)
     data = Dataset.from_array(uv)
     made, scored = [], []
 
@@ -614,7 +602,7 @@ def test_the_adapters_are_fit(rng):
     # the benchmark calls fit_mle(FitSpec(...)) and fit_single_copula: the
     # same fits as ``fit``'s, bit for bit
     model = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
-    data = Dataset.from_array(sample_blended_copula(model, 200, rng))
+    data = Dataset.from_array(model.sample(200, rng))
     spec = fitting.FitSpec("gumbel", "clayton", "power", initial=model.params, restarts=1)
     pairs = [
         (fitting.fit_mle(spec, data), fit("gumbel+clayton:power", data, model.params, 1)),

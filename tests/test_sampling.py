@@ -6,7 +6,7 @@ from blendcop.blend import BlendedModel
 from blendcop.errors import InputError, SamplingError
 from blendcop.families import make_copula
 from blendcop.quadrature import gauss_legendre
-from blendcop.sampling import BODY, TAIL, SampleRequest, rejection_round, sample_blended_copula, sample_cstar
+from blendcop.sampling import BODY, TAIL, SampleRequest, rejection_round, sample_cstar
 from blendcop.weighting import make_weighting
 
 
@@ -74,14 +74,14 @@ def test_sample_histogram_matches_quadrature(model):
 
 
 def test_blended_copula_sample_uniform_margins(model):
-    uv = sample_blended_copula(model, 100_000, np.random.default_rng(3))
+    uv = model.sample(100_000, np.random.default_rng(3))
     assert kstest(uv[:, 0], "uniform").pvalue > 0.001
     assert kstest(uv[:, 1], "uniform").pvalue > 0.001
 
 
 def test_identical_components_sample_matches_component(rng):
     m = build("gaussian", [0.6], "gaussian", [0.6], "power", 1.3)
-    uv = sample_blended_copula(m, 60_000, rng)
+    uv = m.sample(60_000, rng)
     direct = make_copula("gaussian", [0.6]).sample(60_000, rng)
     assert ks_2samp(uv[:, 1], direct[:, 1]).pvalue > 0.001
     sl = (uv[:, 0] > 0.45) & (uv[:, 0] < 0.55)
@@ -92,7 +92,7 @@ def test_identical_components_sample_matches_component(rng):
 def test_zero_draws(model):
     pts, origins = sample_cstar(SampleRequest(model, 0, seed=5))
     assert pts.shape == (0, 2) and origins.shape == (0,)
-    assert sample_blended_copula(model, 0, np.random.default_rng(0)).shape == (0, 2)
+    assert model.sample(0, np.random.default_rng(0)).shape == (0, 2)
 
 
 def test_both_origins_present(model):
