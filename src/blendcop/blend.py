@@ -114,6 +114,7 @@ and a model its ``cdf`` tensor, since a likelihood reads neither.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +129,7 @@ from .quadrature import (
     corner_refined,
     gauss_legendre,
     panel_calculus,
+    readonly,
     to_panel_end,
     toward_one,
 )
@@ -172,8 +174,7 @@ _orders = Kept(_ORDER_CACHE)
 #: the knots: the two cost the same near 800 levels for 239 knots.
 _WALK_PER_KNOT = 4
 #: Half the width of each panel of ``UNIT_BREAKS``, as a column.
-_HALF_WIDTHS = 0.5 * np.diff(UNIT_BREAKS)[:, None]
-_HALF_WIDTHS.flags.writeable = False
+(_HALF_WIDTHS,) = readonly(0.5 * np.diff(UNIT_BREAKS)[:, None])
 
 
 class _Levels(bytes):
@@ -231,12 +232,10 @@ class _Margin:
     density) at the inner end of the panel next to 0 and of the one next
     to 1. ``pdf_at``, ``cdf_at`` and ``quantile_at`` interpolate between
     neighbouring entries; interval i of ``level`` is interval i of ``x``.
-    ``cdf_at`` is made on first use.
+    ``cdf_at`` is made on first use, as a ``cached_property``, which
+    needs an instance ``__dict__``, so the class has no ``__slots__``;
+    there is one margin per axis of a model.
     """
-
-    __slots__ = (
-        "x", "pdf", "cdf", "sf", "level", "inner", "outer", "pdf_at", "_cdf_at", "quantile_at"
-    )
 
     def __init__(self, pdf):
         p = _RULE.order
@@ -247,7 +246,7 @@ class _Margin:
         ends, slope, end_slopes = g[:, 2 * p : 2 * p + 2], g[:, 2 * p + 2 : 3 * p + 2], g[:, 3 * p + 2 : -1]
         mass = half[:, 0] * g[:, -1]
         cdf_ends = np.concatenate([[0.0], np.cumsum(mass)])
-        sf_ends = np.concatenate([np.cumsum(mass[::-1])[::-1], [0.0]])
+        sf_ends = _sums_above(mass)
         # rows pdf, slope, cdf, sf; per panel its left end, then its nodes
         at_ends = np.vstack([_joined(ends), _joined(end_slopes / half), cdf_ends, sf_ends])
         tab = np.empty((4, f.shape[0], p + 1))
@@ -264,16 +263,13 @@ class _Margin:
         self.inner = (cdf_ends[1], 1.0 - sf_ends[-2])
         self.outer = ((cdf_ends[1], at_ends[0, 1]), (sf_ends[-2], at_ends[0, -2]))
         self.pdf_at = _Cubic(self.x, self.pdf, slope)
-        self._cdf_at = None
         self.quantile_at = _Cubic(self.level, self.x, 1.0 / self.pdf)
 
-    @property
+    @cached_property
     def cdf_at(self):
-        """The CDF's interpolant; a likelihood reads only ``pdf_at`` and
-        ``quantile_at``."""
-        if self._cdf_at is None:
-            self._cdf_at = _Cubic(self.x, self.cdf, self.pdf)
-        return self._cdf_at
+        """The CDF's interpolant, made on first use; a likelihood reads
+        only ``pdf_at`` and ``quantile_at``."""
+        return _Cubic(self.x, self.cdf, self.pdf)
 
 
 def _checked_margin(axis, x, pdf):
@@ -366,9 +362,7 @@ def _build_rule(order):
     pc = panel_calculus(order)
     maps = np.column_stack([pc.below.T, pc.above.T, pc.ends.T, pc.slope.T, pc.end_slopes.T, pc.weights])
     abscissae = np.append(np.column_stack([UNIT_BREAKS[:-1], nodes]).ravel(), 1.0)
-    for a in (maps, abscissae):
-        a.flags.writeable = False
-    return _Rule(order, x, w, nodes, weights, abscissae, maps)
+    return _Rule(order, x, w, nodes, weights, *readonly(abscissae, maps))
 
 
 _RULE = _build_rule(_BUILD_ORDER)
@@ -405,7 +399,9 @@ class BlendedModel(Model):
         self.K = K = k_t + k_b
         self.norm_constants = (K, k_t, k_b)
         self._margin = _checked_margin(0, x, (1.0 + e_t - e_b) / K)
-        self._tensor = self._transpose = None
+        self._transpose = None
+        # the cdf tensor of an earlier build is made anew on first use
+        self.__dict__.pop("_cdf_tensor", None)
         tail, body = self.tail.transposed(), self.body.transposed()
         if (tail, body) != (self.tail, self.body):
             t = self._transpose = object.__new__(BlendedModel)
@@ -601,25 +597,22 @@ class BlendedModel(Model):
         points, _ = sample_cstar(SampleRequest(self, n, seed=rng))
         return np.column_stack([self.marginal_cdf(0, points[:, 0]), self.marginal_cdf(1, points[:, 1])])
 
-    @property
+    @cached_property
     def _cdf_tensor(self):
         """G = dpi/dv (h_body - h_tail) on the build rule's 224 x 224
         tensor of nodes, and its sums over panels, as a ``_CdfTensor``
         made on the first ``cdf`` call and kept on the model, about
-        460 KB, as a margin's ``cdf_at`` is: a fit never reads it."""
-        if self._tensor is None:
-            x, w = _RULE.x, _RULE.weights
-            with np.errstate(divide="ignore", over="ignore"):
-                g = self._inner(x[:, None], x[None, :])
-            by_panel = np.ascontiguousarray(g.T).reshape(*w.shape, *w.shape)
-            tails = _sums_above(np.einsum("qjpi,qj->qpi", by_panel, w))
-            # sums over the s-panels of each panel, then from each one up
-            above = _sums_above(np.einsum("qjpi,pi->pqj", by_panel, w))
-            above_tails = _sums_above(np.einsum("qpi,pi->pq", tails, w))
-            for a in (by_panel, tails, above, above_tails):
-                a.flags.writeable = False
-            self._tensor = _CdfTensor(by_panel, tails, above, above_tails)
-        return self._tensor
+        460 KB, as a margin's ``cdf_at`` is: a fit never reads it.
+        ``build`` drops it, so the next call makes it anew."""
+        x, w = _RULE.x, _RULE.weights
+        with np.errstate(divide="ignore", over="ignore"):
+            g = self._inner(x[:, None], x[None, :])
+        by_panel = np.ascontiguousarray(g.T).reshape(*w.shape, *w.shape)
+        tails = _sums_above(np.einsum("qjpi,qj->qpi", by_panel, w))
+        # sums over the s-panels of each panel, then from each one up
+        above = _sums_above(np.einsum("qjpi,pi->pqj", by_panel, w))
+        above_tails = _sums_above(np.einsum("qpi,pi->pq", tails, w))
+        return _CdfTensor(*readonly(by_panel, tails, above, above_tails))
 
     # ------------------------------------------------------------------
     # the exact marginal mass near an end, and the joint tail

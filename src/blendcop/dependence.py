@@ -63,18 +63,25 @@ def chi_eta(obj, r):
     return float(sf / (1.0 - r)), float(np.log1p(-r) / np.log(sf))
 
 
-def dependence_curves(obj, grid=None, label=""):
-    """chi(r) and eta(r) curves over a level grid (default: the ten
-    log-spaced study levels from 0.7 up to 1 - 1.49e-8)."""
+def _curves(pair, of, grid, source, label):
+    """The chi and eta ``DependenceCurve``s of ``of`` over a level grid
+    (default: the ten log-spaced study levels from 0.7 up to
+    1 - 1.49e-8), each level's (chi, eta) from ``pair(of, r)``."""
     grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
     chis = np.empty(len(grid))
     etas = np.empty(len(grid))
     for i, r in enumerate(grid):
-        chis[i], etas[i] = chi_eta(obj, r)
+        chis[i], etas[i] = pair(of, r)
     return (
-        DependenceCurve(grid, chis, "chi", obj.source, label),
-        DependenceCurve(grid, etas, "eta", obj.source, label),
+        DependenceCurve(grid, chis, "chi", source, label),
+        DependenceCurve(grid, etas, "eta", source, label),
     )
+
+
+def dependence_curves(obj, grid=None, label=""):
+    """chi(r) and eta(r) curves of a copula or a blended model over a
+    level grid (default ``DEFAULT_R_GRID``)."""
+    return _curves(chi_eta, obj, grid, obj.source, label)
 
 
 def kendall_tau(obj):
@@ -118,16 +125,13 @@ def empirical_curves(u, v, grid=None, label="empirical"):
     """Empirical chi/eta curves; undefined levels become NaN. The
     pseudo-observations are checked once, and each level, as
     ``empirical_chi_eta`` checks them."""
-    data = Dataset(u, v)
-    grid = DEFAULT_R_GRID if grid is None else np.asarray(grid, dtype=float)
-    chis = np.full(len(grid), np.nan)
-    etas = np.full(len(grid), np.nan)
-    for i, r in enumerate(grid):
-        try:
-            chis[i], etas[i] = _empirical_chi_eta(data.u, data.v, r)
-        except UndefinedMeasureError:
-            pass
-    return (
-        DependenceCurve(grid, chis, "chi", "empirical", label),
-        DependenceCurve(grid, etas, "eta", "empirical", label),
-    )
+    return _curves(_empirical_or_nan, Dataset(u, v), grid, "empirical", label)
+
+
+def _empirical_or_nan(data, r):
+    """``_empirical_chi_eta`` of a ``Dataset``, (NaN, NaN) where it is
+    undefined."""
+    try:
+        return _empirical_chi_eta(data.u, data.v, r)
+    except UndefinedMeasureError:
+        return np.nan, np.nan

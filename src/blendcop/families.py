@@ -195,9 +195,10 @@ def parse_spec(registry, kind, text):
 class Model:
     """The public answers of every model, a copula family or a blend: the
     density, the log-density, the CDF, the joint survival P[U > u, V > v]
-    and draws. Each checks and clamps its points (``clamp_unit``) or its
-    sample size (``whole_number``) and calls the private method that the
-    model states, ``_clamped_logpdf``, ``_cdf``, ``_surv`` or
+    and draws. Each checks and clamps its points (``clamp_unit``), or
+    checks its sample size (``whole_number``) and takes its generator
+    through ``np.random.default_rng``, and calls the private method that
+    the model states, ``_clamped_logpdf``, ``_cdf``, ``_surv`` or
     ``_sample``; the CDF is clipped to [0, 1] and the survival floored
     at 0."""
 
@@ -218,9 +219,18 @@ class Model:
         return np.maximum(self._surv(clamp_unit(u), clamp_unit(v)), 0.0)
 
     def sample(self, n, rng):
-        """n draws, an (n, 2) array; an n that is not a whole number >= 0
-        raises ``InputError``."""
-        return self._sample(whole_number(n, 0, "the sample size must be nonnegative"), rng)
+        """n draws, an (n, 2) array, from ``rng``: a seed, None or a numpy
+        Generator, taken through ``np.random.default_rng``, which returns
+        a Generator as it is given, so the same seed or the same state
+        gives the same draws. An n that is not a whole number >= 0, or an
+        ``rng`` that ``default_rng`` refuses, raises ``InputError`` before
+        any draw."""
+        n = whole_number(n, 0, "the sample size must be nonnegative")
+        try:
+            rng = np.random.default_rng(rng)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"rng must be a seed, None or a numpy Generator, got {rng!r}") from exc
+        return self._sample(n, rng)
 
 
 class Copula(Parametric, Model):

@@ -35,6 +35,7 @@ from scipy.stats import kendalltau
 from .blend import BlendedModel
 from .errors import BlendcopError, FitError, InputError, ParameterError
 from .families import Model, clamp_unit, family_class, whole_number
+from .quadrature import readonly
 from .weighting import weighting_class
 
 #: Floor of every log-density in the likelihood, blend or single copula.
@@ -78,7 +79,7 @@ class Dataset:
             raise InputError("dataset needs two equal-length 1-d coordinate arrays")
         if u.size < 2:
             raise InputError("dataset needs at least two observations")
-        u.flags.writeable = v.flags.writeable = False
+        readonly(u, v)
         # the fields are frozen, so the checked arrays are set here once
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)

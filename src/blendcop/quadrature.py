@@ -17,7 +17,10 @@ point to that panel's end; with the rule's weights on the panels above,
 they integrate from the point up to 1.
 
 ``Kept`` is the one store of arrays that calls share: a blend's grids and
-the sort order of a fit's data.
+the sort order of a fit's data. ``readonly`` is the one place in the
+package that makes an array read-only, as every array that is kept or
+shared is: the rules and maps here, the store's entries, a blend's rule
+and tensor, a weighting's v-nodes and a dataset's points.
 """
 from __future__ import annotations
 
@@ -44,6 +47,14 @@ def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def readonly(*arrays):
+    """The arrays, made read-only: the one place that sets
+    ``flags.writeable``."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _unit_breaks():
     d = np.geomspace(2e-6, _PANEL_INNER, _PANEL_GEO + 1)
     return np.concatenate([[0.0], d, [0.5], 1.0 - d[::-1], [1.0]])
@@ -51,14 +62,7 @@ def _unit_breaks():
 
 #: Panel ends of the corner-refined rule on (0, 1); the outermost panels
 #: are [0, 2e-6] and [1 - 2e-6, 1].
-UNIT_BREAKS = _unit_breaks()
-UNIT_BREAKS.flags.writeable = False
-
-
-def _readonly(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+(UNIT_BREAKS,) = readonly(_unit_breaks())
 
 
 class Kept:
@@ -73,7 +77,7 @@ class Kept:
     def get(self, key, make):
         value = self._entries.pop(key, None)
         if value is None:
-            (value,) = _readonly(make())
+            (value,) = readonly(make())
         self._entries[key] = value
         if len(self._entries) > self.size:
             del self._entries[next(iter(self._entries))]
@@ -91,7 +95,7 @@ def _composite(n_per_panel, breaks):
     xg, wg = _leggauss(n_per_panel)
     lo, hi = breaks[:-1, None], breaks[1:, None]
     half = 0.5 * (hi - lo)
-    return _readonly((half * xg + 0.5 * (lo + hi)).ravel(), (half * wg).ravel())
+    return readonly((half * xg + 0.5 * (lo + hi)).ravel(), (half * wg).ravel())
 
 
 @lru_cache(maxsize=16)
@@ -103,8 +107,7 @@ def _unit_rule(n_per_panel: int):
 #: ``toward_one`` maps onto an interval within 1/2 of 1: those of
 #: ``UNIT_BREAKS`` up to 1/2, refined toward the corner at 1, and one
 #: panel [1/2, 1] toward the interval's inner end.
-CORNER_BREAKS = np.append(UNIT_BREAKS[UNIT_BREAKS <= 0.5], 1.0)
-CORNER_BREAKS.flags.writeable = False
+(CORNER_BREAKS,) = readonly(np.append(UNIT_BREAKS[UNIT_BREAKS <= 0.5], 1.0))
 
 
 @lru_cache(maxsize=16)
@@ -134,7 +137,7 @@ def corner_refined(n_per_panel: int, a: float = 0.0, b: float = 1.0):
     x, w = _unit_rule(n_per_panel)
     if a == 0.0 and b == 1.0:
         return x, w
-    return _readonly(a + (b - a) * x, (b - a) * w)
+    return readonly(a + (b - a) * x, (b - a) * w)
 
 
 #: The largest double below 1, and the smallest normal double.
@@ -192,7 +195,7 @@ def _legendre_maps(n: int):
     leg = np.polynomial.legendre
     x, w = _leggauss(n)
     coef = (np.arange(n) + 0.5)[:, None] * leg.legvander(x, n - 1).T * w
-    return _readonly(coef, leg.legint(coef, lbnd=-1.0, axis=0))
+    return readonly(coef, leg.legint(coef, lbnd=-1.0, axis=0))
 
 
 @lru_cache(maxsize=16)
@@ -209,7 +212,7 @@ def panel_calculus(n: int) -> PanelCalculus:
     ends = np.array([-1.0, 1.0])
     below = leg.legvander(x, n) @ anti
     return PanelCalculus(
-        *_readonly(
+        *readonly(
             w.copy(),
             below,
             w - below,

@@ -26,6 +26,10 @@ _OVERSAMPLE = 1.3
 
 @dataclass
 class SampleRequest:
+    """``n_target`` draws of ``model``'s blended density from ``seed``: a
+    seed, None or a numpy Generator, which ``rng`` takes through
+    ``np.random.default_rng``, so a Generator is drawn from as it is."""
+
     model: BlendedModel
     n_target: int
     seed: int | np.random.Generator | None = None
@@ -34,8 +38,6 @@ class SampleRequest:
         whole_number(self.n_target, 0, "n_target must be nonnegative")
 
     def rng(self) -> np.random.Generator:
-        if isinstance(self.seed, np.random.Generator):
-            return self.seed
         return np.random.default_rng(self.seed)
 
 

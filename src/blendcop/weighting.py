@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .families import POSITIVE, Parametric, lookup, parse_spec
-from .quadrature import Kept, skewed_refined
+from .quadrature import Kept, readonly, skewed_refined
 
 # Given a coordinate t, a conditional CDF steps up within about 1 - t of
 # v = 1 (upper tail dependence) or within about t of v = 0 (lower tail
@@ -95,8 +95,7 @@ class PowerProduct(WeightingFunction):
     # with H evaluated at v = w^(1/th)
     def __init__(self, *params):
         super().__init__(*params)
-        self.v_nodes = _GLW_X ** (1.0 / self.theta)
-        self.v_nodes.flags.writeable = False
+        (self.v_nodes,) = readonly(_GLW_X ** (1.0 / self.theta))
 
     def expectation(self, t, grids):
         scale = np.ravel(t**self.theta)

@@ -23,6 +23,7 @@ from blendcop.families import (
     make_copula,
     parse_copula,
 )
+from blendcop.fitting import Dataset, log_likelihood
 from blendcop.quadrature import (
     BELOW_ONE,
     UNIT_BREAKS,
@@ -941,6 +942,25 @@ def test_the_cdf_tensor_is_made_once_and_only_by_copula_cdf(monkeypatch):
     # kept on the model, not in the stores that a fit's builds share
     kept = blend._grids.values() + weighting._dv_grids.values()
     assert all(a.size < n * n for a in kept)
+    # a build drops it; the next cdf call makes it anew
+    m.build()
+    assert tensors() == 2
+    assert_array_equal(m.cdf(u, v), first)
+    assert tensors() == 4
+
+
+def test_a_margins_cdf_interpolant_is_made_once_and_not_by_a_likelihood():
+    m = build("gumbel", [2.0], "clayton", [1.0], "power", 0.8)
+    margin = m._margin
+    data = Dataset(np.array([0.1, 0.5, 0.97]), np.array([0.2, 0.6, 0.95]))
+    log_likelihood(m, data)
+    m.logpdf(data.u, data.v)
+    assert "cdf_at" not in vars(margin)
+    x = np.array([0.01, 0.5, 0.99])
+    first = m.marginal_cdf(0, x)
+    made = vars(margin)["cdf_at"]
+    assert_array_equal(m.marginal_cdf(1, x), first)  # the axes share the margin
+    assert margin.cdf_at is made
 
 
 @pytest.mark.parametrize(

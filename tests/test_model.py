@@ -1,5 +1,6 @@
 """Every model, a copula family or a blend, answers through ``families.Model``."""
 import ast
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import blendcop
-from blendcop.blend import BlendedModel
+from blendcop.blend import BlendedModel, _Margin
 from blendcop.errors import InputError
 from blendcop.families import Model, parse_copula
 from blendcop.sampling import sample_blended_copula
@@ -40,7 +41,7 @@ def model(spec):
         ("coles_tawn(0.5,0.8)/gaussian(0.5)/power(1.5)", 3e-8),
     ],
 )
-def test_every_model_answers_the_protocol_alike(spec, atol):
+def test_every_model_answers_the_protocol_alike(spec, atol, monkeypatch):
     m = model(spec)
     for name in ANSWERS:
         answer = getattr(m, name)
@@ -67,6 +68,13 @@ def test_every_model_answers_the_protocol_alike(spec, atol):
             m.sample(200, np.random.default_rng(7)),
             sample_blended_copula(m, 200, np.random.default_rng(7)),
         )
+    # a seed is the Generator that np.random.default_rng makes of it
+    assert_array_equal(m.sample(50, 7), m.sample(50, np.random.default_rng(7)))
+    assert m.sample(3, None).shape == (3, 2)
+    monkeypatch.setattr(m, "_sample", lambda n, rng: pytest.fail("drew from a refused rng"))
+    for bad in ("x", 2.5, -1):
+        with pytest.raises(InputError, match="rng must be a seed"):
+            m.sample(5, bad)
 
 
 def test_copula_cdf_is_the_blends_cdf():
@@ -106,3 +114,25 @@ def test_the_public_answers_are_stated_once():
         in ("copula_cdf", "sample_blended_copula")
     ]
     assert not calls, f"a bench-only adapter is called at {calls}"
+
+
+def test_read_only_and_first_use_each_have_one_idiom():
+    # quadrature.readonly alone sets flags.writeable; what a model makes on
+    # first use is a cached_property
+    sets = []
+    for path in sorted(Path(blendcop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Attribute) and target.attr == "writeable":
+                    sets.append(f"{path.name}:{owner.get(id(node), 'module')}")
+    assert sets == ["quadrature.py:readonly"], sets
+    assert isinstance(vars(_Margin)["cdf_at"], cached_property)
+    assert isinstance(vars(BlendedModel)["_cdf_tensor"], cached_property)
