@@ -762,19 +762,13 @@ class BlendedModel(Model):
         """(theta, *tail.params, *body.params): ``fitting.fit``'s start order."""
         return (self.weighting.theta, *self.tail.params, *self.body.params)
 
-    def spec_strings(self):
-        parts = (self.tail, self.body, self.weighting)
-        return {
-            key: f"{part.tag}({','.join(format(p, '.17g') for p in part.params)})"
-            for key, part in zip(_MODEL_KEYS, parts)
-        }
-
     def save(self, path):
-        lines = ["# blendcop model"]
-        for key, val in self.spec_strings().items():
-            lines.append(f"{key} = {val}")
+        """Write one ``key = repr(part)`` line for each of ``tail``, ``body``
+        and ``weighting``; a part's repr holds its parameters exactly, so
+        ``load`` gives back equal parts."""
+        parts = zip(_MODEL_KEYS, (self.tail, self.body, self.weighting))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("# blendcop model\n" + "".join(f"{key} = {part!r}\n" for key, part in parts))
 
     @classmethod
     def load(cls, path) -> "BlendedModel":

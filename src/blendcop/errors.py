@@ -28,7 +28,8 @@ class UndefinedMeasureError(BlendcopError):
 class InputError(BlendcopError, ValueError):
     """Outside input is malformed: pseudo-observations that are NaN or lie
     outside [0, 1], a model file that cannot be parsed, a dependence level
-    outside (0, R_MAX], a quantile level outside (0, 1), a sample size or
-    restart count that is not a whole number of at least 0 or 1, a
-    sampler's ``rng`` that is neither a seed nor a numpy Generator, or
-    data with no Kendall's tau to start a fit from."""
+    outside (0, R_MAX], a quantile level outside (0, 1), a sample size,
+    restart count or AIC parameter count that is not a whole number of at
+    least 0 or 1, a sampler's ``rng`` or a ``SampleRequest``'s ``seed``
+    that is neither a seed nor a numpy Generator, or data with no
+    Kendall's tau to start a fit from."""

@@ -29,8 +29,11 @@ once, as (name, ``Domain``) pairs in ``param_domains`` of its
 range, checked on construction (NaN and inf fail), and the map the fit
 searches it through. Beside them a class states its fit's default
 ``start`` for the data's Kendall's tau. ``Parametric`` also gives both
-kinds their repr, equality and hash, and ``lookup`` and ``parse_spec``
-their registry lookup and their ``tag(p1[,p2])`` spec parser.
+kinds their equality, hash and one text form, ``tag(p1[,p2])``, which
+writes each parameter exactly, so ``parse_spec`` reads a repr back as an
+equal object. ``lookup`` finds a class in a registry, and
+``make_parametric`` makes one from its tag and its parameters, as
+``make_copula``, ``make_weighting`` and ``parse_spec`` all do.
 
 Every model, a family here or a blend of ``blend``, answers through one
 base, ``Model``: ``pdf``, ``logpdf``, ``cdf``, ``survival`` and
@@ -91,6 +94,24 @@ def whole_number(n, least, need):
     raise InputError(f"{need}, a whole number, got {n!r}")
 
 
+def generator(rng):
+    """``np.random.default_rng(rng)`` of a seed, None or a numpy Generator,
+    which it returns as it is given, so the same seed or the same state
+    gives the same draws; anything else raises ``InputError``."""
+    try:
+        return np.random.default_rng(rng)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"rng must be a seed, None or a numpy Generator, got {rng!r}") from exc
+
+
+def is_vector(x):
+    """x is a flat 1-d sequence: ``np.ndim(x) == 1``, and not ragged."""
+    try:
+        return np.ndim(x) == 1
+    except ValueError:  # a ragged sequence
+        return False
+
+
 def clamp_unit(x, name="point"):
     """``unit_points``, pulled into the open unit interval used for all
     evaluations."""
@@ -124,7 +145,10 @@ NONZERO = Domain("must be nonzero", lambda p: p != 0.0, lambda p: p, lambda z: z
 class Parametric:
     """A tagged object with a fixed list of parameters, each in its
     ``Domain``: a copula family or a weighting. Its tag and parameters
-    make its repr, which ``parse_spec`` reads back, and its identity."""
+    make its identity and its repr, ``tag(p1[,p2])``: each parameter as
+    the shortest text that reads back as the same double (``repr`` of the
+    float, less a trailing ``.0``), so ``parse_spec`` reads it back as an
+    equal object."""
 
     tag: str = ""
     #: (name, domain) of each parameter, in order.
@@ -156,7 +180,7 @@ class Parametric:
         return len(self.params)
 
     def __repr__(self):
-        inner = ",".join(format(p, ".12g") for p in self.params)
+        inner = ",".join(repr(p).removesuffix(".0") for p in self.params)
         return f"{self.tag}({inner})"
 
     def __eq__(self, other):
@@ -175,9 +199,20 @@ def lookup(registry, kind, tag):
     return registry[tag]
 
 
+def make_parametric(registry, kind, tag, params):
+    """The ``kind`` registered under ``tag`` in ``registry``, made from the
+    flat sequence ``params``, so ``make_parametric(registry, kind, x.tag,
+    x.params) == x``; any other ``params`` raises ``ParameterError``."""
+    cls = lookup(registry, kind, tag)
+    if not is_vector(params):
+        raise ParameterError(f"{tag} takes a sequence of parameters, got {params!r}")
+    return cls(*params)
+
+
 def parse_spec(registry, kind, text):
-    """Build the ``kind`` that a spec like ``gumbel(2)``,
-    ``student_t(0.5,4)`` or ``power(1.5)`` names in ``registry``."""
+    """Make the ``kind`` that a spec like ``gumbel(2)``,
+    ``student_t(0.5,4)`` or ``power(1.5)`` names in ``registry``; the
+    repr of a ``Parametric`` is such a spec."""
     text = text.strip()
     if not text.endswith(")") or "(" not in text:
         raise ParameterError(
@@ -189,18 +224,17 @@ def parse_spec(registry, kind, text):
         params = [float(s) for s in argstr.split(",")] if argstr.strip() else []
     except ValueError as exc:
         raise ParameterError(f"bad numeric parameter in {text!r}") from exc
-    return lookup(registry, kind, tag.strip())(*params)
+    return make_parametric(registry, kind, tag.strip(), params)
 
 
 class Model:
     """The public answers of every model, a copula family or a blend: the
     density, the log-density, the CDF, the joint survival P[U > u, V > v]
     and draws. Each checks and clamps its points (``clamp_unit``), or
-    checks its sample size (``whole_number``) and takes its generator
-    through ``np.random.default_rng``, and calls the private method that
-    the model states, ``_clamped_logpdf``, ``_cdf``, ``_surv`` or
-    ``_sample``; the CDF is clipped to [0, 1] and the survival floored
-    at 0."""
+    checks its sample size (``whole_number``) and its generator
+    (``generator``), and calls the private method that the model states,
+    ``_clamped_logpdf``, ``_cdf``, ``_surv`` or ``_sample``; the CDF is
+    clipped to [0, 1] and the survival floored at 0."""
 
     def pdf(self, u, v):
         """The copula density c(u, v), exp of ``logpdf``."""
@@ -220,17 +254,12 @@ class Model:
 
     def sample(self, n, rng):
         """n draws, an (n, 2) array, from ``rng``: a seed, None or a numpy
-        Generator, taken through ``np.random.default_rng``, which returns
-        a Generator as it is given, so the same seed or the same state
-        gives the same draws. An n that is not a whole number >= 0, or an
-        ``rng`` that ``default_rng`` refuses, raises ``InputError`` before
-        any draw."""
+        Generator, taken through ``generator``, so the same seed or the
+        same state gives the same draws. An n that is not a whole number
+        >= 0, or any other ``rng``, raises ``InputError`` before any
+        draw."""
         n = whole_number(n, 0, "the sample size must be nonnegative")
-        try:
-            rng = np.random.default_rng(rng)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"rng must be a seed, None or a numpy Generator, got {rng!r}") from exc
-        return self._sample(n, rng)
+        return self._sample(n, generator(rng))
 
 
 class Copula(Parametric, Model):
@@ -921,7 +950,9 @@ def family_class(tag: str) -> type[Copula]:
 
 
 def make_copula(tag: str, params) -> Copula:
-    return family_class(tag)(*params)
+    """The family ``tag`` at the sequence ``params``:
+    ``make_copula(c.tag, c.params) == c``."""
+    return make_parametric(FAMILIES, "copula family", tag, params)
 
 
 def parse_copula(text: str) -> Copula:

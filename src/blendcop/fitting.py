@@ -34,7 +34,7 @@ from scipy.stats import kendalltau
 
 from .blend import BlendedModel
 from .errors import BlendcopError, FitError, InputError, ParameterError
-from .families import Model, clamp_unit, family_class, whole_number
+from .families import Model, clamp_unit, family_class, generator, is_vector, whole_number
 from .quadrature import readonly
 from .weighting import weighting_class
 
@@ -145,10 +145,9 @@ class FitResult:
 
 
 def aic(loglik: float, k: int) -> float:
-    """Akaike information criterion 2k - 2*loglik."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return 2.0 * k - 2.0 * float(loglik)
+    """Akaike information criterion 2k - 2*loglik; a k that is not a
+    whole number >= 1 raises ``InputError``."""
+    return 2.0 * whole_number(k, 1, "AIC needs k >= 1 parameters") - 2.0 * float(loglik)
 
 
 def log_likelihood(model: Model, data: Dataset) -> float:
@@ -273,7 +272,7 @@ def _fit(label, domains, init, make, data, restarts):
 
     objective = _Objective(evaluate, domains, _MAX_EVALUATIONS)
     z0 = np.array([d.forward(p) for d, p in zip(domains, init)], dtype=float)
-    rng = np.random.default_rng(_SEED)
+    rng = generator(_SEED)
     starts = [z0] + [z0 + rng.uniform(-_JITTER, _JITTER, size=len(z0)) for _ in range(restarts - 1)]
     try:
         # a -inf score is counted in ``failures``; numdiff's difference of
@@ -349,11 +348,7 @@ def fit(spec: str, data: Dataset, start=None, restarts: int = 3) -> FitResult:
         # a given start of the wrong length or outside a domain fails here,
         # not as NaN in the unconstrained start; its parts check it without
         # the build a blend would run. A default start is in its domains.
-        try:
-            vector = np.ndim(start) == 1 and len(start) == len(domains)
-        except ValueError:  # a ragged sequence
-            vector = False
-        if not vector:
+        if not (is_vector(start) and len(start) == len(domains)):
             raise ParameterError(f"{spec} takes {len(domains)} parameter(s), got {start!r}")
         parts(start)
     return _fit(spec, domains, start, make, data, restarts)

@@ -17,18 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SamplingError
-from .families import whole_number
+from .families import generator, whole_number
 
 TAIL, BODY = "tail", "body"
 #: Proposals per stream in the first round, as a multiple of n_target / K.
 _OVERSAMPLE = 1.3
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleRequest:
     """``n_target`` draws of ``model``'s blended density from ``seed``: a
-    seed, None or a numpy Generator, which ``rng`` takes through
-    ``np.random.default_rng``, so a Generator is drawn from as it is."""
+    seed, None or a numpy Generator. Both are checked on construction, and
+    any other ``n_target`` or ``seed`` raises ``InputError``; the fields
+    cannot be reassigned, so they stay checked. ``rng``
+    takes ``seed`` through ``families.generator`` at each call, so a seed
+    gives a fresh Generator each time and a Generator is drawn from as it
+    is."""
 
     model: BlendedModel
     n_target: int
@@ -36,9 +40,10 @@ class SampleRequest:
 
     def __post_init__(self):
         whole_number(self.n_target, 0, "n_target must be nonnegative")
+        generator(self.seed)
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+        return generator(self.seed)
 
 
 def rejection_round(model: BlendedModel, n: int, rng: np.random.Generator):

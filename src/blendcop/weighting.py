@@ -16,14 +16,14 @@ leaves ``v_nodes`` alone reuses them.
 
 A weighting is a ``families.Parametric`` of one parameter, theta: its
 range and the map the fit searches it through are stated once, in
-``param_domains``, and its repr, equality, registry lookup and spec
-parsing are those of a copula family.
+``param_domains``, and its repr, equality, registry lookup, factory and
+spec parsing are those of a copula family.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .families import POSITIVE, Parametric, lookup, parse_spec
+from .families import POSITIVE, Parametric, lookup, make_parametric, parse_spec
 from .quadrature import Kept, readonly, skewed_refined
 
 # Given a coordinate t, a conditional CDF steps up within about 1 - t of
@@ -122,8 +122,10 @@ def weighting_class(tag: str) -> type[WeightingFunction]:
     return lookup(WEIGHTINGS, "weighting", tag)
 
 
-def make_weighting(tag: str, theta: float) -> WeightingFunction:
-    return weighting_class(tag)(theta)
+def make_weighting(tag: str, params) -> WeightingFunction:
+    """The weighting ``tag`` at the sequence ``params``, ``[theta]``:
+    ``make_weighting(w.tag, w.params) == w``."""
+    return make_parametric(WEIGHTINGS, "weighting", tag, params)
 
 
 def parse_weighting(text: str) -> WeightingFunction:

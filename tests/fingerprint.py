@@ -132,8 +132,8 @@ def fit(res):
 
 
 def fit_text(res):
-    # the model's repr rounds its parameters; ``params`` holds them exactly.
-    # A blend's flat params are written as the former
+    # the repr, then ``params``, which were appended when the repr rounded
+    # them. A blend's flat params are written as the former
     # ``ModelParams(theta=..., tail=(...), body=(...))`` repr, so that the
     # hash compares with the one printed before a blend's params were flat.
     text = repr(dataclasses.replace(res, seconds=0.0, cov=None))

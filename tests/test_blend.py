@@ -89,7 +89,7 @@ def end_mass(model, axis, d, top):
 
 def build(tail, tparams, body, bparams, wtag="power", theta=1.5):
     return BlendedModel(
-        make_copula(tail, tparams), make_copula(body, bparams), make_weighting(wtag, theta)
+        make_copula(tail, tparams), make_copula(body, bparams), make_weighting(wtag, [theta])
     )
 
 
@@ -106,7 +106,7 @@ def exp_model():
 def test_constructed_model_answers_without_build():
     # no .build(): construction builds K and the margins
     m = BlendedModel(
-        make_copula("gumbel", [2.0]), make_copula("gaussian", [0.6]), make_weighting("power", 1.5)
+        make_copula("gumbel", [2.0]), make_copula("gaussian", [0.6]), make_weighting("power", [1.5])
     )
     u, v = np.array([1e-7, 0.3, 0.9, 1.0 - 1e-7]), np.array([0.5, 0.8, 0.95, 0.999])
     answers = lambda: [m.logpdf(u, v), m.survival(u, v), m.cdf(u, v), m.marginal_quantile(1, u)]
@@ -334,7 +334,7 @@ def test_cstar_density_formula(power_model):
     K = power_model.norm_constants[0]
     tail = make_copula("gumbel", [2.0])
     body = make_copula("gaussian", [0.6])
-    w = make_weighting("power", 1.5)
+    w = make_weighting("power", [1.5])
     pt = (0.5, 0.5)
     pi = w(*pt)
     expected = (pi * tail.pdf(*pt) + (1 - pi) * body.pdf(*pt)) / K_POW_ORACLE
@@ -828,13 +828,25 @@ def test_save_load_round_trip(tmp_path, power_model):
     assert again.tail == power_model.tail
     assert again.body == power_model.body
     assert again.weighting == power_model.weighting
-    # every part's parameters at 17 digits, so a load gives the same doubles
+    # each part as its repr, which holds every parameter exactly
     assert path.read_text() == (
-        "# blendcop model\ntail = gumbel(2)\nbody = gaussian(0.59999999999999998)\n"
-        "weighting = power(1.5)\n"
+        "# blendcop model\ntail = gumbel(2)\nbody = gaussian(0.6)\nweighting = power(1.5)\n"
     )
     pts = (np.array([0.3, 0.7]), np.array([0.6, 0.8]))
     assert_allclose(again.pdf(*pts), power_model.pdf(*pts), rtol=1e-12)
+    # a parameter that 12 digits would round loads back as the same double
+    exact = BlendedModel(Gumbel(2.0), make_copula("gaussian", [0.1 + 0.2]), power_model.weighting)
+    exact.save(path)
+    assert BlendedModel.load(path).body.params == (0.1 + 0.2,)
+    # a file written at 17 digits still loads to equal parts
+    path.write_text(
+        "# blendcop model\ntail = gumbel(2)\nbody = gaussian(0.59999999999999998)\n"
+        "weighting = power(1.5)\n"
+    )
+    again = BlendedModel.load(path)
+    assert (again.tail, again.body, again.weighting) == (
+        power_model.tail, power_model.body, power_model.weighting
+    )
 
 
 @pytest.mark.parametrize(
@@ -1103,7 +1115,7 @@ def _count_h(monkeypatch, *classes):
 def test_a_step_recomputes_only_the_grids_it_changed(step, wtag, recomputed, monkeypatch):
     calls = _count_h(monkeypatch, Gumbel, Frank)
     params = {"tail": 2.0 + 1e-7, "body": 1.25 + 1e-7, "theta": 0.9 + 1e-7}
-    parts = lambda p: (Gumbel(p["tail"]), Frank(p["body"]), make_weighting(wtag, p["theta"]))
+    parts = lambda p: (Gumbel(p["tail"]), Frank(p["body"]), make_weighting(wtag, [p["theta"]]))
     BlendedModel(*parts(params))
     calls.clear()
     BlendedModel(*parts({**params, step: params[step] + 1e-3}))
@@ -1114,7 +1126,7 @@ def test_a_cached_build_matches_a_cold_build_byte_for_byte():
     # coles_tawn(0.5, 0.8) is not exchangeable, so both axes have grids of
     # it; the gaussian body is its own transpose, so both axes share its grid
     parts = (make_copula("coles_tawn", [0.5, 0.8]), make_copula("gaussian", [0.6]),
-             make_weighting("power", 1.5))
+             make_weighting("power", [1.5]))
     blend._grids.clear()
     cold = BlendedModel(*parts)
     grids = list(blend._grids.values())
@@ -1135,7 +1147,7 @@ def test_a_cached_build_matches_a_cold_build_byte_for_byte():
 def test_grids_are_keyed_by_family_and_axis_and_read_only():
     # axis 1 is axis 0 of the transposed blend, so its grid is keyed by the
     # transposed family
-    w = make_weighting("exp_complement", 1.0)
+    w = make_weighting("exp_complement", [1.0])
     v = w.v_nodes
     t = corner_refined(_BUILD_ORDER)[0][:, None]
     hr, ga = HuslerReiss(2.0), Galambos(2.0)
@@ -1182,7 +1194,7 @@ class _NaNVeryNearOne(_NaNNearOne):
 def test_a_nonfinite_grid_names_its_component():
     named = r"conditional CDF of the body nan_near_one\(\) on axis 0 at \(t=0\.9999"
     with pytest.raises(EvaluationError, match=named):
-        BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", 1.0))
+        BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", [1.0]))
 
 
 def test_a_grid_that_fails_is_not_kept(monkeypatch):
@@ -1192,7 +1204,7 @@ def test_a_grid_that_fails_is_not_kept(monkeypatch):
     named = r"conditional CDF of the body nan_near_one\(\)"
     for _ in range(2):
         with pytest.raises(EvaluationError, match=named):
-            BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", 1.0))
+            BlendedModel(make_copula("frank", [1.0]), _NaNNearOne(), make_weighting("power", [1.0]))
     assert calls == ["nan_near_one"] * 2
     kept = blend._grids.values()
     assert len(kept) == 1 and np.all(np.isfinite(kept[0]))
@@ -1230,7 +1242,7 @@ def test_a_deep_root_reads_back_the_grids_it_would_make(triple):
 def test_a_nonfinite_grid_in_the_outermost_panel_names_its_component():
     # the build's nodes stay about 5e-9 from 1, so the blend builds; the
     # exact root within 1e-11 of 1 meets the NaN
-    m = BlendedModel(_NaNVeryNearOne(), make_copula("frank", [1.0]), make_weighting("power", 1.0))
+    m = BlendedModel(_NaNVeryNearOne(), make_copula("frank", [1.0]), make_weighting("power", [1.0]))
     assert np.isfinite(m.K)
     named = r"conditional CDF of the tail nan_very_near_one\(\) on axis 0 at \(t=1,"
     with pytest.raises(EvaluationError, match=named):
@@ -1240,9 +1252,9 @@ def test_a_nonfinite_grid_in_the_outermost_panel_names_its_component():
 @pytest.mark.parametrize("alpha", [45.0, 100.0])
 def test_a_steep_gumbel_tail_builds(alpha):
     # x^alpha + y^alpha underflows on the build grid beyond alpha of about 40
-    m = BlendedModel(Gumbel(alpha), Gumbel(1.5), make_weighting("power", 1.0))
+    m = BlendedModel(Gumbel(alpha), Gumbel(1.5), make_weighting("power", [1.0]))
     assert np.isfinite(m.K)
-    gentle = BlendedModel(Gumbel(39.0), Gumbel(1.5), make_weighting("power", 1.0))
+    gentle = BlendedModel(Gumbel(39.0), Gumbel(1.5), make_weighting("power", [1.0]))
     assert abs(m.K - gentle.K) < 1e-3
 
 

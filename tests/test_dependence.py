@@ -29,7 +29,7 @@ TAU_GAUSS06 = 0.409665529398  # 2 asin(0.6)/pi; concordance oracle agrees to ~1e
 
 def build(ttag, tp, btag, bp, wtag="power", theta=1.0):
     return BlendedModel(
-        make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, theta)
+        make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, [theta])
     )
 
 
@@ -285,7 +285,7 @@ def test_negative_correlation_chi_eta_defined_at_every_level(text):
     # blend of the copula with itself is the copula, so its chi matches.
     blended = text.startswith("blend:")
     cop = parse_copula(text.removeprefix("blend:"))
-    model = BlendedModel(cop, cop, make_weighting("power", 1.0)) if blended else cop
+    model = BlendedModel(cop, cop, make_weighting("power", [1.0])) if blended else cop
     for r in DEFAULT_R_GRID:
         chi, eta = chi_eta(model, r)
         assert np.isfinite(chi) and chi > 0.0, r

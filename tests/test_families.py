@@ -455,7 +455,7 @@ def test_student_t_level_zero_is_the_lower_end():
     u = np.array([1e-10, 0.5, BELOW_ONE])
     assert np.array_equal(cop._h(u, 0.0), [0.0, 0.0, 0.0])
     assert np.array_equal(cop._hbar(u, 0.0), [1.0, 1.0, 1.0])
-    weighting = make_weighting("power", 1e-3)
+    weighting = make_weighting("power", [1e-3])
     assert np.any(weighting.v_nodes == 0.0)
     model = BlendedModel(cop, make_copula("clayton", [1.0]), weighting)
     assert abs(model.norm_constants[0] - 1.0) < 1e-6
@@ -974,6 +974,23 @@ def test_parameter_domain_errors():
             make_copula(tag, params)
 
 
+@pytest.mark.parametrize(
+    "make,tag,params",
+    [
+        (make_copula, "gumbel", 2.0),
+        (make_copula, "gumbel", "2"),
+        (make_copula, "student_t", [[0.5, 4.0]]),
+        (make_copula, "student_t", [0.5, [4.0]]),
+        (make_weighting, "power", 0.8),
+        (make_weighting, "exp_complement", None),
+    ],
+    ids=["scalar", "string", "nested", "ragged", "weighting-scalar", "weighting-none"],
+)
+def test_a_factory_takes_a_flat_sequence_of_parameters(make, tag, params):
+    with pytest.raises(ParameterError, match=f"^{tag} takes a sequence of parameters, got "):
+        make(tag, params)
+
+
 def test_domain_error_names_family_parameter_and_value():
     with pytest.raises(ParameterError, match=r"^gumbel alpha must exceed 1, got 0\.99$"):
         make_copula("gumbel", [0.99])
@@ -988,7 +1005,7 @@ Z_GRID = np.linspace(-10.0, 10.0, 21)
 #: Every class the fit searches, copula family or weighting, by tag.
 PARAMETRIC = {**FAMILIES, **WEIGHTINGS}
 WEIGHTING_REPRESENTATIVE = [
-    make_weighting(tag, theta) for tag in sorted(WEIGHTINGS) for theta in (0.4, 1.5, 3.0)
+    make_weighting(tag, [theta]) for tag in sorted(WEIGHTINGS) for theta in (0.4, 1.5, 3.0)
 ]
 
 
@@ -1020,6 +1037,11 @@ def test_parse_and_repr_round_trip():
         cop = parse_copula(text)
         again = parse_copula(repr(cop))
         assert again == cop
+        assert repr(cop) == text
+    # the repr holds every digit a double needs, not 12
+    cop = make_copula("gaussian", [0.1 + 0.2])
+    assert repr(cop) == "gaussian(0.30000000000000004)"
+    assert parse_copula(repr(cop)) == cop
     with pytest.raises(ParameterError):
         parse_copula("gumbel2")
     with pytest.raises(ParameterError):

@@ -45,7 +45,7 @@ LOGLIK_ORACLE_SEED42 = -7.622542
 
 def build(ttag, tp, btag, bp, wtag, theta):
     return BlendedModel(
-        make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, theta)
+        make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, [theta])
     )
 
 
@@ -149,6 +149,13 @@ def test_aic_examples():
     assert aic(100.0, 2) == -196.0
     with pytest.raises(ValueError):
         aic(1.0, 0)
+
+
+def test_aic_needs_a_whole_number_of_parameters():
+    for k in (2.5, 2.0, "2", 0, -1):
+        with pytest.raises(InputError, match=r"^AIC needs k >= 1 parameters, a whole number, got "):
+            aic(1.0, k)
+    assert aic(1.0, np.int64(2)) == 2.0
 
 
 def test_loglik_identical_independence_is_zero(rng):

@@ -1,5 +1,6 @@
 """Every model, a copula family or a blend, answers through ``families.Model``."""
 import ast
+import re
 from functools import cached_property
 from pathlib import Path
 
@@ -136,3 +137,36 @@ def test_read_only_and_first_use_each_have_one_idiom():
     assert sets == ["quadrature.py:readonly"], sets
     assert isinstance(vars(_Margin)["cdf_at"], cached_property)
     assert isinstance(vars(BlendedModel)["_cdf_tensor"], cached_property)
+
+
+def test_parameter_text_and_generators_each_have_one_writer():
+    # a parameter is written as text only by Parametric.__repr__, and a
+    # generator is made only by families.generator
+    params_text, rng_calls, wide_specs = [], [], []
+    for path in sorted(Path(blendcop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.name}:{owner.get(id(node), 'module')}"
+            is_join = isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "join"
+            if (isinstance(node, ast.JoinedStr) or is_join) and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "params" for sub in ast.walk(node)
+            ):
+                params_text.append(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "default_rng":
+                rng_calls.append(where)
+            # a format spec of 12 or more digits would write a parameter
+            spec = node.format_spec if isinstance(node, ast.FormattedValue) else None
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "format":
+                spec = node.args[1] if len(node.args) > 1 else None
+            text = ast.unparse(spec) if spec is not None else ""
+            if any(int(d) >= 12 for d in re.findall(r"\.(\d+)", text)):
+                wide_specs.append(f"{where}:{text}")
+    assert sorted(set(params_text)) == ["families.py:__repr__"], params_text
+    assert rng_calls == ["families.py:generator"], rng_calls
+    assert not wide_specs, wide_specs

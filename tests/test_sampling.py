@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp, kstest
@@ -12,7 +14,7 @@ from blendcop.weighting import make_weighting
 
 def build(ttag, tp, btag, bp, wtag, theta):
     return BlendedModel(
-        make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, theta)
+        make_copula(ttag, tp), make_copula(btag, bp), make_weighting(wtag, [theta])
     )
 
 
@@ -124,6 +126,24 @@ def test_shortfall_error(model, monkeypatch):
 def test_request_validation(model):
     with pytest.raises(InputError, match="n_target"):
         SampleRequest(model, -1)
+
+
+@pytest.mark.parametrize("seed", ["x", 2.5, -1])
+def test_a_seed_that_is_not_a_seed_fails_when_the_request_is_made(model, seed):
+    with pytest.raises(InputError, match="rng must be a seed, None or a numpy Generator"):
+        SampleRequest(model, 10, seed=seed)
+    # nor can it be set once the request is made
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SampleRequest(model, 10, seed=1).seed = seed
+
+
+def test_a_request_draws_from_its_generator_or_a_fresh_one_per_call(model):
+    gen = np.random.default_rng(3)
+    assert SampleRequest(model, 10, seed=gen).rng() is gen
+    req = SampleRequest(model, 10, seed=3)
+    first, second = req.rng(), req.rng()
+    assert first is not second
+    assert first.random() == second.random() == np.random.default_rng(3).random()
 
 
 @pytest.mark.parametrize("n", [2.5, -1, "3"])

@@ -42,7 +42,7 @@ def test_monotone_and_in_range(w):
 @pytest.mark.parametrize("theta", [0.4, 1.0, 3.0])
 def test_every_weighting_is_symmetric(tag, theta):
     # the blend's axis-1 margin relies on pi(u, v) = pi(v, u)
-    w = make_weighting(tag, theta)
+    w = make_weighting(tag, [theta])
     grid = np.concatenate([[1e-9, 1e-4], np.linspace(0.01, 0.99, 33), [1.0 - 1e-4, 1.0 - 1e-9]])
     U, V = np.meshgrid(grid, grid, indexing="ij")
     assert_allclose(w(U, V), w(V, U), rtol=1e-14, atol=0.0)
@@ -89,12 +89,13 @@ def test_parse_and_registry():
     w = parse_weighting("power(1.5)")
     assert w == PowerProduct(1.5)
     assert parse_weighting("exp_complement(2)") == ExpComplement(2.0)
-    for w in (PowerProduct(0.8), ExpComplement(2.5)):
+    for w in (PowerProduct(0.8), ExpComplement(2.5), PowerProduct(1 / 3)):
         assert parse_weighting(repr(w)) == w
+    assert repr(PowerProduct(1 / 3)) == "power(0.3333333333333333)"
     for text in ("power", "power(1,2)", "power()"):
         with pytest.raises(ParameterError):
             parse_weighting(text)
     with pytest.raises(ParameterError):
         parse_weighting("nope(1)")
     with pytest.raises(ParameterError):
-        make_weighting("power", float("nan"))
+        make_weighting("power", [float("nan")])
